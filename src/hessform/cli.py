@@ -30,18 +30,19 @@ from .formats import (
     search_report_to_json,
 )
 from .linalg import classify
-from .search import AltProjConfig, Generator, altproj_hess, random_experiment
+from .search import (
+    AltProjConfig,
+    Generator,
+    altproj_hess,
+    exact_hessenberg,
+    random_experiment,
+)
 from .systems import dt_hess_feasibility_3, dt_iterates
 from .transforms import (
     Mode,
     Obstruction,
     SimilarityCertificate,
     ct_hess_3,
-    identity_certificate,
-    metzler_hess_3,
-    metzler_hess_4,
-    nonneg_hess_3,
-    rank_one_shift_detect,
     verify_certificate,
 )
 
@@ -85,34 +86,12 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _hessenberg_dispatch(A, mode: Mode, tol, seed: int):
-    n = A.shape[0]
-    if mode is Mode.METZLER:
-        if n <= 2:
-            return identity_certificate(A, mode)
-        if n == 3:
-            return metzler_hess_3(A, tol)
-        if n == 4:
-            return metzler_hess_4(A, tol)
-        report = altproj_hess(A, mode, AltProjConfig(seed=seed))
-        return report.best_certificate  # None means unknown
-    if n <= 2:
-        return identity_certificate(A, mode)
-    if n == 3:
-        return nonneg_hess_3(A, tol)
-    form = rank_one_shift_detect(A)
-    if form is not None:
-        from .transforms import ObstructionKind
-        return Obstruction(ObstructionKind.NEG_EIG_GEOM_MULT,
-                           data={"s": form.s, "c": form.c})
-    report = altproj_hess(A, mode, AltProjConfig(seed=seed))
-    return report.best_certificate
-
-
 def _cmd_hessenberg(args) -> int:
     A = read_matrix(args.matrix)
     mode = Mode(args.mode)
-    result = _hessenberg_dispatch(A, mode, _tolerance(args), args.seed)
+    result = exact_hessenberg(A, mode, _tolerance(args))
+    if result is None:  # heuristic search; no certificate means unknown
+        result = altproj_hess(A, mode, AltProjConfig(seed=args.seed)).best_certificate
     if isinstance(result, SimilarityCertificate):
         _emit(certificate_to_json(A, result), args.json)
         return EXIT_OK

@@ -200,8 +200,7 @@ def classify(A, tol: float | None = None) -> ClassReport:
 
     is_primitive = False
     if is_irreducible and is_nonnegative:
-        vals = _eigenvalues(A)
-        ordered = _canonical_sort(vals, _tie_tolerance(vals))
+        ordered = _eigenvalues(A)
         lam1 = ordered[0].real
         lam2 = abs(ordered[1]) if n > 1 else 0.0
         is_primitive = n == 1 or lam1 > lam2 + t
@@ -221,52 +220,13 @@ def classify(A, tol: float | None = None) -> ClassReport:
 # eigenvalues
 # ---------------------------------------------------------------------------
 
-def _charpoly_coeffs(A: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients via Faddeev-LeVerrier."""
-    n = A.shape[0]
-    coeffs = np.empty(n + 1)
-    coeffs[0] = 1.0
-    M = np.zeros_like(A)
-    eye = np.eye(n)
-    for k in range(1, n + 1):
-        M = A @ M + coeffs[k - 1] * eye
-        coeffs[k] = -np.trace(A @ M) / k
-    return coeffs
-
-
 def _eigenvalues(A: np.ndarray) -> np.ndarray:
-    """All eigenvalues; characteristic-polynomial roots with one Newton polish
-    for n <= 4, falling back to LAPACK.
-
-    Polynomial root-finding loses eps^(1/m) digits on an m-fold root, so the
-    fallback also triggers whenever the polished roots are not well separated;
-    the dense solver is far more accurate for (semi)simple clustered spectra.
-    """
-    n = A.shape[0]
-    if n == 1:
-        return A[0, 0:1].astype(complex)
-    if n <= 4:
-        try:
-            coeffs = _charpoly_coeffs(A)
-            roots = np.roots(coeffs)
-            deriv = np.polyder(coeffs)
-            p = np.polyval(coeffs, roots)
-            dp = np.polyval(deriv, roots)
-            safe = np.abs(dp) > _EPS * max(1.0, inf_norm(A)) ** max(n - 1, 1)
-            polished = roots.copy()
-            polished[safe] = roots[safe] - p[safe] / dp[safe]
-            if np.all(np.isfinite(polished)) and len(polished) == n:
-                scale = max(1.0, float(np.max(np.abs(polished))))
-                gap = min((abs(a - b) for i, a in enumerate(polished)
-                           for b in polished[i + 1:]), default=np.inf)
-                if gap > 1e-3 * scale:
-                    return polished
-        except np.linalg.LinAlgError:
-            pass
+    """All eigenvalues from LAPACK, in the canonical order of :class:`SortedSpectrum`."""
     try:
-        return np.linalg.eigvals(A)
+        vals = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
+    return _canonical_sort(vals, _tie_tolerance(vals))
 
 
 def _tie_tolerance(values: np.ndarray) -> float:
@@ -333,8 +293,7 @@ def sorted_spectrum(A, cluster_tol: float = 1e-6) -> SortedSpectrum:
     A = as_square(A)
     if cluster_tol < 0:
         raise InputError("cluster_tol must be nonnegative")
-    vals = _eigenvalues(A)
-    ordered = _canonical_sort(vals, _tie_tolerance(vals))
+    ordered = _eigenvalues(A)
     scale = max(1.0, float(np.max(np.abs(ordered))))
     threshold = cluster_tol * scale
 
@@ -431,10 +390,7 @@ def perron_pair(A, tol: float | None = None) -> PerronData:
     t = zero_tolerance(A, tol)
     if np.min(A) < -t:
         raise InputError("perron_pair requires a nonnegative matrix")
-    spec = sorted_spectrum(A)
-    lam1 = float(spec.eigenvalues[0].real)
-    if lam1 < 0:
-        lam1 = 0.0
+    lam1 = max(0.0, float(_eigenvalues(A)[0].real))
     right = _perron_vector(A, lam1, t)
     left = _perron_vector(A.T, lam1, t)
     simple = geometric_multiplicity(A, lam1) == 1
@@ -609,7 +565,7 @@ def _jordan_blocks_for_real_cluster(A, values, threshold):
             out.append((lam_bar, cols, J))
         return out
     # semisimple (or undecidable) cluster: one-by-one eigenvectors with their
-    # individually polished eigenvalues keeps residuals at solver accuracy
+    # individual eigenvalues keeps residuals at solver accuracy
     basis: list[np.ndarray] = []
     for lam in vals:
         M = A - lam * np.eye(A.shape[0])
@@ -660,7 +616,7 @@ def jordan_like_form(A, cluster_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarr
     if cluster_tol < 0:
         raise InputError("cluster_tol must be nonnegative")
 
-    vals = _canonical_sort(_eigenvalues(A), _tie_tolerance(_eigenvalues(A)))
+    vals = _eigenvalues(A)
     scale = max(1.0, float(np.max(np.abs(vals))))
     threshold = max(cluster_tol * scale, 10 * _EPS * scale)
 

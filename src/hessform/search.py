@@ -20,6 +20,7 @@ from .linalg import as_square, classify, inf_norm, metzler_shift, zero_tolerance
 from .transforms import (
     Mode,
     Obstruction,
+    ObstructionKind,
     SimilarityCertificate,
     identity_certificate,
     make_certificate,
@@ -36,6 +37,7 @@ __all__ = [
     "RestartLog",
     "SearchReport",
     "altproj_hess",
+    "exact_hessenberg",
     "random_experiment",
     "sample_matrix",
 ]
@@ -332,25 +334,31 @@ def sample_matrix(n: int, mode: Mode, generator: Generator,
     return A
 
 
-def _exact_attempt(A: np.ndarray, mode: Mode) -> SimilarityCertificate | Obstruction:
+def exact_hessenberg(A: np.ndarray, mode: Mode, tol: float | None = None
+                     ) -> SimilarityCertificate | Obstruction | None:
+    """The exact construction for ``mode`` at this dimension: a certificate or
+    an obstruction, or None where only the heuristic search applies (Metzler
+    n >= 5, nonneg n >= 4 outside the rank-one-minus-shift family)."""
     n = A.shape[0]
-    if mode is Mode.METZLER:
-        if n <= 2:
-            return identity_certificate(A, mode)
-        if n == 3:
-            return metzler_hess_3(A)
-        return metzler_hess_4(A)
     if n <= 2:
         return identity_certificate(A, mode)
+    if mode is Mode.METZLER:
+        if n == 3:
+            return metzler_hess_3(A, tol)
+        return metzler_hess_4(A, tol) if n == 4 else None
     if n == 3:
-        return nonneg_hess_3(A)
-    raise InputError("no exact nonneg construction above n = 3")
+        return nonneg_hess_3(A, tol)
+    form = rank_one_shift_detect(A, tol)
+    if form is None:
+        return None
+    return Obstruction(ObstructionKind.NEG_EIG_GEOM_MULT,
+                       data={"u": form.u, "v": form.v, "s": form.s, "c": form.c})
 
 
 def random_experiment(n: int, trials: int, seed: int, mode: Mode,
                       generator: Generator) -> SearchReport:
-    """Run seeded trials of the named family through the exact construction
-    (n <= 4, mode-appropriate) or the alternating projections, and aggregate.
+    """Run seeded trials of the named family through :func:`exact_hessenberg`
+    or, where it has no construction, the alternating projections, and aggregate.
 
     rank-one-shift draws in nonneg mode are asserted infeasible by the exact
     membership test (the characterisation holds in every dimension), so they
@@ -377,19 +385,17 @@ def random_experiment(n: int, trials: int, seed: int, mode: Mode,
                     "family draw escaped its own membership test")
             logs.append(RestartLog(trial, 1, np.inf, False))
             continue
-        exact_ok = (n <= 3) or (n == 4 and mode is Mode.METZLER)
-        if exact_ok:
-            result = _exact_attempt(A, mode)
-            if isinstance(result, SimilarityCertificate):
-                v = float(max(result.hessenberg_violation,
-                              -min(0.0, result.sign_violation)))
-                successes += 1
-                if v < best_violation or best_cert is None:
-                    best_cert = result
-                    best_violation = v
-                logs.append(RestartLog(trial, 1, v, True))
-            else:
-                logs.append(RestartLog(trial, 1, np.inf, False))
+        result = exact_hessenberg(A, mode)
+        if isinstance(result, SimilarityCertificate):
+            v = float(max(result.hessenberg_violation,
+                          -min(0.0, result.sign_violation)))
+            successes += 1
+            if v < best_violation or best_cert is None:
+                best_cert = result
+                best_violation = v
+            logs.append(RestartLog(trial, 1, v, True))
+        elif isinstance(result, Obstruction):
+            logs.append(RestartLog(trial, 1, np.inf, False))
         else:
             cfg = AltProjConfig(seed=seed + trial, restarts=4, max_iters=200)
             rep = altproj_hess(A, mode, cfg)

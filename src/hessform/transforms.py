@@ -20,6 +20,7 @@ import numpy as np
 from .cones import boundary_shift
 from .errors import ConstructionDefect, InputError, PerronVectorError
 from .linalg import (
+    _eigenvalues,
     as_square,
     as_vector,
     classify,
@@ -29,7 +30,6 @@ from .linalg import (
     metzler_shift,
     permutation_to_hessenberg,
     perron_pair,
-    sorted_spectrum,
     zero_tolerance,
 )
 
@@ -255,14 +255,14 @@ def rank_one_shift_detect(A, tol: float | None = None) -> RankOneShiftForm | Non
     n = A.shape[0]
     if n < 2 or inf_norm(A) <= t:
         return None
-    spec = sorted_spectrum(A)
+    vals = _eigenvalues(A)
     # membership forces the trailing n-1 eigenvalues to coincide; a multiple
     # root computed numerically splits by up to ~eps^(1/multiplicity), so the
     # grouping screen is loose and the rank-one and reconstruction tests below
     # are the precise arbiters
-    trailing = spec.eigenvalues[1:]
+    trailing = vals[1:]
     lam2c = complex(np.mean(trailing))
-    screen = 1e-4 * max(1.0, spec.spectral_radius)
+    screen = 1e-4 * max(1.0, float(np.abs(vals[0])))
     if np.max(np.abs(trailing - lam2c)) > screen:
         return None
     if abs(lam2c.imag) > screen or lam2c.real >= -t:
@@ -349,13 +349,14 @@ def fix_b_boundary(A, b, tol: float | None = None) -> np.ndarray:
 
     # shift into the open right half-plane and rescale to spectral radius one;
     # both operations preserve "polynomial in A" and the cone family geometry
-    spec = sorted_spectrum(A)
-    min_re = float(np.min(spec.eigenvalues.real))
+    vals = _eigenvalues(A)
+    min_re = float(np.min(vals.real))
     k_shift = 0.0
     if min_re <= 0 or np.min(np.diag(A)) <= 0:
         k_shift = max(0.0, -min_re) + 0.25 * max(1.0, inf_norm(A))
+    # eig(A + k I) = eig(A) + k, so W needs no eigenvalue computation of its own
     W = A + k_shift * np.eye(n)
-    rho = float(np.abs(sorted_spectrum(W).eigenvalues[0]))
+    rho = float(np.max(np.abs(vals + k_shift)))
     W = W / max(rho, 1e-300)
 
     y = b / np.sum(b)
@@ -413,9 +414,9 @@ def dt_hess_2(A, b, tol: float | None = None) -> SimilarityCertificate | Obstruc
         raise InputError("b must be nonzero")
     b = np.maximum(b, 0.0)
 
-    spec = sorted_spectrum(A)
-    lam1 = float(spec.eigenvalues[0].real)
-    lam2 = float(spec.eigenvalues[1].real)
+    vals = _eigenvalues(A)
+    lam1 = float(vals[0].real)
+    lam2 = float(vals[1].real)
 
     if lam2 >= -t:
         # the shifted matrix is nonnegative of rank at most one; cover its ray
@@ -488,10 +489,10 @@ def eigvec_b_transform(A, b, tol: float | None = None) -> np.ndarray:
         raise InputError("eigvec_b_transform requires a strictly positive vector")
     if not classify(A, t).is_irreducible:
         raise InputError("eigvec_b_transform requires an irreducible matrix")
-    spec = sorted_spectrum(A)
-    if np.max(np.abs(spec.eigenvalues.imag)) > t or np.min(spec.eigenvalues.real) < -t:
+    vals = _eigenvalues(A)
+    if np.max(np.abs(vals.imag)) > t or np.min(vals.real) < -t:
         raise InputError("spectrum must be real and nonnegative")
-    lam1 = float(spec.eigenvalues[0].real)
+    lam1 = float(vals[0].real)
     coincident, resid = _perron_coincident(A, b, lam1)
     if not coincident:
         raise InputError(
@@ -519,8 +520,6 @@ def eigvec_b_transform(A, b, tol: float | None = None) -> np.ndarray:
             raise ConstructionDefect("dominant eigenvalue is not simple")
         if J[i - 1, i] != 0.0:
             need_rec = alpha[i - 1] / gap
-        if i + 1 < n and J[i, i + 1] != 0.0:
-            pass  # the bound for the next chain member is handled at i+1
         alpha[i] = 1.25 * max(need_pos, need_rec)
 
     T = V + np.outer(b, alpha)
@@ -626,9 +625,8 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
             },
         )
 
-    spec = sorted_spectrum(A)
-    real_nonneg = (np.max(np.abs(spec.eigenvalues.imag)) <= t
-                   and np.min(spec.eigenvalues.real) >= -t)
+    vals = _eigenvalues(A)
+    real_nonneg = np.max(np.abs(vals.imag)) <= t and np.min(vals.real) >= -t
     if real_nonneg:
         V, _ = jordan_like_form(A)
         cert = make_certificate(A, V, Mode.NONNEG)
@@ -714,47 +712,26 @@ def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
 
 def _plane_orthant_rays(U2: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Extreme rays of (2-d subspace spanned by U2's columns) cut with the
-    nonnegative orthant, or None when the intersection is not 2-dimensional.
+    nonnegative orthant, in counter-clockwise order of the U2 coordinates, or
+    None when the intersection is not 2-dimensional.
 
-    The basis may carry O(1e-10) noise from the SVD that produced it, so the
-    orthant test runs at a matching slack and the rays are clamped after."""
+    In U2 coordinates the section is the cone ``{c : U2 c >= 0}``, so each of
+    its two extreme rays is orthogonal to some row of U2: they are the two
+    feasible row normals that lie farthest apart.  The basis may carry
+    O(1e-10) noise from the SVD that produced it, so the orthant test runs at
+    a matching slack and the rays are clamped after."""
     slack = 1e-8
-    lo, hi = 0.0, 2.0 * np.pi
-    thetas = np.linspace(lo, hi, 4096, endpoint=False)
-    vecs = np.outer(np.cos(thetas), U2[:, 0]) + np.outer(np.sin(thetas), U2[:, 1])
-    feas = np.min(vecs, axis=1) >= -slack
-    if not np.any(feas):
+    rows = U2[np.linalg.norm(U2, axis=1) > 1e-12]
+    normals = np.vstack([rows[:, ::-1] * [-1.0, 1.0], rows[:, ::-1] * [1.0, -1.0]])
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    feas = normals[np.min(normals @ U2.T, axis=1) >= -slack]
+    if len(feas) < 2:
         return None
-    # find the contiguous feasible arc (wrap-around aware)
-    idx = np.where(feas)[0]
-    if len(idx) == len(thetas):
-        return None  # whole circle nonnegative is impossible for a 2-d section
-    breaks = np.where(np.diff(idx) > 1)[0]
-    if len(breaks) == 0:
-        arc = idx
-    else:
-        arc = np.concatenate([idx[breaks[0] + 1:], idx[:breaks[0] + 1]])
-    if len(arc) < 2:
-        return None
-
-    def refine(th_in: float, th_out: float) -> float:
-        for _ in range(60):
-            mid = 0.5 * (th_in + th_out)
-            v = np.cos(mid) * U2[:, 0] + np.sin(mid) * U2[:, 1]
-            if np.min(v) >= -slack:
-                th_in = mid
-            else:
-                th_out = mid
-        return th_in
-
-    step = thetas[1] - thetas[0]
-    th_a = refine(float(thetas[arc[0]]), float(thetas[arc[0]]) - step)
-    th_b = refine(float(thetas[arc[-1]]), float(thetas[arc[-1]]) + step)
-    g1 = np.cos(th_a) * U2[:, 0] + np.sin(th_a) * U2[:, 1]
-    g2 = np.cos(th_b) * U2[:, 0] + np.sin(th_b) * U2[:, 1]
-    g1, g2 = np.maximum(g1, 0.0), np.maximum(g2, 0.0)
-    if np.linalg.norm(g1) < 1e-12 or np.linalg.norm(g2) < 1e-12:
-        return None
+    i, j = np.unravel_index(np.argmin(feas @ feas.T), (len(feas), len(feas)))
+    c1, c2 = feas[i], feas[j]
+    if c1[0] * c2[1] - c1[1] * c2[0] < 0:
+        c1, c2 = c2, c1
+    g1, g2 = np.maximum(U2 @ c1, 0.0), np.maximum(U2 @ c2, 0.0)
     if np.linalg.norm(g1 / np.linalg.norm(g1) - g2 / np.linalg.norm(g2)) < 1e-9:
         return None
     return g1 / np.linalg.norm(g1), g2 / np.linalg.norm(g2)
@@ -811,8 +788,8 @@ def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray,
     Hessenberg for a reducible nonnegative 3x3 matrix with positive real
     spectrum.  Returns the complete transform (trailing step included)."""
     n = 3
-    spec = sorted_spectrum(A1)
-    lam3 = float(spec.eigenvalues[-1].real)
+    vals = _eigenvalues(A1)
+    lam3 = float(vals[-1].real)
     Ahat = np.maximum(A1 - lam3 * np.eye(n), 0.0)
     U, s, _ = np.linalg.svd(Ahat)
     rank = int(np.count_nonzero(s > 1e-9 * max(1.0, s[0])))
@@ -859,13 +836,13 @@ def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray,
         U2 = U[:, :2]
         resid = bnorm - U2 @ (U2.T @ bnorm)
         if np.linalg.norm(resid) <= 1e-7:
-            T = _invariant_plane_frame(A1, bnorm, U2, spec, entry_tol)
+            T = _invariant_plane_frame(A1, bnorm, U2, vals, entry_tol)
             if T is not None:
                 return T
     return None
 
 
-def _invariant_plane_frame(A1, bnorm, U2, spec, entry_tol):
+def _invariant_plane_frame(A1, bnorm, U2, vals, entry_tol):
     """Frame for the degenerate reducible case where b lies inside the
     2-d invariant range of the shifted matrix.
 
@@ -903,7 +880,7 @@ def _invariant_plane_frame(A1, bnorm, U2, spec, entry_tol):
         q_cands.append(perron_pair(A1).right_vector)
     except (InputError, ConstructionDefect):
         pass
-    for lam in spec.eigenvalues.real:
+    for lam in vals.real:
         W = A1 - lam * np.eye(3)
         _, _, vt = np.linalg.svd(W)
         w = vt[-1]
@@ -969,8 +946,7 @@ def _reducible_after_subtraction(A2: np.ndarray, b2: np.ndarray,
     alpha = np.maximum(alpha, 0.0)
     base = A2 - np.outer(b2, alpha)
     # snap the targeted entries to exact zeros
-    base[np.abs(base) <= 100 * t * max(1.0, inf_norm(A2))] = np.where(
-        np.abs(base[np.abs(base) <= 100 * t * max(1.0, inf_norm(A2))]) > 0, 0.0, 0.0)
+    base[np.abs(base) <= 100 * t * max(1.0, inf_norm(A2))] = 0.0
     vals = np.linalg.eigvals(base)
     sigma = max(0.0, -float(np.min(np.diag(base))),
                 -float(np.min(vals.real))) + 0.125 * max(1.0, inf_norm(A2))
@@ -1006,13 +982,13 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
         raise InputError("ct_hess_3 requires a nonnegative output vector")
     b = np.maximum(b, 0.0)
 
-    spec0 = sorted_spectrum(A)
-    has_complex = np.max(np.abs(spec0.eigenvalues.imag)) > t
+    vals = _eigenvalues(A)
+    has_complex = np.max(np.abs(vals.imag)) > t
 
     # base shift: nonnegative entries and spectrum in the open right
     # half-plane (the transform is shift-invariant)
     mu_sign = max(0.0, -float(np.min(np.diag(A))))
-    mu_spec = max(0.0, -float(np.min(spec0.eigenvalues.real)))
+    mu_spec = max(0.0, -float(np.min(vals.real)))
     mu0 = max(mu_sign, mu_spec) + 0.25 * max(1.0, inf_norm(A))
 
     A_base = A + mu0 * np.eye(3)
@@ -1023,8 +999,7 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
         return Obstruction(
             ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
             data={"lambda1": lam1 - mu0, "residual": resid,
-                  "complex_pair": [complex(z) for z in spec0.eigenvalues
-                                   if abs(z.imag) > t]},
+                  "complex_pair": [complex(z) for z in vals if abs(z.imag) > t]},
         )
 
     entry_tol = _entry_tolerance(A)

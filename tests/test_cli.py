@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import hessform
 
 from hessform.cli import run
 from hessform.formats import (
@@ -98,6 +104,18 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["kind"] == "obstruction"
 
+    def test_hessenberg_obstruction_4x4_is_recheckable(self, tmp_path, capsys):
+        u = np.array([0.5, 1.0, 1.5, 0.8])
+        v = np.array([1.2, 0.4, 0.9, 1.1])
+        A = np.outer(u, v) - 0.3 * np.eye(4)
+        path = tmp_path / "r1.mat"
+        write_matrix(path, A)
+        assert run(["hessenberg", str(path), "--mode", "nonneg"]) == 2
+        d = json.loads(capsys.readouterr().out)["data"]
+        rebuilt = d["c"] * (np.outer(d["u"], d["v"]) - d["s"] * np.eye(4))
+        scale = np.max(np.sum(np.abs(A), axis=1))
+        assert np.max(np.sum(np.abs(rebuilt - A), axis=1)) <= 1e-8 * scale
+
     def test_hessenberg_metzler_and_verify_round_trip(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         A = rng.uniform(-5, 5, size=(4, 4))
@@ -144,6 +162,13 @@ class TestCli:
         assert run(args + ["--json", str(out1)]) == 0
         assert run(args + ["--json", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        code = "import sys, hessform.cli; print('scipy.optimize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(hessform.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out.strip() == "False"
 
     def test_unreadable_file_is_usage_error(self, capsys):
         assert run(["classify", "/nonexistent/path.mat"]) == 1

@@ -74,6 +74,21 @@ class TestBoundaryShift:
         with pytest.raises(InputError):
             boundary_shift(np.eye(2), np.array([1.0, 1.0]))
 
+    def test_first_crossing_between_grid_points(self):
+        # a grid over s skips this first crossing and lands on a later one
+        A = np.array([
+            [.1056471155247544, 0, 0, .4160317110544762],
+            [.20813050018551318, 0, .5826695427006615, .15250496990479567],
+            [.09195719656973372, .17501378965827033, 0, .14076179291406693],
+            [.33535096431509154, .5858512600551684, .07879777562973991, 0]])
+        b = np.array([.5116954992071455, 1.3548182676077394, .8403502921416686,
+                      .567052620827658])
+        s = boundary_shift(A, b)
+        assert s == pytest.approx(0.35053, abs=1e-5)
+        x = np.linalg.solve(A + s * np.eye(4), b)
+        assert np.min(x) >= -1e-9 * np.max(x)
+        assert np.min(np.abs(x)) <= 1e-9 * np.max(x)
+
     def test_postcondition_random(self, rng):
         hits = 0
         for _ in range(40):

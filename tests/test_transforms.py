@@ -23,6 +23,7 @@ from hessform import (
     verify_certificate,
 )
 from hessform.linalg import classify, inf_norm
+from hessform.transforms import _plane_orthant_rays
 
 from conftest import (
     INFEASIBLE_DT_A,
@@ -385,6 +386,27 @@ class TestCtHess3:
             b = perron_pair(A).right_vector
             result = ct_hess_3(A, b)
             assert_good_cert(A, result, Mode.METZLER)
+
+
+class TestPlaneOrthantRays:
+    @pytest.mark.parametrize("plane", [
+        [[1.0, 0.0], [2.0, 1.0], [0.0, 3.0]],
+        [[1.0, 1.0], [1.0, -1.0], [0.5, 2.0]],
+        [[3.0, 1.0], [1.0, 0.0], [1.0, 2.0]],
+    ])
+    def test_rays_are_exact_extreme_rays(self, plane):
+        U2, _ = np.linalg.qr(np.array(plane))
+        g1, g2 = _plane_orthant_rays(U2)
+        for g in (g1, g2):
+            assert np.linalg.norm(g - U2 @ (U2.T @ g)) <= 1e-12
+            assert np.min(g) >= 0.0
+            assert np.min(np.abs(g)) <= 1e-12  # extreme: on an orthant face
+        c1, c2 = U2.T @ g1, U2.T @ g2
+        assert c1[0] * c2[1] - c1[1] * c2[0] > 0  # counter-clockwise
+
+    def test_plane_missing_the_orthant(self):
+        U2, _ = np.linalg.qr(np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]]))
+        assert _plane_orthant_rays(U2) is None
 
 
 class TestMetzlerHess4:
