@@ -43,6 +43,9 @@ from .transforms import (
     Obstruction,
     SimilarityCertificate,
     ct_hess_3,
+    metzler_hess_3,
+    metzler_hess_4,
+    nonneg_hess_3,
     verify_certificate,
 )
 
@@ -86,10 +89,22 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _exact_dispatch(A, mode: Mode, tol):
+    """:func:`~hessform.search.exact_hessenberg` with the n <= 4
+    constructions called through this module's names, so that rebinding one
+    here (as ``perfbench``'s self-tests do) reaches the CLI alone."""
+    n = A.shape[0]
+    if mode is Mode.METZLER and n in (3, 4):
+        return (metzler_hess_3 if n == 3 else metzler_hess_4)(A, tol)
+    if mode is Mode.NONNEG and n == 3:
+        return nonneg_hess_3(A, tol)
+    return exact_hessenberg(A, mode, tol)
+
+
 def _cmd_hessenberg(args) -> int:
     A = read_matrix(args.matrix)
     mode = Mode(args.mode)
-    result = exact_hessenberg(A, mode, _tolerance(args))
+    result = _exact_dispatch(A, mode, _tolerance(args))
     if result is None:  # heuristic search; no certificate means unknown
         result = altproj_hess(A, mode, AltProjConfig(seed=args.seed)).best_certificate
     if isinstance(result, SimilarityCertificate):

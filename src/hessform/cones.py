@@ -175,14 +175,15 @@ def cone_membership(cone, b, tol: float = 1e-9) -> Membership:
 # ---------------------------------------------------------------------------
 
 def _coefficient_margin(A: np.ndarray, b: np.ndarray, s: float) -> float:
-    """Smallest normalised coefficient of (A + s I)^{-1} b (negative = outside)."""
+    """Smallest coefficient of (A + s I)^{-1} b over its largest magnitude
+    (negative = outside); scaling A, b and s leaves it unchanged."""
     n = A.shape[0]
     M = A + s * np.eye(n)
     try:
         x = np.linalg.solve(M, b)
     except np.linalg.LinAlgError:
         x = np.linalg.lstsq(M, b, rcond=None)[0]
-    denom = max(1.0, float(np.max(np.abs(x))))
+    denom = max(float(np.max(np.abs(x))), np.finfo(float).tiny)
     return float(np.min(x)) / denom
 
 
@@ -194,8 +195,9 @@ def boundary_shift(A, b, tol: float = 1e-9) -> float:
     ``(A + s I) x = b`` has a solution with ``x_i = 0``, that is when ``s`` is
     a nonzero eigenvalue of ``(I - b e_i^T / b_i)(-A)`` with eigenvector ``x``
     (``b_i > 0``).  Every boundary shift is therefore such an eigenvalue, and
-    ``s*`` is the smallest positive real one at which no coefficient is below
-    ``-tol`` after normalising ``x`` by its largest entry.
+    ``s*`` is the smallest positive real one, other than an eigenvalue of
+    ``-A`` (a pole of ``x(s)``), at which no coefficient is below ``-tol``
+    after dividing ``x`` by its largest magnitude.
 
     Raises
     ------
@@ -232,8 +234,12 @@ def boundary_shift(A, b, tol: float = 1e-9) -> float:
     # a double zero (a tangency) splits into a pair about sqrt(eps) apart, so the
     # real test is loose; the margin check below decides
     real = np.abs(zeros.imag) <= 1e-7 * np.maximum(1.0, np.abs(zeros))
+    # an eigenvalue of -A whose eigenvector has a zero entry i is also a zero
+    # of that pencil; there A + s I is singular and x(s) has a pole, not a zero
+    poles = np.linalg.eigvals(-A)
     for s in np.sort(zeros.real[real & (zeros.real > 0)]):
-        if _coefficient_margin(A, b, float(s)) >= -tol:
+        if (np.min(np.abs(poles - s)) > 1e-8 * s
+                and _coefficient_margin(A, b, float(s)) >= -tol):
             return float(s)
     raise InputError("no coefficient of (A + s I)^{-1} b vanishes on the cone boundary")
 

@@ -89,6 +89,28 @@ class TestBoundaryShift:
         assert np.min(x) >= -1e-9 * np.max(x)
         assert np.min(np.abs(x)) <= 1e-9 * np.max(x)
 
+    def test_scaled_matrix_scales_the_shift(self):
+        # at 10**6 scale x(s) is about 10**-6, so a margin that does not divide
+        # by max|x| takes the first zero while another coefficient is negative
+        A = np.array([[.683, .078, .854], [.264, .499, .771], [.651, .735, .47]])
+        b = np.array([.108, 1.019, 1.024])
+        s = boundary_shift(A, b)
+        assert s == pytest.approx(7.63167, abs=1e-5)
+        assert boundary_shift(1e6 * A, b) == pytest.approx(1e6 * s, rel=1e-9)
+        x = np.linalg.solve(1e6 * (A + s * np.eye(3)), b)
+        assert np.min(x) >= -1e-9 * np.max(x)
+        assert np.min(np.abs(x)) <= 1e-9 * np.max(x)
+
+    def test_pole_is_not_a_crossing(self):
+        # A has the eigenvalue -0.342643 with an eigenvector that vanishes in
+        # entry 4; s = 0.342643 zeroes that pencil, but A + s I is singular
+        # there (exactly so at 10**6 scale) and x(s) has a pole
+        A = np.array([[.115, .62, 0, 0], [.963, .962, 0, 0],
+                      [.7, .982, .881, .101], [0, 0, 0, .619]])
+        b = np.array([1.814, .291, .91, 1.286])
+        for scale in (1.0, 1e6):
+            assert boundary_shift(scale * A, b) == pytest.approx(5.88803 * scale, rel=1e-5)
+
     def test_postcondition_random(self, rng):
         hits = 0
         for _ in range(40):
