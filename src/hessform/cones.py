@@ -4,7 +4,8 @@ controller-Hessenberg transformation.
 
 The planar machinery works inside the reference triangle
 ``D = {(x, y): x >= 0, y >= 0, x + y <= 1}``, the image of the unit simplex in
-R^3 after dropping the first coordinate.
+R^3 after dropping the first coordinate.  Whether a triangle cornered at a
+point of D holds a point set is decided exactly (``triangle_cover_decision``).
 """
 from __future__ import annotations
 
@@ -74,6 +75,7 @@ class SimplexPoint:
 
 
 _EDGES = ("bottom", "left", "hypotenuse")
+_CORNERS = (np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
 def _edge_distance(p: np.ndarray, edge: str) -> float:
@@ -87,7 +89,7 @@ def _edge_distance(p: np.ndarray, edge: str) -> float:
 
 
 def _edge_corners(edge: str) -> tuple[np.ndarray, np.ndarray]:
-    O, X, Y = np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    O, X, Y = _CORNERS
     return {"bottom": (O, X), "left": (O, Y), "hypotenuse": (X, Y)}[edge]
 
 
@@ -308,8 +310,7 @@ def _tri_contains(v0, p, q, pts, tol):
     area2 = _cross2(verts[1] - verts[0], verts[2] - verts[0])
     if abs(area2) < 1e-15:
         # degenerate triangle: containment means lying on the segment hull
-        d = _points_to_segment(pts, verts.min(axis=0), verts.max(axis=0), verts)
-        return -d
+        return -_points_to_segment(pts, verts)
     if area2 < 0:
         verts = verts[[0, 2, 1]]
     margins = np.full(len(pts), np.inf)
@@ -324,7 +325,7 @@ def _tri_contains(v0, p, q, pts, tol):
     return float(np.min(margins)) if len(pts) else 0.0
 
 
-def _points_to_segment(pts, lo, hi, verts):
+def _points_to_segment(pts, verts):
     a = verts[0]
     direction = None
     for v in verts[1:]:
@@ -341,20 +342,14 @@ def _points_to_segment(pts, lo, hi, verts):
     return float(np.max(np.linalg.norm(pts - proj, axis=1))) if len(pts) else 0.0
 
 
-def _clip_ray(v0: np.ndarray, theta: float) -> np.ndarray | None:
-    """Farthest point of the reference triangle along the ray from v0."""
-    d = np.array([math.cos(theta), math.sin(theta)])
-    t_max = np.inf
-    # x >= 0, y >= 0, x + y <= 1 as a*p <= c constraints
-    for normal, cval in ((np.array([-1.0, 0.0]), 0.0),
-                         (np.array([0.0, -1.0]), 0.0),
-                         (np.array([1.0, 1.0]), 1.0)):
-        denom = float(normal @ d)
-        if denom > 1e-15:
-            t_max = min(t_max, (cval - float(normal @ v0)) / denom)
-    if not np.isfinite(t_max) or t_max < 0:
-        return None
-    return v0 + t_max * d
+def _clip_ray(v0: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+    """Farthest point of the reference triangle along the ray from v0 along d."""
+    d = d / math.hypot(d[0], d[1])
+    # x >= 0, y >= 0, x + y <= 1 as a p <= c; a unit d leaves through at least one
+    a, c = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]), np.array([0.0, 0.0, 1.0])
+    out = a @ d > 1e-15
+    t_max = float(np.min((c - a @ v0)[out] / (a @ d)[out]))
+    return v0 + t_max * d if t_max >= 0 else None
 
 
 def _infeasibility_certificate(v0, pts, tol):
@@ -443,27 +438,64 @@ def verify_cover_certificate(cert: CoverCertificate, v0: SimplexPoint,
     return inside < -tol
 
 
-def _wedge(dirs: np.ndarray) -> tuple[float, float] | None:
-    """Smallest angular interval containing all directions, None if >= pi."""
-    angles = np.sort(np.mod(dirs, 2 * math.pi))
-    gaps = np.diff(np.concatenate([angles, angles[:1] + 2 * math.pi]))
+def _wedge(dirs: np.ndarray) -> np.ndarray | None:
+    """The row of ``dirs`` along the clockwise edge of the narrowest wedge
+    holding them all; None if that wedge spans pi."""
+    angles = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * math.pi)
+    order = np.argsort(angles)
+    gaps = np.diff(np.append(angles[order], angles[order[0]] + 2 * math.pi))
     k = int(np.argmax(gaps))
-    spread = 2 * math.pi - gaps[k]
-    if spread >= math.pi - 1e-12:
+    if gaps[k] <= math.pi + 1e-12:
         return None
-    lo = angles[(k + 1) % len(angles)]
-    return float(lo), float(lo + spread)
+    return dirs[order[(k + 1) % len(order)]]
+
+
+def _turned_in(dirs: np.ndarray, lo: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
+    """The wedge edges of ``dirs`` (the clockwise one along ``lo``) turned in as far
+    as leaves every row at most ``tau`` outside; one shared ray if they cross."""
+    lo = lo / math.hypot(lo[0], lo[1])
+    angle = np.arctan2(lo[0] * dirs[:, 1] - lo[1] * dirs[:, 0], dirs @ lo)
+    allow = np.arcsin(tau / np.hypot(dirs[:, 0], dirs[:, 1]))  # rows are longer than 2 tau
+    turns = [float(np.min(angle + allow)), float(np.max(angle - allow))]
+    if turns[0] >= turns[1]:
+        turns = [0.5 * sum(turns)] * 2
+    left = np.array([-lo[1], lo[0]])
+    return tuple(math.cos(t) * lo + math.sin(t) * left for t in turns)
+
+
+def _chord_cover(v0, pts, rays, tol):
+    """The triangle that the rays from v0 (clockwise one first) cut from D, if
+    it holds every point up to tol.  Coincident rays are closed with the corner
+    of D farthest off them, keeping (v0, p, q) counter-clockwise."""
+    p, q = _clip_ray(v0, rays[0]), _clip_ray(v0, rays[1])
+    if p is None or q is None:
+        return None
+    if abs(_cross2(p - v0, q - v0)) <= 1e-12:
+        off = [_cross2(p - v0, c - v0) for c in _CORNERS]
+        k = int(np.argmax(np.abs(off)))
+        p, q = (p, _CORNERS[k]) if off[k] > 0 else (_CORNERS[k], q)
+    return (p, q) if _tri_contains(v0, p, q, pts, tol) >= -tol else None
 
 
 def triangle_cover_decision(v0: SimplexPoint, points: list[SimplexPoint],
                             tol: float = 1e-9) -> CoverDecision:
     """Decide whether some triangle with corner ``v0`` inside the reference
-    triangle contains all of ``points``.
+    triangle D contains all of ``points``.
 
-    Three outcomes: a feasible triangle with explicit witnesses, a structured
-    infeasibility certificate (``v0`` and contacts pinned to the three edges
-    with an outlier), or an honest Unknown when neither path resolves the
-    configuration.
+    Chord lemma: let the tangent rays from ``v0`` that bound the narrowest
+    wedge holding the points leave D at ``P*`` and ``Q*``.  The points fit in
+    some triangle ``(v0, p, q)`` inside D if and only if they fit in
+    ``(v0, P*, Q*)``: both rays lie in the triangle's angle at ``v0``, so they
+    cross ``pq`` at ``p'``, ``q'`` in D, and ``(v0, p', q')`` holds the points
+    and lies in ``(v0, P*, Q*)``.  The rays are first turned inward as far as
+    keeps every point within ``tol / 2``: a ray grazing an edge of D leaves it
+    far from where a slightly turned one does.  If every point lies on one
+    ray, the corner of D farthest off it closes the triangle.
+
+    Feasible comes with the witness corners ``(p, q)``, Infeasible with a
+    three-edge certificate (``v0`` and contacts pinned to the three edges with
+    an outlier).  Unknown means that no triangle holds the points, not even to
+    within ``tol / 2``, but no three-edge certificate applies.
     """
     if tol < 0:
         raise InputError("tol must be nonnegative")
@@ -483,89 +515,10 @@ def triangle_cover_decision(v0: SimplexPoint, points: list[SimplexPoint],
     if len(far) == 0:
         return CoverDecision(Verdict.FEASIBLE, (v0, v0), None)
 
-    wedge = _wedge(np.arctan2(far[:, 1] - v0a[1], far[:, 0] - v0a[0]))
-    if wedge is None:
+    dirs = far - v0a
+    lo = _wedge(dirs)
+    pair = None if lo is None else _chord_cover(
+        v0a, pts, _turned_in(dirs, lo, 0.5 * tol), tol)
+    if pair is None:
         return CoverDecision(Verdict.UNKNOWN, None, None)
-    th_lo, th_hi = wedge
-    spread = th_hi - th_lo
-    slack = max(0.0, math.pi - spread - 1e-9)
-
-    coarse = np.linspace(0.0, min(0.5 * math.pi, slack) if slack > 0 else 0.0, 72)
-    pair, margin, w_best = _best_cover_pair(v0a, pts, th_lo, th_hi,
-                                            coarse, coarse, slack)
-    if margin < -tol and len(coarse) > 1 and slack > 0:
-        # one refinement pass at 720 steps per ray around the coarse optimum
-        step = coarse[1] - coarse[0]
-        w1 = np.linspace(max(0.0, w_best[0] - step), min(slack, w_best[0] + step), 720)
-        w2 = np.linspace(max(0.0, w_best[1] - step), min(slack, w_best[1] + step), 720)
-        pair2, margin2, _ = _best_cover_pair(v0a, pts, th_lo, th_hi, w1, w2, slack)
-        if margin2 > margin:
-            pair, margin = pair2, margin2
-
-    if pair is not None and margin >= -tol:
-        p, q = pair
-        return CoverDecision(Verdict.FEASIBLE,
-                             (SimplexPoint(*p), SimplexPoint(*q)), None)
-    return CoverDecision(Verdict.UNKNOWN, None, None)
-
-
-def _best_cover_pair(v0a, pts, th_lo, th_hi, widen1, widen2, slack):
-    """Vectorised search over widened ray-direction pairs for the triangle
-    with the best worst-case containment margin.
-
-    Rays sweep outward from the tangent directions ``th_lo`` (minus the
-    ``widen1`` grid) and ``th_hi`` (plus ``widen2``); pairs whose combined
-    widening exceeds ``slack`` would open past a half-plane and are skipped.
-    Returns ``((p, q), margin, (w1, w2))``.
-    """
-    c1 = [(_clip_ray(v0a, th_lo - w), w) for w in widen1]
-    c2 = [(_clip_ray(v0a, th_hi + w), w) for w in widen2]
-    c1 = [(p, w) for p, w in c1 if p is not None]
-    c2 = [(q, w) for q, w in c2 if q is not None]
-    if not c1 or not c2:
-        return None, -np.inf, (0.0, 0.0)
-    P = np.array([p for p, _ in c1])
-    Q = np.array([q for q, _ in c2])
-    w1 = np.array([w for _, w in c1])
-    w2 = np.array([w for _, w in c2])
-
-    rel = pts - v0a                                    # (M, 2)
-    rp = P - v0a                                       # (K1, 2)
-    rq = Q - v0a                                       # (K2, 2)
-    lp = np.maximum(np.linalg.norm(rp, axis=1), 1e-300)
-    lq = np.maximum(np.linalg.norm(rq, axis=1), 1e-300)
-
-    # signed distances to edge v0->p and edge q->v0 (CCW orientation)
-    m1 = (np.outer(rp[:, 0], rel[:, 1]) - np.outer(rp[:, 1], rel[:, 0])) / lp[:, None]
-    m3 = -(np.outer(rq[:, 0], rel[:, 1]) - np.outer(rq[:, 1], rel[:, 0])) / lq[:, None]
-    m1_min, m1_max = m1.min(axis=1), m1.max(axis=1)
-    m3_min, m3_max = m3.min(axis=1), m3.max(axis=1)
-
-    best = -np.inf
-    best_idx = None
-    chunk = max(1, int(4e6 // (len(Q) * max(len(pts), 1))))
-    for start in range(0, len(P), chunk):
-        sl = slice(start, min(start + chunk, len(P)))
-        e = Q[None, :, :] - P[sl][:, None, :]          # (k, K2, 2)
-        le = np.maximum(np.linalg.norm(e, axis=2), 1e-300)
-        up = pts[None, None, :, :] - P[sl][:, None, None, :]
-        m2 = (e[:, :, None, 0] * up[..., 1] - e[:, :, None, 1] * up[..., 0]) \
-            / le[:, :, None]
-        orient = (rp[sl][:, None, 0] * rq[None, :, 1]
-                  - rp[sl][:, None, 1] * rq[None, :, 0])
-        pos = orient >= 0
-        part1 = np.where(pos, m1_min[sl][:, None], -m1_max[sl][:, None])
-        part3 = np.where(pos, m3_min[None, :], -m3_max[None, :])
-        part2 = np.where(pos[:, :, None], m2, -m2).min(axis=2)
-        margin = np.minimum(np.minimum(part1, part3), part2)
-        margin = np.where(np.abs(orient) < 1e-14, -np.inf, margin)
-        margin = np.where(w1[sl][:, None] + w2[None, :] <= slack + 1e-12,
-                          margin, -np.inf)
-        idx = np.unravel_index(int(np.argmax(margin)), margin.shape)
-        if margin[idx] > best:
-            best = float(margin[idx])
-            best_idx = (start + idx[0], idx[1])
-    if best_idx is None or not np.isfinite(best):
-        return None, -np.inf, (0.0, 0.0)
-    i, j = best_idx
-    return (P[i], Q[j]), best, (float(w1[i]), float(w2[j]))
+    return CoverDecision(Verdict.FEASIBLE, tuple(SimplexPoint(*w) for w in pair), None)

@@ -163,10 +163,12 @@ def dt_hess_feasibility_3(A, b, K: int = 50, tol: float = 1e-9) -> CoverDecision
 
     Projects the iterates ``A^k b`` (plus the analytic limit point) onto the
     plane and asks whether a triangle cornered at the projection of ``b`` can
-    contain them.  Infeasible comes with the structured edge-contact
-    certificate and rules out every nonnegative frame ``T = (b | p | q)`` with
-    ``T^{-1} A T >= 0``.  Feasible only certifies the finite horizon ``K`` and
-    reports candidate witnesses.
+    contain them, which the chord lemma of ``triangle_cover_decision`` decides
+    exactly.  Infeasible comes with the structured edge-contact certificate
+    and rules out every nonnegative frame ``T = (b | p | q)`` with
+    ``T^{-1} A T >= 0``.  Unknown rules them out too (no triangle holds the
+    iterates) but without that certificate.  Feasible only certifies the
+    finite horizon ``K`` and reports candidate witnesses.
     """
     trace = dt_iterates(A, b, K)
     v0 = trace.points[0]

@@ -672,8 +672,8 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
 def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
     """Metzler Hessenberg form for any 3x3 Metzler matrix (always succeeds).
 
-    Shifts to a nonnegative matrix, enlarging the shift until the result
-    escapes the rank-one-minus-shift family, runs the nonnegative decision,
+    Shifts to a nonnegative matrix, enlarging the shift once if the result
+    lies in the rank-one-minus-shift family, runs the nonnegative decision,
     then un-shifts the conjugated matrix.
     """
     A = as_square(A)
@@ -686,16 +686,11 @@ def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
     if rep.is_upper_hessenberg:
         return identity_certificate(A, Mode.METZLER)
 
-    shifted, mu = metzler_shift(A, t)
-    for _ in range(4):
-        form = rank_one_shift_detect(shifted)
-        if form is None:
-            break
-        bump = form.c * form.s + 1e-8 * max(1.0, inf_norm(A))
-        mu += bump
-        shifted = shifted + bump * np.eye(3)
-    else:
-        raise ConstructionDefect("failed to escape the obstruction family by shifting")
+    shifted, _ = metzler_shift(A, t)
+    form = rank_one_shift_detect(shifted)
+    if form is not None:
+        # c (u v^T - s I) + (c s + eps) I = c u v^T + eps I is outside the family
+        shifted = shifted + (form.c * form.s + 1e-8 * max(1.0, inf_norm(A))) * np.eye(3)
 
     result = nonneg_hess_3(shifted)
     if isinstance(result, Obstruction):

@@ -1,9 +1,14 @@
 """Shared fixtures and seeded matrix generators for the test suite."""
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hessform import Mode
 from hessform.linalg import inf_norm
+
+# every property test draws the same examples on every run
+settings.register_profile("hessform", derandomize=True, deadline=None)
+settings.load_profile("hessform")
 
 # 3x3 pair whose discrete-time controller form is provably infeasible even
 # though the matrix itself is similar to a nonnegative Hessenberg matrix
@@ -60,6 +65,32 @@ def random_psd_nonneg(rng, n):
     """B^T B with B >= 0: nonnegative, symmetric, spectrum in R_{>=0}."""
     B = rng.uniform(0.0, 1.0, size=(n, n))
     return B.T @ B
+
+
+def in_witness_triangle(v0, p, q, u, tol=1e-7):
+    """Whether the point u lies in the triangle (v0, p, q) up to tol; v0 and u are
+    coordinate pairs, p and q the SimplexPoint witnesses of a cover decision."""
+    verts = np.array([v0, (p.x, p.y), (q.x, q.y)])
+    d1, d2 = verts[1] - verts[0], verts[2] - verts[0]
+    area2 = float(d1[0] * d2[1] - d1[1] * d2[0])
+    u = np.array(u)
+    if abs(area2) < 1e-14:
+        a, b = verts[0], verts[1] if np.linalg.norm(verts[1] - verts[0]) > 1e-14 else verts[2]
+        d = b - a
+        L = np.linalg.norm(d)
+        if L < 1e-14:
+            return np.linalg.norm(u - a) <= tol
+        t = np.clip((u - a) @ d / L**2, 0.0, 1.0)
+        return np.linalg.norm(u - (a + t * d)) <= tol
+    if area2 < 0:
+        verts = verts[[0, 2, 1]]
+    for i in range(3):
+        a, b = verts[i], verts[(i + 1) % 3]
+        edge = b - a
+        inward = np.array([-edge[1], edge[0]]) / np.linalg.norm(edge)
+        if (u - a) @ inward < -tol:
+            return False
+    return True
 
 
 def structure_scale(A):

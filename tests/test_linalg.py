@@ -195,7 +195,7 @@ class TestMetzlerShift:
             metzler_shift(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
     @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_result_exactly_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))

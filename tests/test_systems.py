@@ -3,13 +3,16 @@ import pytest
 
 from hessform import (
     Domain,
+    Generator,
     InputError,
+    Mode,
     PositiveSystem,
     SimplexPoint,
     Verdict,
     dt_hess_feasibility_3,
     dt_iterates,
     is_controller_hessenberg,
+    sample_matrix,
     unproject,
     verify_cover_certificate,
 )
@@ -19,7 +22,27 @@ from conftest import (
     INFEASIBLE_DT_B,
     INFEASIBLE_DT_LIMIT,
     INFEASIBLE_DT_POINTS,
+    in_witness_triangle,
 )
+
+# Verdicts of dt_hess_feasibility_3 on _dt_family_pair(i), i = 0..59 (F, I, U
+# for feasible, infeasible, unknown), as the grid-search cover decision gave
+# them before the exact chord test replaced it.
+PINNED_DT_VERDICTS = "FFIFFIFFIFFIFFIFFIFFIFFIFFIFFIFFIFFIFFIFFIFFIFFIFFIUUIFFIFFI"
+
+
+def _dt_family_pair(i):
+    """Seeded DT pair i: two dense non-nilpotent nonnegative draws, then one
+    positive rescaling of the counterexample pair."""
+    rng = np.random.default_rng([7, i])
+    if i % 3 == 2:
+        A = INFEASIBLE_DT_A * rng.uniform(0.5, 2.0, size=(3, 3))
+        b = np.array([rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), 0.0])
+        return A, b
+    A = sample_matrix(3, Mode.NONNEG, Generator.DENSE_UNIFORM, rng)
+    while not np.any(np.linalg.matrix_power(A, 3)):  # nilpotent: no iterates
+        A = sample_matrix(3, Mode.NONNEG, Generator.DENSE_UNIFORM, rng)
+    return A, rng.uniform(0.0, 1.0, 3)
 
 
 class TestPositiveSystem:
@@ -120,6 +143,22 @@ class TestDtHessFeasibility:
         trace = dt_iterates(INFEASIBLE_DT_A, INFEASIBLE_DT_B, 50)
         cloud = list(trace.points) + [trace.limit_point]
         assert verify_cover_certificate(cert, cert.v0, cloud, tol=1e-9)
+
+    def test_verdicts_pinned_on_a_seeded_family(self):
+        verdicts = {"F": Verdict.FEASIBLE, "I": Verdict.INFEASIBLE, "U": Verdict.UNKNOWN}
+        for i, letter in enumerate(PINNED_DT_VERDICTS):
+            A, b = _dt_family_pair(i)
+            decision = dt_hess_feasibility_3(A, b, K=50)
+            assert decision.verdict is verdicts[letter], f"pair {i}"
+            trace = dt_iterates(A, b, 50)
+            v0 = trace.points[0]
+            cloud = list(trace.points) + [trace.limit_point]
+            if decision.verdict is Verdict.INFEASIBLE:
+                assert verify_cover_certificate(decision.certificate, v0, cloud)
+            if decision.verdict is Verdict.FEASIBLE:
+                p, q = decision.witnesses
+                assert all(in_witness_triangle((v0.x, v0.y), p, q, (u.x, u.y))
+                           for u in cloud), f"pair {i}"
 
     def test_diagonal_feasible(self):
         decision = dt_hess_feasibility_3(np.diag([3.0, 2.0, 1.0]),
