@@ -78,13 +78,14 @@ _EDGES = ("bottom", "left", "hypotenuse")
 _CORNERS = (np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
-def _edge_distance(p: np.ndarray, edge: str) -> float:
+def _edge_distance(p: np.ndarray, edge: str):
+    """Distance of a point, or of each row of an array of points, to an edge of D."""
     if edge == "bottom":
-        return abs(p[1])
+        return np.abs(p[..., 1])
     if edge == "left":
-        return abs(p[0])
+        return np.abs(p[..., 0])
     if edge == "hypotenuse":
-        return abs(1.0 - p[0] - p[1]) / math.sqrt(2.0)
+        return np.abs(1.0 - p[..., 0] - p[..., 1]) / math.sqrt(2.0)
     raise ValueError(edge)
 
 
@@ -94,7 +95,9 @@ def _edge_corners(edge: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _in_triangle(p: np.ndarray, tol: float) -> bool:
-    return p[0] >= -tol and p[1] >= -tol and p[0] + p[1] <= 1.0 + tol
+    """Whether a point, or every row of an array of points, lies in D up to tol."""
+    x, y = p[..., 0], p[..., 1]
+    return bool(np.all((x >= -tol) & (y >= -tol) & (x + y <= 1.0 + tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +258,18 @@ def simplex_project(x) -> SimplexPoint:
     x = as_vector(x)
     if x.size != 3:
         raise InputError("simplex_project expects a 3-vector")
-    t = 1e-12 * max(1.0, inf_norm(x))
-    if np.min(x) < -t:
+    return _project_rows(x.reshape(1, 3))[0]
+
+
+def _project_rows(X: np.ndarray) -> list[SimplexPoint]:
+    """``simplex_project`` of every row of a finite (K, 3) array, in one pass."""
+    t = 1e-12 * np.maximum(1.0, np.max(np.abs(X), axis=1))
+    if np.any(np.min(X, axis=1) < -t):
         raise InputError("simplex_project expects a nonnegative vector")
-    total = float(np.sum(x))
-    if total <= t:
+    total = np.sum(X, axis=1)
+    if np.any(total <= t):
         raise InputError("coordinate sum must be positive")
-    p = x / total
-    return SimplexPoint(float(p[1]), float(p[2]))
+    return [SimplexPoint(x, y) for x, y in (X[:, 1:] / total[:, None]).tolist()]
 
 
 def unproject(point: SimplexPoint) -> np.ndarray:
@@ -306,6 +313,11 @@ def _cross2(a, b) -> float:
 
 def _tri_contains(v0, p, q, pts, tol):
     """Minimum inward half-plane margin of pts w.r.t. triangle (v0, p, q)."""
+    return float(np.min(_margins(v0, p, q, pts))) if len(pts) else 0.0
+
+
+def _margins(v0, p, q, pts) -> np.ndarray:
+    """Inward half-plane margin of each row of pts w.r.t. triangle (v0, p, q)."""
     verts = np.array([v0, p, q])
     area2 = _cross2(verts[1] - verts[0], verts[2] - verts[0])
     if abs(area2) < 1e-15:
@@ -322,24 +334,19 @@ def _tri_contains(v0, p, q, pts, tol):
             continue
         inward = np.array([-edge[1], edge[0]]) / nrm
         margins = np.minimum(margins, (pts - a) @ inward)
-    return float(np.min(margins)) if len(pts) else 0.0
+    return margins
 
 
-def _points_to_segment(pts, verts):
+def _points_to_segment(pts, verts) -> np.ndarray:
+    """Distance of each row of pts to the segment hull of collinear verts."""
     a = verts[0]
-    direction = None
-    for v in verts[1:]:
-        if np.linalg.norm(v - a) > 1e-15:
-            direction = v - a
-            break
-    if direction is None:
-        return float(np.max(np.linalg.norm(pts - a, axis=1))) if len(pts) else 0.0
-    L = np.linalg.norm(direction)
-    u = direction / L
-    rel = pts - a
-    t = np.clip(rel @ u, 0.0, L)
-    proj = a + np.outer(t, u)
-    return float(np.max(np.linalg.norm(pts - proj, axis=1))) if len(pts) else 0.0
+    spread = verts - a
+    far = spread[int(np.argmax(np.linalg.norm(spread, axis=1)))]
+    L = np.linalg.norm(far)
+    u = far / L if L > 1e-15 else 0.0 * far  # u = 0: distance to the one point
+    ends = spread @ u
+    t = np.clip((pts - a) @ u, np.min(ends), np.max(ends))
+    return np.linalg.norm(pts - a - np.outer(t, u), axis=1)
 
 
 def _clip_ray(v0: np.ndarray, d: np.ndarray) -> np.ndarray | None:
@@ -362,13 +369,10 @@ def _infeasibility_certificate(v0, pts, tol):
     if min(np.linalg.norm(v0 - c0), np.linalg.norm(v0 - c1)) <= tol:
         return None  # corner, not relative interior
     others = [e for e in _EDGES if e != edge0]
-    contact_sets = {}
-    for e in others:
-        hits = [p for p in pts if _edge_distance(p, e) <= tol
-                and np.linalg.norm(p - v0) > tol]
-        if not hits:
-            return None
-        contact_sets[e] = hits
+    away = pts[np.linalg.norm(pts - v0, axis=1) > tol]
+    contact_sets = {e: away[_edge_distance(away, e) <= tol] for e in others}
+    if not all(len(hits) for hits in contact_sets.values()):
+        return None
 
     for ca in contact_sets[others[0]]:
         for cb in contact_sets[others[1]]:
@@ -385,13 +389,14 @@ def _infeasibility_certificate(v0, pts, tol):
             side_v0 = float(normal @ v0) - cval
             if abs(side_v0) <= tol:
                 continue  # v0 collinear with the contacts
-            for u in pts:
-                side_u = float(normal @ u) - cval
-                if side_u * side_v0 <= tol:
-                    continue  # not strictly on the v0 side
+            # strictly on the v0 side of the contact line and outside the triangle
+            out = ((pts @ normal - cval) * side_v0 > tol) & (
+                _margins(v0, ca, cb, pts) < -tol)
+            for u in pts[out]:
+                # the one-row margin rounds exactly as verify_cover_certificate's
                 inside = _tri_contains(v0, ca, cb, u.reshape(1, 2), tol)
                 if inside < -tol:
-                    cert = CoverCertificate(
+                    return CoverCertificate(
                         v0=SimplexPoint(*v0),
                         v0_edge=edge0,
                         contacts={others[0]: SimplexPoint(*ca),
@@ -400,7 +405,6 @@ def _infeasibility_certificate(v0, pts, tol):
                         contact_line=(float(normal[0]), float(normal[1]), cval),
                         outlier_margin=float(-inside),
                     )
-                    return cert
     return None
 
 
@@ -413,7 +417,7 @@ def verify_cover_certificate(cert: CoverCertificate, v0: SimplexPoint,
     c0, c1 = _edge_corners(cert.v0_edge)
     if min(np.linalg.norm(v0a - c0), np.linalg.norm(v0a - c1)) <= tol:
         return False
-    pts = {(p.x, p.y) for p in points}
+    cloud = np.array([[p.x, p.y] for p in points], dtype=float).reshape(-1, 2)
     contacts = []
     for edge, cp in cert.contacts.items():
         if edge == cert.v0_edge:
@@ -421,14 +425,13 @@ def verify_cover_certificate(cert: CoverCertificate, v0: SimplexPoint,
         arr = cp.as_array()
         if _edge_distance(arr, edge) > tol:
             return False
-        if not any(abs(arr[0] - px) <= tol and abs(arr[1] - py) <= tol
-                   for px, py in pts):
+        if not np.any(np.all(np.abs(cloud - arr) <= tol, axis=1)):
             return False
         contacts.append(arr)
     a, b, c = cert.contact_line
     normal = np.array([a, b])
     out = cert.outlier.as_array()
-    if not any(abs(out[0] - px) <= tol and abs(out[1] - py) <= tol for px, py in pts):
+    if not np.any(np.all(np.abs(cloud - out) <= tol, axis=1)):
         return False
     side_v0 = float(normal @ v0a) - c
     side_out = float(normal @ out) - c
@@ -503,9 +506,8 @@ def triangle_cover_decision(v0: SimplexPoint, points: list[SimplexPoint],
     if not _in_triangle(v0a, tol):
         raise InputError("corner point lies outside the reference triangle")
     pts = np.array([[p.x, p.y] for p in points], dtype=float).reshape(-1, 2)
-    for p in pts:
-        if not _in_triangle(p, tol):
-            raise InputError("a point lies outside the reference triangle")
+    if not _in_triangle(pts, tol):
+        raise InputError("a point lies outside the reference triangle")
 
     cert = _infeasibility_certificate(v0a, pts, max(tol, 1e-12))
     if cert is not None:

@@ -10,6 +10,7 @@ import numpy as np
 from .cones import (
     CoverDecision,
     SimplexPoint,
+    _project_rows,
     simplex_project,
     triangle_cover_decision,
 )
@@ -64,7 +65,7 @@ class PositiveSystem:
 
 @dataclass(frozen=True, eq=False)
 class IterateTrace:
-    """Planar projections of the renormalised power iterates ``A^k b``."""
+    """Planar projections of the renormalised iterates ``A^k b`` and of their limit."""
 
     points: list[SimplexPoint]
     limit_point: SimplexPoint
@@ -96,8 +97,8 @@ def dt_iterates(A, b, K: int) -> IterateTrace:
 
     Each iterate is renormalised to unit coordinate sum before the next
     multiplication (the projection is scale invariant, so this only guards
-    against overflow).  The limit point is the projection of the dominant
-    eigendirection.
+    against overflow); all ``K`` are projected in one pass.  The limit point
+    is the exact mean of the cycle they settle into (``_iteration_limit``).
     """
     A = as_square(A)
     b = as_vector(b)
@@ -111,50 +112,47 @@ def dt_iterates(A, b, K: int) -> IterateTrace:
     if np.min(b) < -t * max(1.0, inf_norm(b)) or inf_norm(b) <= t:
         raise InputError("dt_iterates requires a nonnegative nonzero vector")
 
+    X = np.empty((K, 3))
     x = np.maximum(b, 0.0)
-    points: list[SimplexPoint] = []
-    for _ in range(K):
-        total = float(np.sum(x))
+    for k in range(K):
+        total = float(x.sum())
         if total <= t:
             raise InputError("iterate coordinate sum degenerated to zero")
-        x = x / total
-        points.append(simplex_project(x))
+        X[k] = x = x / total
         x = np.maximum(A @ x, 0.0)
 
-    return IterateTrace(points=points, limit_point=_iteration_limit(A, b),
-                        K=K)
+    return IterateTrace(points=_project_rows(X),
+                        limit_point=_iteration_limit(A, b), K=K)
 
 
 def _iteration_limit(A: np.ndarray, b: np.ndarray) -> SimplexPoint:
-    """Projection of the direction the renormalised power iteration settles
-    into: its fixed point when it converges, otherwise the invariant mean of
-    its limit cycle.  Either lies in the closed convex hull of the iterates,
-    so appending it never weakens an infeasibility certificate."""
-    x = np.maximum(b, 0.0)
-    x = x / np.sum(x)
-    history: list[np.ndarray] = [x]
-    for _ in range(3000):
-        y = np.maximum(A @ x, 0.0)
-        total = float(np.sum(y))
+    """Projected mean of the cycle the renormalised power iteration settles into.
+
+    The peripheral spectrum of each basic class of a nonnegative matrix is
+    ``rho`` times the p-th roots of unity, p at most the class size, so for 3x3
+    the period is 1, 2 or 3.  Twenty renormalised squarings advance the
+    iteration by ``2**20`` steps, and the mean of the next six normalised
+    iterates is the exact cycle mean: a fixed point when it converges.  It lies
+    in the closed convex hull of the iterates, so appending it never weakens an
+    infeasibility certificate.  ``A`` is first cut to the coordinates reachable
+    from ``b``'s support, which the iterates never leave: renormalising by the
+    largest entry would flush the columns of a slower class there to zero.
+    """
+    step = (A > 0) | np.eye(3, dtype=bool)
+    reach = step @ step @ (b > 0)
+    M = np.maximum(A, 0.0) * np.outer(reach, reach)
+    for _ in range(20):
+        M = M / (float(M.max()) or 1.0)  # a nilpotent M stays zero
+        M = M @ M
+    x = M @ np.maximum(b, 0.0)
+    cycle = np.empty((6, 3))
+    for k in range(6):
+        total = float(x.sum())
         if total <= 0:
             raise InputError("iterate coordinate sum degenerated to zero")
-        y = y / total
-        if inf_norm(y - x) <= 1e-14:
-            return simplex_project(y)
-        x = y
-        history.append(x)
-    tail = history[-64:]
-    for period in range(2, 9):
-        if len(tail) < period:
-            break
-        z = np.mean(tail[-period:], axis=0)
-        z = z / np.sum(z)
-        w = np.maximum(A @ z, 0.0)
-        w = w / max(float(np.sum(w)), 1e-300)
-        if inf_norm(w - z) <= 1e-10:
-            return simplex_project(z)
-    z = np.mean(tail, axis=0)
-    return simplex_project(z / np.sum(z))
+        cycle[k] = x = x / total
+        x = np.maximum(A @ x, 0.0)
+    return simplex_project(np.mean(cycle, axis=0))
 
 
 def dt_hess_feasibility_3(A, b, K: int = 50, tol: float = 1e-9) -> CoverDecision:

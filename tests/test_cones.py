@@ -11,13 +11,24 @@ from hessform import (
     Verdict,
     boundary_shift,
     cone_membership,
+    dt_iterates,
     simplex_project,
     triangle_cover_decision,
     unproject,
     verify_cover_certificate,
 )
 
+from hessform.cones import (
+    _EDGES,
+    CoverCertificate,
+    _edge_corners,
+    _edge_distance,
+    _infeasibility_certificate,
+    _tri_contains,
+)
+
 from conftest import (
+    INFEASIBLE_DT_A,
     INFEASIBLE_DT_LIMIT,
     INFEASIBLE_DT_POINTS,
     in_witness_triangle,
@@ -289,6 +300,114 @@ class TestTriangleCoverDecision:
             rng = np.random.default_rng(7)
             P, Q = _boundary_points(rng, 2000), _boundary_points(rng, 2000)
             assert np.min(_cover_gaps(np.array(v0), P, Q, np.array(pts))) > 0.5e-9
+
+
+def _scalar_certificate(v0, pts, tol):
+    """Reference for _infeasibility_certificate: the three-edge contact search
+    as a scalar loop over contact pairs and then over the points."""
+    v0_edges = [e for e in _EDGES if _edge_distance(v0, e) <= tol]
+    if len(v0_edges) != 1:
+        return None
+    edge0 = v0_edges[0]
+    c0, c1 = _edge_corners(edge0)
+    if min(np.linalg.norm(v0 - c0), np.linalg.norm(v0 - c1)) <= tol:
+        return None
+    others = [e for e in _EDGES if e != edge0]
+    contact_sets = {}
+    for e in others:
+        hits = [p for p in pts if _edge_distance(p, e) <= tol
+                and np.linalg.norm(p - v0) > tol]
+        if not hits:
+            return None
+        contact_sets[e] = hits
+    for ca in contact_sets[others[0]]:
+        for cb in contact_sets[others[1]]:
+            if np.linalg.norm(ca - cb) <= tol:
+                continue
+            dvec = cb - ca
+            normal = np.array([-dvec[1], dvec[0]])
+            nrm = np.linalg.norm(normal)
+            if nrm < 1e-14:
+                continue
+            normal = normal / nrm
+            cval = float(normal @ ca)
+            side_v0 = float(normal @ v0) - cval
+            if abs(side_v0) <= tol:
+                continue
+            for u in pts:
+                side_u = float(normal @ u) - cval
+                if side_u * side_v0 <= tol:
+                    continue
+                inside = _tri_contains(v0, ca, cb, u.reshape(1, 2), tol)
+                if inside < -tol:
+                    return CoverCertificate(
+                        v0=SimplexPoint(*v0), v0_edge=edge0,
+                        contacts={others[0]: SimplexPoint(*ca),
+                                  others[1]: SimplexPoint(*cb)},
+                        outlier=SimplexPoint(*u),
+                        contact_line=(float(normal[0]), float(normal[1]), cval),
+                        outlier_margin=float(-inside))
+    return None
+
+
+def _contact_cloud(rng):
+    """v0 inside one edge of D, 1-3 points on each other edge (some shared
+    corners), a copy of v0 and up to 3 points of D, shuffled."""
+    edge0 = _EDGES[int(rng.integers(3))]
+    on = {"bottom": lambda t: (t, 0.0), "left": lambda t: (0.0, t),
+          "hypotenuse": lambda t: (t, 1.0 - t)}
+    v0 = on[edge0](float(rng.uniform(0.05, 0.95)))
+    pts = [v0]
+    for e in _EDGES:
+        if e != edge0:
+            pts += [on[e](float(t)) for t in rng.uniform(0.0, 1.0, rng.integers(1, 4))]
+    pts += [_fold(*rng.uniform(0.0, 1.0, 2)) for _ in range(int(rng.integers(0, 4)))]
+    return np.array(v0), np.array(pts)[rng.permutation(len(pts))]
+
+
+def _certificate_fields(cert):
+    if cert is None:
+        return None
+    return (cert.v0, cert.v0_edge, cert.contacts, cert.outlier, cert.contact_line,
+            cert.outlier_margin)
+
+
+class TestInfeasibilityCertificate:
+    def test_matches_the_scalar_search(self):
+        clouds = []
+        for i in range(60):
+            # the counterexample family: iterates of A scaled entrywise, b = (b1, b2, 0)
+            rng = np.random.default_rng([11, i])
+            A = INFEASIBLE_DT_A * rng.uniform(0.5, 2.0, size=(3, 3))
+            trace = dt_iterates(A, [*rng.uniform(0.5, 2.0, 2), 0.0], 50)
+            cloud = list(trace.points) + [trace.limit_point]
+            clouds.append((trace.points[0].as_array(),
+                           np.array([p.as_array() for p in cloud])))
+        rng = np.random.default_rng(12)
+        clouds += [_contact_cloud(rng) for _ in range(400)]
+        found = []
+        for v0, pts in clouds:
+            for tol in (1e-9, 1e-6):
+                cert = _infeasibility_certificate(v0, pts, tol)
+                assert _certificate_fields(cert) == \
+                    _certificate_fields(_scalar_certificate(v0, pts, tol))
+                found.append(cert is not None)
+        assert sum(found) > 100 and found.count(False) > 20
+
+    @pytest.mark.parametrize("v0, p, q", [
+        ((0.2, 0.0), (0.5, 0.0), (0.8, 0.0)),
+        ((0.5, 0.0), (0.8, 0.0), (0.2, 0.0)),  # v0 between p and q
+    ])
+    def test_collinear_triangle_measures_distance_to_the_segment(self, v0, p, q):
+        # (v0, p, q) on the bottom edge: the margin is minus the distance to
+        # the segment [(0.2, 0), (0.8, 0)] that all three span, zero on it
+        v0, p, q = np.array(v0), np.array(p), np.array(q)
+        on = np.array([[0.2, 0.0], [0.3, 0.0], [0.8, 0.0]])
+        assert _tri_contains(v0, p, q, on, 1e-9) == pytest.approx(0.0, abs=1e-15)
+        off = np.array([[0.5, 0.0], [0.5, 0.1], [1.1, 0.4], [0.0, 0.0]])
+        assert _tri_contains(v0, p, q, off, 1e-9) == pytest.approx(-0.5)
+        assert _tri_contains(v0, p, q, off[:2], 1e-9) == pytest.approx(-0.1)
+        assert _tri_contains(v0, v0, v0, v0 + [[0.3, 0.4]], 1e-9) == pytest.approx(-0.5)
 
 
 def _boundary_points(rng, n):

@@ -132,6 +132,46 @@ class TestDtIterates:
         with pytest.raises(InputError):
             dt_iterates(A, np.array([1.0, 0.0, 0.0]), 3)
 
+    def test_nilpotent_limit_rejected(self):
+        # b, A b and A^2 b are nonzero, so only the limit finds the iterates vanish
+        A = np.array([[0.0, 2.0, 1.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(InputError, match="degenerated to zero"):
+            dt_iterates(A, np.array([0.0, 0.0, 1.0]), 3)
+
+    def test_period_three_limit_is_the_cycle_mean(self, rng):
+        # A^3 = a c d I, so the iterates repeat with period 3 from the start
+        for _ in range(10):
+            a, c, d = rng.uniform(0.2, 5.0, 3)
+            A = np.array([[0.0, a, 0.0], [0.0, 0.0, c], [d, 0.0, 0.0]])
+            b = rng.uniform(0.1, 2.0, 3)
+            trace = dt_iterates(A, b, 3)
+            mean = np.mean([unproject(p) for p in trace.points], axis=0)
+            assert trace.limit_point.x == pytest.approx(mean[1], abs=1e-12)
+            assert trace.limit_point.y == pytest.approx(mean[2], abs=1e-12)
+
+    def test_slow_convergence_limit_is_the_perron_vector(self):
+        # D ((1 - e) I + e J) D^-1 has eigenvalues 1 + 2 e and 1 - e (twice),
+        # so |lambda_2| / lambda_1 = 0.999
+        e = 0.001 / 2.998
+        D = np.diag([1.0, 2.0, 5.0])
+        A = D @ ((1 - e) * np.eye(3) + e * np.ones((3, 3))) @ np.linalg.inv(D)
+        vals, vecs = np.linalg.eig(A)
+        lead = np.argmax(vals.real)
+        assert np.sort(np.abs(vals))[1] / vals[lead].real == pytest.approx(0.999)
+        u = np.abs(vecs[:, lead].real)
+        u = u / u.sum()
+        trace = dt_iterates(A, np.array([1.0, 0.0, 0.0]), 5)
+        assert trace.limit_point.x == pytest.approx(u[1], abs=1e-9)
+        assert trace.limit_point.y == pytest.approx(u[2], abs=1e-9)
+
+    def test_limit_inside_a_slower_invariant_subspace(self):
+        # the iterates of b = e2 stay in span(e2, e3), where the block
+        # [[0.5, 0.2], [0.3, 0.4]] has Perron vector (1, 1) at 0.7 < 2
+        A = np.array([[2.0, 0.0, 0.0], [1.0, 0.5, 0.2], [1.0, 0.3, 0.4]])
+        trace = dt_iterates(A, np.array([0.0, 1.0, 0.0]), 4)
+        assert (trace.limit_point.x, trace.limit_point.y) == \
+            pytest.approx((0.5, 0.5), abs=1e-12)
+
 
 class TestDtHessFeasibility:
     def test_reference_pair_infeasible(self):
