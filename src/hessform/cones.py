@@ -333,8 +333,14 @@ def _margins(v0, p, q, pts) -> np.ndarray:
         if nrm < 1e-15:
             continue
         inward = np.array([-edge[1], edge[0]]) / nrm
-        margins = np.minimum(margins, (pts - a) @ inward)
+        margins = np.minimum(margins, _dot_rows(pts - a, inward))
     return margins
+
+
+def _dot_rows(d, w) -> np.ndarray:
+    """``d @ w`` for (N, 2) rows, elementwise so that a row rounds alike in any
+    batch: BLAS sums a one-row product in another order than a many-row one."""
+    return d[:, 0] * w[0] + d[:, 1] * w[1]
 
 
 def _points_to_segment(pts, verts) -> np.ndarray:
@@ -345,7 +351,7 @@ def _points_to_segment(pts, verts) -> np.ndarray:
     L = np.linalg.norm(far)
     u = far / L if L > 1e-15 else 0.0 * far  # u = 0: distance to the one point
     ends = spread @ u
-    t = np.clip((pts - a) @ u, np.min(ends), np.max(ends))
+    t = np.clip(_dot_rows(pts - a, u), np.min(ends), np.max(ends))
     return np.linalg.norm(pts - a - np.outer(t, u), axis=1)
 
 
@@ -390,21 +396,18 @@ def _infeasibility_certificate(v0, pts, tol):
             if abs(side_v0) <= tol:
                 continue  # v0 collinear with the contacts
             # strictly on the v0 side of the contact line and outside the triangle
-            out = ((pts @ normal - cval) * side_v0 > tol) & (
-                _margins(v0, ca, cb, pts) < -tol)
-            for u in pts[out]:
-                # the one-row margin rounds exactly as verify_cover_certificate's
-                inside = _tri_contains(v0, ca, cb, u.reshape(1, 2), tol)
-                if inside < -tol:
-                    return CoverCertificate(
-                        v0=SimplexPoint(*v0),
-                        v0_edge=edge0,
-                        contacts={others[0]: SimplexPoint(*ca),
-                                  others[1]: SimplexPoint(*cb)},
-                        outlier=SimplexPoint(*u),
-                        contact_line=(float(normal[0]), float(normal[1]), cval),
-                        outlier_margin=float(-inside),
-                    )
+            margins = _margins(v0, ca, cb, pts)
+            out = np.flatnonzero(((pts @ normal - cval) * side_v0 > tol) & (margins < -tol))
+            if len(out):
+                return CoverCertificate(
+                    v0=SimplexPoint(*v0),
+                    v0_edge=edge0,
+                    contacts={others[0]: SimplexPoint(*ca),
+                              others[1]: SimplexPoint(*cb)},
+                    outlier=SimplexPoint(*pts[out[0]]),
+                    contact_line=(float(normal[0]), float(normal[1]), cval),
+                    outlier_margin=float(-margins[out[0]]),
+                )
     return None
 
 

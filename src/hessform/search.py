@@ -7,6 +7,11 @@ H given T, smallest-singular-vector refit of T given H) and the structure set
 as a success only when the exactly recomputed ``T^{-1} A T`` satisfies the
 structure constraints at the feasibility tolerance and the resulting
 certificate re-verifies from scratch.
+
+Each restart (each level, in the block-recursive form) builds ``I (x) A``, the
+structure masks and the scale ``max(1, ||A||_inf)`` once, so an iteration pays
+only for its lstsq, its two SVDs and its solve.  The reports are bit-identical
+to rebuilding all of them on every iteration.
 """
 from __future__ import annotations
 
@@ -93,47 +98,67 @@ class Generator(str, enum.Enum):
 # structure projections
 # ---------------------------------------------------------------------------
 
-def _clip_structure(H: np.ndarray, mode: Mode, diag_floor: float = 0.0) -> np.ndarray:
-    n = H.shape[0]
+def _masks(n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Indices below the subdiagonal and the off-diagonal mask of an n x n H."""
+    return np.tril_indices(n, k=-2), ~np.eye(n, dtype=bool)
+
+
+def _clip_structure(H: np.ndarray, mode: Mode, masks, diag_floor: float) -> np.ndarray:
+    low, off = masks
     out = H.copy()
-    out[np.tril_indices(n, k=-2)] = 0.0
-    off = ~np.eye(n, dtype=bool)
+    out[low] = 0.0
     out[off] = np.maximum(out[off], 0.0)
     if mode is Mode.NONNEG:
-        d = np.diag(out).copy()
-        np.fill_diagonal(out, np.maximum(d, -diag_floor))
+        np.fill_diagonal(out, np.maximum(np.diag(out), -diag_floor))
     return out
 
 
-def _structure_violation(H: np.ndarray, mode: Mode) -> float:
-    n = H.shape[0]
-    viol = 0.0
-    if n > 2:
-        viol = float(np.max(np.abs(H[np.tril_indices(n, k=-2)])))
-    off = ~np.eye(n, dtype=bool)
-    viol = max(viol, float(-min(0.0, np.min(H[off]))))
+def _structure_violation(H: np.ndarray, mode: Mode, masks) -> float:
+    low, off = masks
+    viol = float(np.abs(H[low]).max()) if low[0].size else 0.0
+    viol = max(viol, float(-min(0.0, H[off].min())))
     if mode is Mode.NONNEG:
-        viol = max(viol, float(-min(0.0, np.min(np.diag(H)))))
+        viol = max(viol, float(-min(0.0, np.diag(H).min())))
     return viol
 
 
-def _exact_violation(A: np.ndarray, T: np.ndarray, mode: Mode) -> float:
+def _exact_violation(A: np.ndarray, T: np.ndarray, mode: Mode, masks,
+                     scale: float) -> float:
+    """Structure violation of ``T^{-1} A T`` over ``scale``; inf if T is singular."""
     svals = np.linalg.svd(T, compute_uv=False)
     if svals[-1] <= 1e-12 * max(svals[0], 1.0):
         return np.inf
     H = np.linalg.solve(T, A @ T)
-    return _structure_violation(H, mode) / max(1.0, inf_norm(A))
+    return _structure_violation(H, mode, masks) / scale
 
 
-def _refit_T(A: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Minimiser direction of ||A T - T H||_F via the smallest singular pair."""
-    n = A.shape[0]
-    M = np.kron(np.eye(n), A) - np.kron(H.T, np.eye(n))
+def _refit_T(kron_A: np.ndarray, H: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Minimiser direction of ||A T - T H||_F via the smallest singular pair.
+
+    ``kron_A`` is ``I (x) A``, built once per restart.  ``H^T (x) I`` is formed
+    by broadcasting: the same IEEE products as np.kron, signed zeros included,
+    so M and the report are bit-identical to building both blocks with np.kron.
+    """
+    n = H.shape[0]
+    M = kron_A - (H.T[:, None, :, None] * eye[None, :, None, :]).reshape(n * n, n * n)
     _, _, vt = np.linalg.svd(M)
     T = vt[-1].reshape((n, n), order="F")
-    if np.sum(T) < 0:
-        T = -T
-    return T
+    return -T if T.sum() < 0 else T
+
+
+def _alternate(T: np.ndarray, A_work: np.ndarray, kron_A: np.ndarray,
+               eye: np.ndarray, masks, mode: Mode, shift: float) -> np.ndarray:
+    """One alternation: fit H to T, clip H to the structure, refit T to H,
+    clip T to the nonnegative orthant and normalise its columns."""
+    H = np.linalg.lstsq(T, A_work @ T, rcond=None)[0]
+    H = _clip_structure(H, mode, masks, shift)
+    T_new = np.maximum(_refit_T(kron_A, H, eye), 0.0)
+    colsums = T_new.sum(axis=0)
+    dead = colsums <= 1e-12
+    if dead.any():
+        T_new[:, dead] += eye[:, dead]
+        colsums = T_new.sum(axis=0)
+    return T_new / colsums
 
 
 def _altproj_single(A: np.ndarray, mode: Mode, cfg: AltProjConfig,
@@ -141,23 +166,16 @@ def _altproj_single(A: np.ndarray, mode: Mode, cfg: AltProjConfig,
                     max_iters: int) -> tuple[np.ndarray, float, int]:
     """One restart of the full-matrix alternation; returns (T, violation, iters)."""
     n = A.shape[0]
-    A_work = A - shift * np.eye(n)
-    T = np.eye(n) + rng.uniform(0.0, 1.0, size=(n, n))
-    best_T, best_v = T.copy(), _exact_violation(A, T, mode)
+    eye, masks, scale = np.eye(n), _masks(n), max(1.0, inf_norm(A))
+    A_work = A - shift * eye
+    kron_A = np.kron(eye, A_work)
+    T = eye + rng.uniform(0.0, 1.0, size=(n, n))
+    best_T, best_v = T.copy(), _exact_violation(A, T, mode, masks, scale)
     iters = 0
     for it in range(max_iters):
         iters = it + 1
-        H = np.linalg.lstsq(T, A_work @ T, rcond=None)[0]
-        H = _clip_structure(H, mode, diag_floor=shift)
-        T_new = _refit_T(A_work, H)
-        T_new = np.maximum(T_new, 0.0)
-        colsums = np.sum(T_new, axis=0)
-        dead = colsums <= 1e-12
-        if np.any(dead):
-            T_new[:, dead] += np.eye(n)[:, dead]
-            colsums = np.sum(T_new, axis=0)
-        T_new = T_new / colsums
-        v = _exact_violation(A, T_new, mode)
+        T_new = _alternate(T, A_work, kron_A, eye, masks, mode, shift)
+        v = _exact_violation(A, T_new, mode, masks, scale)
         if v < best_v:
             best_T, best_v = T_new.copy(), v
             if v <= cfg.feasibility_tol:
@@ -183,32 +201,25 @@ def _altproj_block_recursive(A: np.ndarray, mode: Mode, cfg: AltProjConfig,
         if k <= 2:
             return np.eye(k)
         b_col = np.maximum(M[1:, 0], 0.0)
-        sub = M[1:, 1:]
-        T2 = np.eye(k - 1) + rng.uniform(0.0, 1.0, size=(k - 1, k - 1))
+        eye = np.eye(k - 1)
+        T2 = eye + rng.uniform(0.0, 1.0, size=(k - 1, k - 1))
         pin = inf_norm(b_col) > 1e-12 * max(1.0, inf_norm(M))
         if pin:
-            T2[:, 0] = b_col / np.sum(b_col)
-        sub_work = sub - shift * np.eye(k - 1)
+            T2[:, 0] = pinned = b_col / b_col.sum()
+        sub_work = M[1:, 1:] - shift * eye
+        kron_A, masks = np.kron(eye, sub_work), _masks(k - 1)
         for it in range(max_iters):
             total_iters += 1
-            H = np.linalg.lstsq(T2, sub_work @ T2, rcond=None)[0]
-            H = _clip_structure(H, mode, diag_floor=shift)
-            T_new = np.maximum(_refit_T(sub_work, H), 0.0)
-            colsums = np.sum(T_new, axis=0)
-            dead = colsums <= 1e-12
-            if np.any(dead):
-                T_new[:, dead] += np.eye(k - 1)[:, dead]
-                colsums = np.sum(T_new, axis=0)
-            T_new = T_new / colsums
+            T_new = _alternate(T2, sub_work, kron_A, eye, masks, mode, shift)
             if pin:
-                T_new[:, 0] = b_col / np.sum(b_col)
+                T_new[:, 0] = pinned
             if inf_norm(T_new - T2) <= cfg.step_tolerance:
                 T2 = T_new
                 break
             T2 = T_new
         svals = np.linalg.svd(T2, compute_uv=False)
         if svals[-1] <= 1e-10 * max(1.0, svals[0]):
-            T2 = T2 + 1e-3 * np.eye(k - 1)
+            T2 = T2 + 1e-3 * eye
         frame = np.eye(k)
         frame[1:, 1:] = T2
         M_next = np.linalg.solve(frame, M @ frame)
@@ -218,7 +229,7 @@ def _altproj_block_recursive(A: np.ndarray, mode: Mode, cfg: AltProjConfig,
         return frame @ deeper
 
     T = level(A)
-    return T, _exact_violation(A, T, mode), total_iters
+    return T, _exact_violation(A, T, mode, _masks(n), max(1.0, inf_norm(A))), total_iters
 
 
 def altproj_hess(A, mode: Mode, cfg: AltProjConfig) -> SearchReport:

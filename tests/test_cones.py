@@ -24,6 +24,7 @@ from hessform.cones import (
     _edge_corners,
     _edge_distance,
     _infeasibility_certificate,
+    _margins,
     _tri_contains,
 )
 
@@ -408,6 +409,19 @@ class TestInfeasibilityCertificate:
         assert _tri_contains(v0, p, q, off, 1e-9) == pytest.approx(-0.5)
         assert _tri_contains(v0, p, q, off[:2], 1e-9) == pytest.approx(-0.1)
         assert _tri_contains(v0, v0, v0, v0 + [[0.3, 0.4]], 1e-9) == pytest.approx(-0.5)
+
+    def test_margin_of_a_row_does_not_depend_on_its_batch(self):
+        # the batch check of the cover decision and the one-row re-check of
+        # verify_cover_certificate must agree bit for bit, right at -tol too
+        rng = np.random.default_rng(31)
+        for i in range(3000):
+            v0, p, q = rng.uniform(-1.0, 2.0, size=(3, 2))
+            if i % 10 == 0:  # collinear: the distance-to-segment branch
+                p, q = v0 + rng.uniform(-1.0, 1.0) * (p - v0), v0 + 2.0 * (p - v0)
+            pts = rng.uniform(-1.0, 2.0, size=(int(rng.integers(2, 40)), 2))
+            batch = _margins(v0, p, q, pts)
+            alone = np.array([_margins(v0, p, q, u.reshape(1, 2))[0] for u in pts])
+            assert batch.tobytes() == alone.tobytes()
 
 
 def _boundary_points(rng, n):

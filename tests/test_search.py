@@ -10,16 +10,27 @@ from hessform import (
     random_experiment,
     verify_certificate,
 )
+from hessform import search
 from hessform.formats import search_report_csv, search_report_to_json
+from hessform.linalg import inf_norm
 from hessform.search import sample_matrix
 
-from conftest import random_metzler
+from conftest import random_metzler, random_nonneg
 
 
 def small_cfg(seed, **kw):
     base = dict(seed=seed, restarts=4, max_iters=150)
     base.update(kw)
     return AltProjConfig(**base)
+
+
+def _report_bits(report):
+    """Every field of a SearchReport, floats and certificate arrays as bits."""
+    cert = report.best_certificate
+    return (report.attempts, report.successes, report.best_violation.hex(),
+            [(log.restart, log.iterations, log.final_violation.hex(), log.success)
+             for log in report.logs],
+            None if cert is None else (cert.T.tobytes(), cert.H.tobytes()))
 
 
 class TestAltprojHess:
@@ -37,14 +48,12 @@ class TestAltprojHess:
         assert report.best_certificate is None
 
     def test_determinism(self, rng):
-        A = random_metzler(rng, 5)
-        r1 = altproj_hess(A, Mode.METZLER, small_cfg(9))
-        r2 = altproj_hess(A, Mode.METZLER, small_cfg(9))
-        assert r1.successes == r2.successes
-        assert r1.best_violation == r2.best_violation
-        for a, b in zip(r1.logs, r2.logs):
-            assert (a.restart, a.iterations, a.final_violation, a.success) == \
-                (b.restart, b.iterations, b.final_violation, b.success)
+        # nonneg runs the golden-section shift probes that Metzler skips
+        for A, mode in ((random_metzler(rng, 5), Mode.METZLER),
+                        (random_nonneg(rng, 5), Mode.NONNEG)):
+            r1 = altproj_hess(A, mode, small_cfg(9))
+            r2 = altproj_hess(A, mode, small_cfg(9))
+            assert _report_bits(r1) == _report_bits(r2)
 
     def test_block_recursive_mode(self, rng):
         A = random_metzler(rng, 3)
@@ -85,6 +94,132 @@ class TestAltprojHess:
                 assert verify_certificate(A, exact, tol=1e-8)
         # statistic only: the starved runs are expected to miss sometimes
         assert gaps >= 0
+
+
+# The alternation as first written: M = I (x) A - H^T (x) I built by np.kron on
+# every iteration, masks and scale rebuilt on every call.  The search hoists
+# all of these out of its loop; its reports must stay equal bit for bit.
+
+def _oracle_clip(H, mode, diag_floor):
+    n = H.shape[0]
+    out = H.copy()
+    out[np.tril_indices(n, k=-2)] = 0.0
+    off = ~np.eye(n, dtype=bool)
+    out[off] = np.maximum(out[off], 0.0)
+    if mode is Mode.NONNEG:
+        d = np.diag(out).copy()
+        np.fill_diagonal(out, np.maximum(d, -diag_floor))
+    return out
+
+
+def _oracle_violation(A, T, mode):
+    svals = np.linalg.svd(T, compute_uv=False)
+    if svals[-1] <= 1e-12 * max(svals[0], 1.0):
+        return np.inf
+    H = np.linalg.solve(T, A @ T)
+    n = H.shape[0]
+    viol = 0.0
+    if n > 2:
+        viol = float(np.max(np.abs(H[np.tril_indices(n, k=-2)])))
+    off = ~np.eye(n, dtype=bool)
+    viol = max(viol, float(-min(0.0, np.min(H[off]))))
+    if mode is Mode.NONNEG:
+        viol = max(viol, float(-min(0.0, np.min(np.diag(H)))))
+    return viol / max(1.0, inf_norm(A))
+
+
+def _oracle_step(T, A_work, mode, shift):
+    n = T.shape[0]
+    H = np.linalg.lstsq(T, A_work @ T, rcond=None)[0]
+    H = _oracle_clip(H, mode, shift)
+    M = np.kron(np.eye(n), A_work) - np.kron(H.T, np.eye(n))
+    T_new = np.linalg.svd(M)[2][-1].reshape((n, n), order="F")
+    T_new = np.maximum(-T_new if np.sum(T_new) < 0 else T_new, 0.0)
+    colsums = np.sum(T_new, axis=0)
+    dead = colsums <= 1e-12
+    if np.any(dead):
+        T_new[:, dead] += np.eye(n)[:, dead]
+        colsums = np.sum(T_new, axis=0)
+    return T_new / colsums
+
+
+def _oracle_single(A, mode, cfg, rng, shift, max_iters):
+    n = A.shape[0]
+    A_work = A - shift * np.eye(n)
+    T = np.eye(n) + rng.uniform(0.0, 1.0, size=(n, n))
+    best_T, best_v = T.copy(), _oracle_violation(A, T, mode)
+    iters = 0
+    for it in range(max_iters):
+        iters = it + 1
+        T_new = _oracle_step(T, A_work, mode, shift)
+        v = _oracle_violation(A, T_new, mode)
+        if v < best_v:
+            best_T, best_v = T_new.copy(), v
+            if v <= cfg.feasibility_tol:
+                break
+        stop = inf_norm(T_new - T) <= cfg.step_tolerance * max(1.0, inf_norm(T))
+        T = T_new
+        if stop:
+            break
+    return best_T, best_v, iters
+
+
+def _oracle_block_recursive(A, mode, cfg, rng, shift, max_iters):
+    total_iters = 0
+
+    def level(M):
+        nonlocal total_iters
+        k = M.shape[0]
+        if k <= 2:
+            return np.eye(k)
+        b_col = np.maximum(M[1:, 0], 0.0)
+        T2 = np.eye(k - 1) + rng.uniform(0.0, 1.0, size=(k - 1, k - 1))
+        pin = inf_norm(b_col) > 1e-12 * max(1.0, inf_norm(M))
+        if pin:
+            T2[:, 0] = b_col / np.sum(b_col)
+        sub_work = M[1:, 1:] - shift * np.eye(k - 1)
+        for _ in range(max_iters):
+            total_iters += 1
+            T_new = _oracle_step(T2, sub_work, mode, shift)
+            if pin:
+                T_new[:, 0] = b_col / np.sum(b_col)
+            stop = inf_norm(T_new - T2) <= cfg.step_tolerance
+            T2 = T_new
+            if stop:
+                break
+        svals = np.linalg.svd(T2, compute_uv=False)
+        if svals[-1] <= 1e-10 * max(1.0, svals[0]):
+            T2 = T2 + 1e-3 * np.eye(k - 1)
+        frame = np.eye(k)
+        frame[1:, 1:] = T2
+        M_next = np.linalg.solve(frame, M @ frame)
+        deeper = np.eye(k)
+        deeper[1:, 1:] = level(M_next[1:, 1:])
+        return frame @ deeper
+
+    T = level(A)
+    return T, _oracle_violation(A, T, mode), total_iters
+
+
+class TestAltprojOracle:
+    @pytest.mark.parametrize("n, mode, draw, block, succeeds", [
+        (4, Mode.METZLER, 0, False, True),
+        (5, Mode.METZLER, 1, False, False),
+        (5, Mode.NONNEG, 0, False, False),  # golden-section shift probes
+        (5, Mode.NONNEG, 0, True, True),
+    ])
+    def test_report_matches_the_kron_formulation(self, monkeypatch, n, mode, draw,
+                                                 block, succeeds):
+        A = sample_matrix(n, mode, Generator.DENSE_UNIFORM,
+                          np.random.default_rng([5, draw]))
+        cfg = AltProjConfig(seed=draw, restarts=4, max_iters=100,
+                            block_recursive=block)
+        got = altproj_hess(A, mode, cfg)
+        monkeypatch.setattr(search, "_altproj_single", _oracle_single)
+        monkeypatch.setattr(search, "_altproj_block_recursive", _oracle_block_recursive)
+        want = altproj_hess(A, mode, cfg)
+        assert _report_bits(got) == _report_bits(want)
+        assert (got.successes > 0) is succeeds
 
 
 class TestSampleMatrix:
