@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 constructive success / feasible, 2 proven obstruction or
-infeasible, 3 honest unknown, 1 usage or runtime error.  All tolerances can be
-overridden with ``--tol`` (the ``HESSFORM_TOL`` environment variable supplies
-a default; the flag wins).  Search commands require an explicit ``--seed``.
+infeasible, 3 honest unknown, 1 usage or runtime error.  Each subcommand
+accepts only the flags it reads, so any other flag is a usage error.
+``--tol`` overrides a command's tolerance; for ``classify``, ``hessenberg``
+and ``ctpos`` it is the zero threshold, absolute in the units of the input
+matrix.  The ``HESSFORM_TOL`` environment variable supplies a default; the
+flag wins.  Search commands require an explicit ``--seed``.
 """
 from __future__ import annotations
 
@@ -187,11 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def json_flag(p):
+        p.add_argument("--json", default=None, metavar="PATH",
+                       help="write JSON output to PATH instead of stdout")
+
     def common(p):
         p.add_argument("--tol", type=float, default=None,
                        help="override the default numeric tolerance")
-        p.add_argument("--json", default=None, metavar="PATH",
-                       help="write JSON output to PATH instead of stdout")
+        json_flag(p)
 
     p = sub.add_parser("classify", help="structural classification of a matrix")
     p.add_argument("matrix")
@@ -220,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--k", type=int, default=50)
     p.add_argument("--csv", default=None, metavar="PATH")
-    common(p)
     p.set_defaults(func=_cmd_dt_iterates)
 
     p = sub.add_parser("dt-feasibility",
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", choices=[g.value for g in Generator],
                    default=Generator.DENSE_UNIFORM.value)
     p.add_argument("--csv", default=None, metavar="PATH")
-    common(p)
+    json_flag(p)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify", help="re-check a similarity certificate")

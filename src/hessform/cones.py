@@ -136,7 +136,7 @@ def cone_membership(cone, b, tol: float = 1e-9) -> Membership:
     if tol < 0:
         raise InputError("tol must be nonnegative")
     n = b.size
-    bscale = max(1.0, inf_norm(b))
+    bscale = inf_norm(b)
 
     if G.shape[1] == 0:
         return Membership.BOUNDARY if inf_norm(b) <= tol * bscale else Membership.OUTSIDE
@@ -144,7 +144,7 @@ def cone_membership(cone, b, tol: float = 1e-9) -> Membership:
     if G.shape[1] == n:
         try:
             x = np.linalg.solve(G, b)
-            xhat = x / max(1.0, float(np.max(np.abs(x))))
+            xhat = x / (float(np.max(np.abs(x))) or 1.0)
             if np.min(xhat) < -tol:
                 return Membership.OUTSIDE
             if np.min(xhat) <= tol:
@@ -156,7 +156,7 @@ def cone_membership(cone, b, tol: float = 1e-9) -> Membership:
     coeffs, resid = nnls(G, b)
     if resid > max(tol, 1e-9) * bscale:
         return Membership.OUTSIDE
-    if np.linalg.matrix_rank(G, tol=1e-10 * max(1.0, inf_norm(G))) < n:
+    if np.linalg.matrix_rank(G, tol=1e-10 * inf_norm(G)) < n:
         return Membership.BOUNDARY
     # max-margin LP: does some representation keep every coefficient >= t > 0?
     m = G.shape[1]
@@ -171,7 +171,7 @@ def cone_membership(cone, b, tol: float = 1e-9) -> Membership:
         return Membership.INTERIOR
     if not res.success:
         return Membership.BOUNDARY
-    margin = -res.fun / max(1.0, float(np.max(np.abs(res.x[:-1]))))
+    margin = -res.fun / (float(np.max(np.abs(res.x[:-1]))) or 1.0)
     return Membership.INTERIOR if margin > tol else Membership.BOUNDARY
 
 

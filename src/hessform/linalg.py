@@ -94,12 +94,15 @@ def inf_norm(a) -> float:
 
 
 def zero_tolerance(A, tol: float | None = None) -> float:
-    """Scale-aware threshold used by every sign/zero test: 1e-9 * max(1, ||A||_inf)."""
+    """Threshold of every sign/zero test on ``A``: ``tol`` when given (absolute,
+    in the units of ``A``), else ``1e-9 * ||A||_inf``.  The default is relative,
+    so ``A -> cA`` never changes a test; a vector is tested against its own norm
+    (``zero_tolerance(b)``), a zero array against exact zero."""
     if tol is not None:
         if tol < 0:
             raise InputError("tolerance must be nonnegative")
         return float(tol)
-    return 1e-9 * max(1.0, inf_norm(A))
+    return 1e-9 * inf_norm(A)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,7 @@ class SortedSpectrum:
     The canonical order is descending absolute value, ties broken by
     decreasing real part, remaining ties (conjugate pairs) put the positive
     imaginary part first.  Clusters group eigenvalues that lie within
-    ``cluster_tolerance * max(1, spectral radius)`` of each other.
+    ``cluster_tolerance * ||A||_inf`` of each other.
     """
 
     eigenvalues: np.ndarray
@@ -175,7 +178,8 @@ def classify(A, tol: float | None = None) -> ClassReport:
     ----------
     A : array_like, square
     tol : float, optional
-        Zero threshold; defaults to ``1e-9 * max(1, ||A||_inf)``.
+        Zero threshold, absolute in the units of ``A``; defaults to
+        ``1e-9 * ||A||_inf`` (see :func:`zero_tolerance`).
 
     Notes
     -----
@@ -230,8 +234,7 @@ def _eigenvalues(A: np.ndarray) -> np.ndarray:
 
 
 def _tie_tolerance(values: np.ndarray) -> float:
-    scale = max(1.0, float(np.max(np.abs(values))) if len(values) else 1.0)
-    return 1e-9 * scale
+    return 1e-9 * float(np.max(np.abs(values))) if len(values) else 0.0
 
 
 def _canonical_sort(values: np.ndarray, tie_tol: float) -> np.ndarray:
@@ -281,8 +284,8 @@ def sorted_spectrum(A, cluster_tol: float = 1e-6) -> SortedSpectrum:
     A : array_like, square
     cluster_tol : float
         Relative clustering tolerance; eigenvalues within
-        ``cluster_tol * max(1, spectral radius)`` are merged into one cluster
-        for multiplicity reporting.
+        ``cluster_tol * ||A||_inf`` are merged into one cluster for
+        multiplicity reporting.
 
     Returns
     -------
@@ -294,8 +297,7 @@ def sorted_spectrum(A, cluster_tol: float = 1e-6) -> SortedSpectrum:
     if cluster_tol < 0:
         raise InputError("cluster_tol must be nonnegative")
     ordered = _eigenvalues(A)
-    scale = max(1.0, float(np.max(np.abs(ordered))))
-    threshold = cluster_tol * scale
+    threshold = cluster_tol * inf_norm(A)
 
     clusters = _cluster_indices(ordered, threshold)
     reps = []
@@ -329,7 +331,7 @@ def geometric_multiplicity(A, lam: complex, rank_tol: float = 1e-8) -> int:
     n = A.shape[0]
     shifted = A.astype(complex) - lam * np.eye(n)
     s = np.linalg.svd(shifted, compute_uv=False)
-    if s[0] <= _EPS * max(1.0, inf_norm(A)):
+    if s[0] <= _EPS * inf_norm(A):
         return n
     return int(n - np.count_nonzero(s > rank_tol * s[0]))
 
@@ -359,10 +361,9 @@ def _perron_vector(A: np.ndarray, lam1: float, t: float) -> np.ndarray:
     if np.min(v) < -t * 10:
         # multiple dominant eigenvalue with a rotated basis vector: fall back
         # to power iteration on the shifted matrix, which stays nonnegative
-        shift = max(1.0, abs(lam1))
-        B = A + shift * np.eye(n)
+        B = A + inf_norm(A) * np.eye(n)
         x = np.full(n, 1.0 / n)
-        target = 1e-12 * max(1.0, inf_norm(A))
+        target = 1e-12 * inf_norm(A)
         for _ in range(20000):
             y = B @ x
             norm = float(np.sum(np.abs(y)))
@@ -473,14 +474,14 @@ def _real_cluster_chains(A: np.ndarray, lam: float, m: int) -> list[np.ndarray] 
     W, _ = np.linalg.qr(W)
     B = W.T @ N @ W
     bnorm = float(np.linalg.norm(B, 2))
-    cutoff = max(1e-8 * max(1.0, inf_norm(A)), 50 * _EPS * max(1.0, inf_norm(A)))
+    cutoff = 1e-8 * inf_norm(A)
 
     dims = [0]
     Bp = np.eye(m)
     for j in range(1, m + 1):
         Bp = Bp @ B
         s = np.linalg.svd(Bp, compute_uv=False)
-        level_cut = cutoff * max(1.0, bnorm) ** (j - 1)
+        level_cut = cutoff * bnorm ** (j - 1)
         dims.append(int(np.count_nonzero(s <= level_cut)))
     if dims[1] < 1:
         return None
@@ -600,6 +601,9 @@ def jordan_like_form(A, cluster_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarr
     decreasing real part of their eigenvalue, real blocks before complex ones
     on ties, so real spectra produce decreasing diagonal entries.
 
+    Eigenvalues within ``cluster_tol * ||A||_inf`` of each other form one
+    cluster; the threshold is relative, so ``A -> cA`` clusters alike.
+
     Raises
     ------
     ClusterAmbiguityError
@@ -617,8 +621,7 @@ def jordan_like_form(A, cluster_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarr
         raise InputError("cluster_tol must be nonnegative")
 
     vals = _eigenvalues(A)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    threshold = max(cluster_tol * scale, 10 * _EPS * scale)
+    threshold = max(cluster_tol, 10 * _EPS) * inf_norm(A)
 
     real_vals = [v.real for v in vals if abs(v.imag) <= threshold]
     complex_vals = [v for v in vals if abs(v.imag) > threshold and v.imag > 0]
@@ -680,7 +683,7 @@ def jordan_like_form(A, cluster_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarr
             f"Jordan basis is ill conditioned (cond ~ {cond:.2e})",
             IllConditionedWarning, stacklevel=2)
     residual = inf_norm(A @ V - V @ Jfull)
-    bound = 1e-8 * max(1.0, inf_norm(A)) * max(1.0, min(cond, 1e30))
+    bound = 1e-8 * inf_norm(A) * min(cond, 1e30)
     if residual > bound:
         raise NumericalError(
             f"Jordan-like residual {residual:.3e} exceeds bound {bound:.3e}")

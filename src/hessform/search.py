@@ -9,7 +9,7 @@ structure constraints at the feasibility tolerance and the resulting
 certificate re-verifies from scratch.
 
 Each restart (each level, in the block-recursive form) builds ``I (x) A``, the
-structure masks and the scale ``max(1, ||A||_inf)`` once, so an iteration pays
+structure masks and the scale ``||A||_inf`` once, so an iteration pays
 only for its lstsq, its two SVDs and its solve.  The reports are bit-identical
 to rebuilding all of them on every iteration.
 """
@@ -166,7 +166,7 @@ def _altproj_single(A: np.ndarray, mode: Mode, cfg: AltProjConfig,
                     max_iters: int) -> tuple[np.ndarray, float, int]:
     """One restart of the full-matrix alternation; returns (T, violation, iters)."""
     n = A.shape[0]
-    eye, masks, scale = np.eye(n), _masks(n), max(1.0, inf_norm(A))
+    eye, masks, scale = np.eye(n), _masks(n), inf_norm(A) or 1.0
     A_work = A - shift * eye
     kron_A = np.kron(eye, A_work)
     T = eye + rng.uniform(0.0, 1.0, size=(n, n))
@@ -180,7 +180,7 @@ def _altproj_single(A: np.ndarray, mode: Mode, cfg: AltProjConfig,
             best_T, best_v = T_new.copy(), v
             if v <= cfg.feasibility_tol:
                 break
-        if inf_norm(T_new - T) <= cfg.step_tolerance * max(1.0, inf_norm(T)):
+        if inf_norm(T_new - T) <= cfg.step_tolerance * inf_norm(T):
             T = T_new
             break
         T = T_new
@@ -203,7 +203,7 @@ def _altproj_block_recursive(A: np.ndarray, mode: Mode, cfg: AltProjConfig,
         b_col = np.maximum(M[1:, 0], 0.0)
         eye = np.eye(k - 1)
         T2 = eye + rng.uniform(0.0, 1.0, size=(k - 1, k - 1))
-        pin = inf_norm(b_col) > 1e-12 * max(1.0, inf_norm(M))
+        pin = inf_norm(b_col) > 1e-12 * inf_norm(M)
         if pin:
             T2[:, 0] = pinned = b_col / b_col.sum()
         sub_work = M[1:, 1:] - shift * eye
@@ -218,7 +218,7 @@ def _altproj_block_recursive(A: np.ndarray, mode: Mode, cfg: AltProjConfig,
                 break
             T2 = T_new
         svals = np.linalg.svd(T2, compute_uv=False)
-        if svals[-1] <= 1e-10 * max(1.0, svals[0]):
+        if svals[-1] <= 1e-10 * svals[0]:
             T2 = T2 + 1e-3 * eye
         frame = np.eye(k)
         frame[1:, 1:] = T2
@@ -229,7 +229,7 @@ def _altproj_block_recursive(A: np.ndarray, mode: Mode, cfg: AltProjConfig,
         return frame @ deeper
 
     T = level(A)
-    return T, _exact_violation(A, T, mode, _masks(n), max(1.0, inf_norm(A))), total_iters
+    return T, _exact_violation(A, T, mode, _masks(n), inf_norm(A) or 1.0), total_iters
 
 
 def altproj_hess(A, mode: Mode, cfg: AltProjConfig) -> SearchReport:
@@ -250,7 +250,7 @@ def altproj_hess(A, mode: Mode, cfg: AltProjConfig) -> SearchReport:
     else:
         # golden-section sweep over the diagonal slack used inside the
         # alternation; success is always judged against the unshifted target
-        hi = max(1.0, inf_norm(A))
+        hi = inf_norm(A)
         phi = (np.sqrt(5.0) - 1.0) / 2.0
         a_s, b_s = 0.0, hi
         shifts = [0.0]

@@ -54,9 +54,9 @@ class PositiveSystem:
             raise InputError("discrete-time positive system needs nonnegative A")
         if self.domain is Domain.CT and not rep.is_metzler:
             raise InputError("continuous-time positive system needs Metzler A")
-        if np.min(b) < -t * max(1.0, inf_norm(b)):
+        if np.min(b) < -zero_tolerance(b):
             raise InputError("input vector must be nonnegative")
-        if np.min(c) < -t * max(1.0, inf_norm(c)):
+        if np.min(c) < -zero_tolerance(c):
             raise InputError("output vector must be nonnegative")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -83,13 +83,12 @@ def is_controller_hessenberg(sys: PositiveSystem, tol: float | None = None) -> b
         return False
     if sys.domain is Domain.CT and not rep.is_metzler:
         return False
-    b = sys.b
-    bscale = max(1.0, inf_norm(b))
-    if b.size > 1 and inf_norm(b[1:]) > t * bscale:
+    b, tb = sys.b, zero_tolerance(sys.b)
+    if b.size > 1 and inf_norm(b[1:]) > tb:
         return False
-    if b[0] < -t * bscale:
+    if b[0] < -tb:
         return False
-    return bool(np.min(sys.c) >= -t * max(1.0, inf_norm(sys.c)))
+    return bool(np.min(sys.c) >= -zero_tolerance(sys.c))
 
 
 def dt_iterates(A, b, K: int) -> IterateTrace:
@@ -99,6 +98,8 @@ def dt_iterates(A, b, K: int) -> IterateTrace:
     multiplication (the projection is scale invariant, so this only guards
     against overflow); all ``K`` are projected in one pass.  The limit point
     is the exact mean of the cycle they settle into (``_iteration_limit``).
+    ``b`` is tested against its own norm and each iterate sum against
+    ``||A||_inf``, so ``(cA, db)`` gives the points of ``(A, b)``.
     """
     A = as_square(A)
     b = as_vector(b)
@@ -109,17 +110,18 @@ def dt_iterates(A, b, K: int) -> IterateTrace:
     t = zero_tolerance(A)
     if np.min(A) < -t:
         raise InputError("dt_iterates requires a nonnegative matrix")
-    if np.min(b) < -t * max(1.0, inf_norm(b)) or inf_norm(b) <= t:
+    if np.min(b) < -zero_tolerance(b) or not b.any():
         raise InputError("dt_iterates requires a nonnegative nonzero vector")
 
     X = np.empty((K, 3))
     x = np.maximum(b, 0.0)
-    for k in range(K):
+    X[0] = x = x / float(x.sum())
+    for k in range(1, K):
+        x = np.maximum(A @ x, 0.0)
         total = float(x.sum())
         if total <= t:
             raise InputError("iterate coordinate sum degenerated to zero")
         X[k] = x = x / total
-        x = np.maximum(A @ x, 0.0)
 
     return IterateTrace(points=_project_rows(X),
                         limit_point=_iteration_limit(A, b), K=K)

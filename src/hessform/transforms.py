@@ -8,12 +8,21 @@ a canonical one.
 
 No randomness is used anywhere in this module; all fallback searches sweep
 deterministic candidate lists.
+
+The problem is invariant under ``A -> cA``, and one scale policy follows it.
+The five constructors (``nonneg_hess_3``, ``metzler_hess_3``,
+``metzler_hess_4``, ``ct_hess_3``, ``dt_hess_2``) divide ``A`` by
+``||A||_inf`` (and ``b`` by ``||b||_inf``) on entry, build at unit scale and
+multiply what they return back; a constant threshold inside them is relative
+to ``||A|| = 1``.  Every other threshold is relative to the norm of what it
+tests, and a certificate is accepted by the one predicate of
+:func:`verify_certificate`.
 """
 from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,10 +109,12 @@ class RankOneShiftForm:
 class SimilarityCertificate:
     """Checkable record of a similarity ``H = T^{-1} A T``.
 
-    ``residual_similarity`` is ``||A T - T H||_inf / max(1, ||A||_inf)``;
+    ``residual_similarity`` is ``||A T - T H||_inf / ||A||_inf`` (relative, so
+    it does not change under ``A -> cA``; exactly zero for a zero matrix);
     ``hessenberg_violation`` the largest magnitude below the first
     subdiagonal of ``H``; ``sign_violation`` the smallest entry of ``H``
-    (off-diagonal only in Metzler mode).  Columns of ``T`` are scaled to unit
+    (off-diagonal only in Metzler mode).  The two violations are entries of
+    ``H``, in the units of ``A``.  Columns of ``T`` are scaled to unit
     absolute sum before the residuals are reported, except where a construction
     pins a column (e.g. the input vector).
     """
@@ -160,7 +171,7 @@ def make_certificate(A, T, mode: Mode, normalize: bool = True,
         raise InputError("T is singular beyond the conditioning bound")
     T_inv = np.linalg.solve(T, np.eye(T.shape[0]))
     H = T_inv @ A @ T
-    residual = inf_norm(A @ T - T @ H) / max(1.0, inf_norm(A))
+    residual = inf_norm(A @ T - T @ H) / (inf_norm(A) or 1.0)
     return SimilarityCertificate(
         T=T,
         T_inv=T_inv,
@@ -180,39 +191,51 @@ def identity_certificate(A, mode: Mode) -> SimilarityCertificate:
     return make_certificate(A, np.eye(A.shape[0]), mode, normalize=False)
 
 
-def _entry_tolerance(A) -> float:
-    """Absolute tolerance on Hessenberg/sign entry violations in H; matches
-    what :func:`verify_certificate` enforces at the default tolerance."""
-    return RESIDUAL_BOUND * max(1.0, inf_norm(A))
+def _holds(norm_A: float, residual: float, hessenberg_violation: float,
+           sign_violation: float, tol: float) -> bool:
+    """The acceptance predicate of every certificate: the similarity residual
+    ``||A T - T H||_inf`` and both entry violations of ``H`` within
+    ``tol * ||A||_inf``.  Relative throughout, so the verdict for ``(cA, cH)``
+    is the verdict for ``(A, H)``; a zero matrix needs exact zeros."""
+    bound = tol * norm_A
+    return (residual <= bound and hessenberg_violation <= bound
+            and sign_violation >= -bound)
 
 
-def _certificate_ok(cert: SimilarityCertificate, A) -> bool:
-    t = _entry_tolerance(A)
-    return (cert.residual_similarity <= RESIDUAL_BOUND
-            and cert.hessenberg_violation <= t
-            and cert.sign_violation >= -t)
+def _unit_scale(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, float, float]:
+    """A constructor's input at unit scale: ``A / s`` with ``s = ||A||_inf``,
+    ``s`` itself, and the zero threshold there, ``tol / s`` for a caller's
+    ``tol`` (absolute, in the units of ``A``) or the relative default.  A zero
+    matrix passes through unscaled (``s = 1``)."""
+    s = inf_norm(A) or 1.0
+    A = A / s
+    return A, s, zero_tolerance(A, None if tol is None else tol / s)
 
 
-def _checked(cert: SimilarityCertificate, A, context: str) -> SimilarityCertificate:
-    """Validate certificate invariants; defects here are bugs, not obstructions."""
-    t = _entry_tolerance(A)
-    if cert.residual_similarity > RESIDUAL_BOUND:
+def _checked(cert: SimilarityCertificate, A, context: str,
+             s: float) -> SimilarityCertificate:
+    """The certificate for ``s * A`` from one built for unit-scale ``A``: ``H``
+    and its entry violations multiplied by ``s``, once the predicate of
+    :func:`verify_certificate` holds.  Failing it is a bug, not an obstruction."""
+    norm_A = inf_norm(A)
+    if not _holds(norm_A, cert.residual_similarity * norm_A,
+                  cert.hessenberg_violation, cert.sign_violation, RESIDUAL_BOUND):
         raise ConstructionDefect(
-            f"{context}: similarity residual {cert.residual_similarity:.3e}")
-    if cert.hessenberg_violation > t:
-        raise ConstructionDefect(
-            f"{context}: Hessenberg violation {cert.hessenberg_violation:.3e}")
-    if cert.sign_violation < -t:
-        raise ConstructionDefect(
-            f"{context}: sign violation {cert.sign_violation:.3e}")
-    return cert
+            f"{context}: similarity residual {cert.residual_similarity:.3e}, "
+            f"Hessenberg violation {cert.hessenberg_violation:.3e}, "
+            f"sign violation {cert.sign_violation:.3e} at unit scale")
+    return replace(cert, H=s * cert.H,
+                   hessenberg_violation=s * cert.hessenberg_violation,
+                   sign_violation=s * cert.sign_violation)
 
 
 def verify_certificate(A, cert: SimilarityCertificate, tol: float = 1e-8) -> bool:
     """Re-derive every certificate metric from scratch and test it against ``tol``.
 
     An independent linear solve recomputes ``T^{-1}``; nothing stored in the
-    certificate is trusted except ``T``, ``H`` and the mode.
+    certificate is trusted except ``T``, ``H`` and the mode.  Every bound is
+    ``tol`` times ``||A||_inf`` (times ``cond(T)`` for the recomputed ``H``),
+    so the verdict does not change under ``A -> cA`` with ``H -> cH``.
     """
     A = as_square(A)
     T = as_square(cert.T, "certificate T")
@@ -222,19 +245,12 @@ def verify_certificate(A, cert: SimilarityCertificate, tol: float = 1e-8) -> boo
     svals = np.linalg.svd(T, compute_uv=False)
     if svals[-1] <= 0 or svals[0] / svals[-1] > 1e14:
         raise InputError("certificate T is singular beyond the conditioning bound")
-    scale = max(1.0, inf_norm(A))
-    residual = inf_norm(A @ T - T @ H) / scale
-    if residual > tol:
-        return False
-    entry_tol = tol * scale
-    if _hessenberg_violation(H) > entry_tol:
-        return False
-    if _sign_violation(H, cert.mode) < -entry_tol:
+    norm_A = inf_norm(A)
+    if not _holds(norm_A, inf_norm(A @ T - T @ H), _hessenberg_violation(H),
+                  _sign_violation(H, cert.mode), tol):
         return False
     T_inv = np.linalg.solve(T, np.eye(T.shape[0]))
-    if inf_norm(T_inv @ A @ T - H) > tol * scale * max(1.0, inf_norm(T_inv) * inf_norm(T)):
-        return False
-    return True
+    return inf_norm(T_inv @ A @ T - H) <= tol * norm_A * inf_norm(T_inv) * inf_norm(T)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +278,7 @@ def rank_one_shift_detect(A, tol: float | None = None) -> RankOneShiftForm | Non
     # are the precise arbiters
     trailing = vals[1:]
     lam2c = complex(np.mean(trailing))
-    screen = 1e-4 * max(1.0, float(np.abs(vals[0])))
+    screen = 1e-4 * inf_norm(A)
     if np.max(np.abs(trailing - lam2c)) > screen:
         return None
     if abs(lam2c.imag) > screen or lam2c.real >= -t:
@@ -284,7 +300,7 @@ def rank_one_shift_detect(A, tol: float | None = None) -> RankOneShiftForm | Non
     u = np.maximum(u, 0.0)
     v = np.maximum(v, 0.0)
     form = RankOneShiftForm(u=u, v=v, s=-lam2, c=1.0)
-    if inf_norm(form.reconstruct() - A) > 1e-8 * max(1.0, inf_norm(A)):
+    if inf_norm(form.reconstruct() - A) > 1e-8 * inf_norm(A):
         return None
     return form
 
@@ -295,7 +311,7 @@ def rank_one_shift_detect(A, tol: float | None = None) -> RankOneShiftForm | Non
 
 def _perron_coincident(A: np.ndarray, b: np.ndarray, lam1: float) -> tuple[bool, float]:
     resid = inf_norm(A @ b - lam1 * b)
-    threshold = 1e-8 * max(1.0, inf_norm(A)) * max(1.0, inf_norm(b))
+    threshold = 1e-8 * inf_norm(A) * inf_norm(b)
     if threshold < resid <= 10 * threshold:
         warnings.warn("input vector is within 10x of the Perron-coincidence "
                       "threshold; the verdict may be sensitive to noise",
@@ -328,23 +344,22 @@ def fix_b_boundary(A, b, tol: float | None = None) -> np.ndarray:
     t = zero_tolerance(A, tol)
     if np.min(A) < -t:
         raise InputError("fix_b_boundary requires a nonnegative matrix")
-    if np.min(b) < -t * max(1.0, inf_norm(b)):
+    if np.min(b) < -zero_tolerance(b):
         raise InputError("fix_b_boundary requires a nonnegative vector")
-    if inf_norm(b) <= t:
+    if not b.any():
         raise InputError("vector must be nonzero")
     report = classify(A, t)
     if not report.is_irreducible:
         raise InputError("fix_b_boundary requires an irreducible matrix")
 
-    pd = perron_pair(A)
+    pd = perron_pair(A, t)
     coincident, _ = _perron_coincident(A, b, pd.perron_root)
     if coincident:
         raise PerronVectorError(
             "b is the Perron eigenvector; no commuting transform can move it "
             "to the orthant boundary")
 
-    bscale = max(inf_norm(b), 1e-300)
-    if np.min(b) <= t * bscale:
+    if np.min(b) <= zero_tolerance(b):
         return np.eye(n)
 
     # shift into the open right half-plane and rescale to spectral radius one;
@@ -353,7 +368,7 @@ def fix_b_boundary(A, b, tol: float | None = None) -> np.ndarray:
     min_re = float(np.min(vals.real))
     k_shift = 0.0
     if min_re <= 0 or np.min(np.diag(A)) <= 0:
-        k_shift = max(0.0, -min_re) + 0.25 * max(1.0, inf_norm(A))
+        k_shift = max(0.0, -min_re) + 0.25 * inf_norm(A)
     # eig(A + k I) = eig(A) + k, so W needs no eigenvalue computation of its own
     W = A + k_shift * np.eye(n)
     rho = float(np.max(np.abs(vals + k_shift)))
@@ -366,8 +381,7 @@ def fix_b_boundary(A, b, tol: float | None = None) -> np.ndarray:
             z = np.linalg.solve(W, y)
         except np.linalg.LinAlgError as exc:
             raise ConstructionDefect(f"shifted matrix became singular: {exc}") from exc
-        zn = z / max(1.0, float(np.max(np.abs(z))))
-        if np.min(zn) <= 1e-9:
+        if np.min(z) <= 1e-9 * float(np.max(np.abs(z))):
             break
         y = z / np.sum(np.abs(z))
         m += 1
@@ -398,21 +412,22 @@ def dt_hess_2(A, b, tol: float | None = None) -> SimilarityCertificate | Obstruc
     obstruction.
 
     The obstruction occurs exactly when the second eigenvalue is negative and
-    ``b`` is the Perron eigenvector.
+    ``b`` is the Perron eigenvector.  The first column of ``T`` is ``b``
+    scaled to unit max-norm.
     """
     A = as_square(A)
-    b = as_vector(b)
-    if A.shape[0] != 2 or b.size != 2:
+    b_in = as_vector(b)
+    if A.shape[0] != 2 or b_in.size != 2:
         raise InputError("dt_hess_2 expects a 2x2 matrix and a 2-vector")
-    t = zero_tolerance(A, tol)
+    A, s, t = _unit_scale(A, tol)
     if np.min(A) < -t:
         raise InputError("dt_hess_2 requires a nonnegative matrix")
-    bscale = max(1.0, inf_norm(b))
-    if np.min(b) < -t * bscale:
+    if np.min(b_in) < -zero_tolerance(b_in):
         raise InputError("dt_hess_2 requires a nonnegative vector")
-    if inf_norm(b) <= t:
+    sb = inf_norm(b_in)
+    if sb == 0:
         raise InputError("b must be nonzero")
-    b = np.maximum(b, 0.0)
+    b = np.maximum(b_in, 0.0) / sb
 
     vals = _eigenvalues(A)
     lam1 = float(vals[0].real)
@@ -422,8 +437,8 @@ def dt_hess_2(A, b, tol: float | None = None) -> SimilarityCertificate | Obstruc
         # the shifted matrix is nonnegative of rank at most one; cover its ray
         Ahat = A - lam2 * np.eye(2)
         Ahat = np.maximum(Ahat, 0.0)
-        U, s, _ = np.linalg.svd(Ahat)
-        if s[0] <= t:
+        U, sv, _ = np.linalg.svd(Ahat)
+        if sv[0] <= t:
             p = _complete_with_basis_vector(b)
         else:
             ray = U[:, 0]
@@ -431,34 +446,33 @@ def dt_hess_2(A, b, tol: float | None = None) -> SimilarityCertificate | Obstruc
                 ray = -ray
             ray = np.maximum(ray, 0.0)
             det = b[0] * ray[1] - b[1] * ray[0]
-            if abs(det) > 1e-9 * max(1.0, inf_norm(b)):
+            if abs(det) > zero_tolerance(b):
                 p = ray
             else:
                 p = _complete_with_basis_vector(b)
         T = np.column_stack([b, p])
         cert = make_certificate(A, T, Mode.NONNEG, keep_first_column=True)
-        return _checked(cert, A, "dt_hess_2 (nonnegative second eigenvalue)")
+        return _checked(cert, A, "dt_hess_2 (nonnegative second eigenvalue)", s)
 
     coincident, resid = _perron_coincident(A, b, lam1)
     if coincident:
         return Obstruction(
             ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
-            data={"lambda1": lam1, "lambda2": lam2, "residual": resid,
-                  "b": b.copy()},
+            data={"lambda1": s * lam1, "lambda2": s * lam2,
+                  "residual": s * sb * resid, "b": b_in.copy()},
         )
 
-    T1 = fix_b_boundary(A, b)
+    T1 = fix_b_boundary(A, b, t)
     b1 = np.linalg.solve(T1, b)
     b1 = np.maximum(b1, 0.0)
     # one entry of b1 is (numerically) zero; complete with the matching axis
     zero_idx = int(np.argmin(b1))
-    other = 1 - zero_idx
     b1[zero_idx] = 0.0
     T2 = np.column_stack([b1, np.eye(2)[:, zero_idx]])
-    if abs(np.linalg.det(T2)) <= 1e-12 * max(1.0, b1[other]):
+    if abs(np.linalg.det(T2)) <= 1e-12 * inf_norm(b1):
         raise ConstructionDefect("degenerate frame after boundary placement")
     cert = make_certificate(A, T1 @ T2, Mode.NONNEG, keep_first_column=True)
-    return _checked(cert, A, "dt_hess_2 (negative second eigenvalue)")
+    return _checked(cert, A, "dt_hess_2 (negative second eigenvalue)", s)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +499,7 @@ def eigvec_b_transform(A, b, tol: float | None = None) -> np.ndarray:
     t = zero_tolerance(A, tol)
     if np.min(A) < -t:
         raise InputError("eigvec_b_transform requires a nonnegative matrix")
-    if np.min(b) <= t * max(1.0, inf_norm(b)):
+    if np.min(b) <= zero_tolerance(b):
         raise InputError("eigvec_b_transform requires a strictly positive vector")
     if not classify(A, t).is_irreducible:
         raise InputError("eigvec_b_transform requires an irreducible matrix")
@@ -500,7 +514,7 @@ def eigvec_b_transform(A, b, tol: float | None = None) -> np.ndarray:
 
     V, J = jordan_like_form(A)
     # first block is the simple dominant eigenvalue; align its column with b
-    if abs(J[0, 0] - lam1) > max(1e-6 * max(1.0, lam1), 10 * t):
+    if abs(J[0, 0] - lam1) > max(1e-6 * inf_norm(A), 10 * t):
         raise ConstructionDefect("dominant eigenvalue is not the leading Jordan block")
     v1 = V[:, 0]
     scale = float(b @ v1) / float(v1 @ v1)
@@ -523,11 +537,11 @@ def eigvec_b_transform(A, b, tol: float | None = None) -> np.ndarray:
         alpha[i] = 1.25 * max(need_pos, need_rec)
 
     T = V + np.outer(b, alpha)
-    T = np.maximum(T, 0.0) if np.min(T) > -10 * t else T
-    if np.min(T) < -10 * t * max(1.0, inf_norm(T)):
+    if np.min(T) < -10 * t * inf_norm(T):
         raise ConstructionDefect("transform failed to become nonnegative")
+    T = np.maximum(T, 0.0)
     H = np.linalg.solve(T, A @ T)
-    if np.min(H) < -1e-7 * max(1.0, inf_norm(A)):
+    if np.min(H) < -1e-7 * inf_norm(A):
         raise ConstructionDefect("conjugated matrix failed to stay nonnegative")
     return T
 
@@ -555,24 +569,23 @@ def diag_commuting_transform(A, b, tol: float | None = None) -> np.ndarray:
     if svals[-1] <= 1e-12 * svals[0]:
         raise InputError("matrix is defective (eigenvector basis is singular)")
     resid = inf_norm(np.abs(A @ V - V @ np.diag(vals)))
-    if resid > 1e-7 * max(1.0, inf_norm(A)) * (svals[0] / svals[-1]):
+    if resid > 1e-7 * inf_norm(A) * (svals[0] / svals[-1]):
         raise InputError("matrix is not reliably diagonalisable")
     alpha = np.linalg.solve(V, np.eye(n)[:, 0].astype(complex))
     beta = np.linalg.solve(V, b.astype(complex))
-    if np.min(np.abs(alpha)) <= t * max(1.0, float(np.max(np.abs(alpha)))):
+    if np.min(np.abs(alpha)) <= t * float(np.max(np.abs(alpha))):
         raise InputError("e_1 has a zero component in the eigenbasis")
-    if np.min(np.abs(beta)) <= t * max(1.0, float(np.max(np.abs(beta)))):
+    if np.min(np.abs(beta)) <= t * float(np.max(np.abs(beta))):
         raise InputError("b has a zero component in the eigenbasis")
     E = np.diag(beta / alpha)
     Tc = V @ E @ np.linalg.solve(V, np.eye(n, dtype=complex))
-    if np.max(np.abs(Tc.imag)) > 1e-8 * max(1.0, float(np.max(np.abs(Tc.real)))):
+    if np.max(np.abs(Tc.imag)) > 1e-8 * float(np.max(np.abs(Tc.real))):
         raise InputError("transform is not real; complex eigencomponents of b "
                          "and e_1 are inconsistently paired")
     T = Tc.real
-    scale = max(1.0, inf_norm(A))
-    if inf_norm(T @ A - A @ T) > 1e-8 * scale * max(1.0, inf_norm(T)):
+    if inf_norm(T @ A - A @ T) > 1e-8 * inf_norm(A) * inf_norm(T):
         raise ConstructionDefect("commutation residual too large")
-    if inf_norm(np.linalg.solve(T, b) - np.eye(n)[:, 0]) > 1e-8 * max(1.0, inf_norm(b)):
+    if inf_norm(np.linalg.solve(T, b) - np.eye(n)[:, 0]) > 1e-8:
         raise ConstructionDefect("T^{-1} b failed to reach e_1")
     return T
 
@@ -607,21 +620,20 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
     A = as_square(A)
     if A.shape[0] != 3:
         raise InputError("nonneg_hess_3 expects a 3x3 matrix")
-    t = zero_tolerance(A, tol)
+    A, s, t = _unit_scale(A, tol)
     if np.min(A) < -t:
         raise InputError("nonneg_hess_3 requires a nonnegative matrix")
 
-    form = rank_one_shift_detect(A)
+    form = rank_one_shift_detect(A, t)
     if form is not None:
         lam2 = -form.c * form.s
         return Obstruction(
             ObstructionKind.NEG_EIG_GEOM_MULT,
             data={
-                "lambda2": lam2,
+                "lambda2": s * lam2,
                 "geometric_multiplicity": geometric_multiplicity(A, lam2),
-                "u": form.u, "v": form.v, "s": form.s, "c": form.c,
-                "reconstruction_residual":
-                    inf_norm(form.reconstruct() - A) / max(1.0, inf_norm(A)),
+                "u": form.u, "v": form.v, "s": form.s, "c": s * form.c,
+                "reconstruction_residual": inf_norm(form.reconstruct() - A),
             },
         )
 
@@ -630,16 +642,16 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
     if real_nonneg:
         V, _ = jordan_like_form(A)
         cert = make_certificate(A, V, Mode.NONNEG)
-        return _checked(cert, A, "nonneg_hess_3 (real nonnegative spectrum)")
+        return _checked(cert, A, "nonneg_hess_3 (real nonnegative spectrum)", s)
 
     P = permutation_to_hessenberg(A, t)
     if P is not None:
         cert = make_certificate(A, P, Mode.NONNEG, normalize=False)
-        return _checked(cert, A, "nonneg_hess_3 (permutation)")
+        return _checked(cert, A, "nonneg_hess_3 (permutation)", s)
 
     # all off-diagonal entries are positive; reduce through a 2x2 block
     A11, v_r = A[:2, :2], A[:2, 2]
-    sub = dt_hess_2(A11, v_r)
+    sub = dt_hess_2(A11, v_r, t)
     if isinstance(sub, SimilarityCertificate):
         T = _embed_leading(sub.T)
         B = np.linalg.solve(T, A @ T)
@@ -648,10 +660,10 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
             raise ConstructionDefect(
                 "leading block reduction produced no movable zero")
         cert = make_certificate(A, T @ P, Mode.NONNEG)
-        return _checked(cert, A, "nonneg_hess_3 (leading partition)")
+        return _checked(cert, A, "nonneg_hess_3 (leading partition)", s)
 
     A22, w_l = A[1:, 1:], A[0, 1:]
-    sub = dt_hess_2(A22.T, w_l)
+    sub = dt_hess_2(A22.T, w_l, t)
     if isinstance(sub, SimilarityCertificate):
         S = np.linalg.solve(sub.T.T, np.eye(2))  # inverse transpose
         T = _embed_trailing(S)
@@ -661,12 +673,12 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
             raise ConstructionDefect(
                 "trailing block reduction produced no movable zero")
         cert = make_certificate(A, T @ P, Mode.NONNEG)
-        return _checked(cert, A, "nonneg_hess_3 (trailing partition)")
+        return _checked(cert, A, "nonneg_hess_3 (trailing partition)", s)
 
     raise ConstructionDefect(
         "both block partitions obstructed although the rank-one-minus-shift "
         "test is negative; this contradicts the 3x3 characterisation. "
-        f"A = {A.tolist()}")
+        f"A = {(s * A).tolist()}")
 
 
 def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
@@ -676,29 +688,29 @@ def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
     lies in the rank-one-minus-shift family, runs the nonnegative decision,
     then un-shifts the conjugated matrix.
     """
-    A = as_square(A)
-    if A.shape[0] != 3:
+    A_in = as_square(A)
+    if A_in.shape[0] != 3:
         raise InputError("metzler_hess_3 expects a 3x3 matrix")
-    t = zero_tolerance(A, tol)
+    A, s, t = _unit_scale(A_in, tol)
     rep = classify(A, t)
     if not rep.is_metzler:
         raise InputError("metzler_hess_3 requires a Metzler matrix")
     if rep.is_upper_hessenberg:
-        return identity_certificate(A, Mode.METZLER)
+        return identity_certificate(A_in, Mode.METZLER)
 
     shifted, _ = metzler_shift(A, t)
-    form = rank_one_shift_detect(shifted)
+    form = rank_one_shift_detect(shifted, t)
     if form is not None:
         # c (u v^T - s I) + (c s + eps) I = c u v^T + eps I is outside the family
-        shifted = shifted + (form.c * form.s + 1e-8 * max(1.0, inf_norm(A))) * np.eye(3)
+        shifted = shifted + (form.c * form.s + 1e-8) * np.eye(3)
 
-    result = nonneg_hess_3(shifted)
+    result = nonneg_hess_3(shifted, t)
     if isinstance(result, Obstruction):
         raise ConstructionDefect(
             "shifted matrix still reported an obstruction; the Metzler "
             "construction is total, so this is a defect")
     cert = make_certificate(A, result.T, Mode.METZLER, normalize=False)
-    return _checked(cert, A, "metzler_hess_3")
+    return _checked(cert, A, "metzler_hess_3", s)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +748,7 @@ def _extreme_columns(cols: np.ndarray, U2: np.ndarray) -> tuple[np.ndarray, np.n
     """Angularly extreme columns of a rank-2 nonnegative generator set."""
     coords = U2.T @ cols
     norms = np.linalg.norm(coords, axis=0)
-    keep = norms > 1e-12 * max(1.0, float(np.max(norms)))
+    keep = norms > 1e-12 * float(np.max(norms))
     coords, cols = coords[:, keep], cols[:, keep]
     unit = coords / np.linalg.norm(coords, axis=0)
     mean = np.mean(unit, axis=1)
@@ -745,20 +757,16 @@ def _extreme_columns(cols: np.ndarray, U2: np.ndarray) -> tuple[np.ndarray, np.n
     return cols[:, int(np.argmin(ang))], cols[:, int(np.argmax(ang))]
 
 
-def _finish_controller(A1: np.ndarray, T1: np.ndarray,
-                       entry_tol: float) -> np.ndarray | None:
+def _finish_controller(A1: np.ndarray, T1: np.ndarray) -> np.ndarray | None:
     """Append the trailing 2x2 controller step so the conjugated matrix is
     nonnegative upper Hessenberg; None when the candidate frame cannot be
-    completed.  ``entry_tol`` is an absolute bound on admissible entry
-    violations (supplied by the outermost caller, so it survives internal
-    rescalings of the working matrix)."""
-    scale = max(1.0, inf_norm(A1))
-    slack = max(entry_tol, 1e-11 * scale)
+    completed.  ``A1`` is a shift of a unit-scale matrix, so the entry slack
+    is the certificate bound itself."""
     H1 = np.linalg.solve(T1, A1 @ T1)
-    if np.min(H1) < -slack:
+    if np.min(H1) < -RESIDUAL_BOUND:
         return None
     b_sub = H1[1:, 0]
-    if inf_norm(b_sub) > 1e-12 * scale:
+    if inf_norm(b_sub) > 1e-12 * inf_norm(A1):
         # run the trailing reduction even for small subdiagonal leakage; it
         # actively zeroes the corner entry instead of trusting loose bounds
         try:
@@ -770,15 +778,12 @@ def _finish_controller(A1: np.ndarray, T1: np.ndarray,
             return None
         T1 = T1 @ _embed_trailing(sub.T)
     H = np.linalg.solve(T1, A1 @ T1)
-    if np.min(H) < -slack:
-        return None
-    if _hessenberg_violation(H) > slack:
+    if np.min(H) < -RESIDUAL_BOUND or _hessenberg_violation(H) > RESIDUAL_BOUND:
         return None
     return T1
 
 
-def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray,
-                                entry_tol: float) -> np.ndarray | None:
+def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Frame ``T = (b | p | q) >= 0`` with ``T^{-1} A1 T`` nonnegative upper
     Hessenberg for a reducible nonnegative 3x3 matrix with positive real
     spectrum.  Returns the complete transform (trailing step included)."""
@@ -787,7 +792,7 @@ def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray,
     lam3 = float(vals[-1].real)
     Ahat = np.maximum(A1 - lam3 * np.eye(n), 0.0)
     U, s, _ = np.linalg.svd(Ahat)
-    rank = int(np.count_nonzero(s > 1e-9 * max(1.0, s[0])))
+    rank = int(np.count_nonzero(s > 1e-9 * inf_norm(A1)))
     basis = [np.eye(n)[:, k] for k in range(n)]
     bnorm = b / max(inf_norm(b), 1e-300)
 
@@ -813,15 +818,14 @@ def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray,
             for e2 in basis:
                 candidates.append((e1, e2))
 
-    slack = max(entry_tol, 1e-11 * max(1.0, inf_norm(A1)))
     for p, q in candidates:
         T1 = np.column_stack([bnorm, p, q])
         if abs(np.linalg.det(T1)) <= 1e-9:
             continue
         coeff = np.linalg.solve(T1, Ahat)
-        if np.min(coeff) < -slack:
+        if np.min(coeff) < -RESIDUAL_BOUND:
             continue
-        T = _finish_controller(A1, T1, entry_tol)
+        T = _finish_controller(A1, T1)
         if T is not None:
             return T
 
@@ -831,13 +835,13 @@ def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray,
         U2 = U[:, :2]
         resid = bnorm - U2 @ (U2.T @ bnorm)
         if np.linalg.norm(resid) <= 1e-7:
-            T = _invariant_plane_frame(A1, bnorm, U2, vals, entry_tol)
+            T = _invariant_plane_frame(A1, bnorm, U2, vals)
             if T is not None:
                 return T
     return None
 
 
-def _invariant_plane_frame(A1, bnorm, U2, vals, entry_tol):
+def _invariant_plane_frame(A1, bnorm, U2, vals):
     """Frame for the degenerate reducible case where b lies inside the
     2-d invariant range of the shifted matrix.
 
@@ -852,7 +856,7 @@ def _invariant_plane_frame(A1, bnorm, U2, vals, entry_tol):
         return None
     g1, g2 = rays
     G = np.column_stack([g1, g2])
-    coord_slack = 1e-6 * max(1.0, inf_norm(A1))
+    coord_slack = 1e-6 * inf_norm(A1)
     M = np.linalg.lstsq(G, A1 @ G, rcond=None)[0]
     if np.min(M) < -coord_slack:
         return None
@@ -893,7 +897,6 @@ def _invariant_plane_frame(A1, bnorm, U2, vals, entry_tol):
             for eps in [2.0 ** (-j) for j in range(0, 30, 2)]:
                 q_cands.append(base + eps * e_out)
 
-    slack = max(entry_tol, 1e-11 * max(1.0, inf_norm(A1)))
     for q in q_cands:
         if inf_norm(q) <= 0 or np.min(q) < 0:
             continue
@@ -901,9 +904,9 @@ def _invariant_plane_frame(A1, bnorm, U2, vals, entry_tol):
         if abs(np.linalg.det(T1)) <= 1e-9:
             continue
         H1 = np.linalg.solve(T1, A1 @ T1)
-        if np.min(H1) < -slack:
+        if np.min(H1) < -RESIDUAL_BOUND:
             continue
-        T = _finish_controller(A1, T1, entry_tol)
+        T = _finish_controller(A1, T1)
         if T is not None:
             return T
     return None
@@ -941,10 +944,10 @@ def _reducible_after_subtraction(A2: np.ndarray, b2: np.ndarray,
     alpha = np.maximum(alpha, 0.0)
     base = A2 - np.outer(b2, alpha)
     # snap the targeted entries to exact zeros
-    base[np.abs(base) <= 100 * t * max(1.0, inf_norm(A2))] = 0.0
+    base[np.abs(base) <= 100 * t * inf_norm(A2)] = 0.0
     vals = np.linalg.eigvals(base)
     sigma = max(0.0, -float(np.min(np.diag(base))),
-                -float(np.min(vals.real))) + 0.125 * max(1.0, inf_norm(A2))
+                -float(np.min(vals.real))) + 0.125 * inf_norm(A2)
     Ab = base + sigma * np.eye(3)
     Ab = np.maximum(Ab, 0.0)
     return Ab, alpha, sigma
@@ -957,93 +960,73 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
     ``T^{-1} A T`` Metzler upper Hessenberg and ``T^{-1} b`` proportional to
     ``e_1`` (so ``c T >= 0`` for every nonnegative output vector), or the
     Perron-coincidence obstruction when ``A b = lam_1 b`` with a complex pair
-    in the spectrum.  Failure to complete a branch on admissible input is a
-    defect and raises, never silently obstructs.
+    in the spectrum.  One construction runs on the shifted unit-scale pair;
+    failure to complete it on admissible input is a defect and raises, never
+    silently obstructs.
     """
     A = as_square(A)
-    b = as_vector(b)
-    if A.shape[0] != 3 or b.size != 3:
+    b_in = as_vector(b)
+    if A.shape[0] != 3 or b_in.size != 3:
         raise InputError("ct_hess_3 expects a 3x3 matrix and a 3-vector")
     c = np.zeros(3) if c is None else as_vector(c)
     if c.size != 3:
         raise InputError("output vector must have dimension 3")
-    t = zero_tolerance(A, tol)
+    A, s, t = _unit_scale(A, tol)
     rep = classify(A, t)
     if not rep.is_metzler:
         raise InputError("ct_hess_3 requires a Metzler matrix")
-    if np.min(b) < -t * max(1.0, inf_norm(b)) or inf_norm(b) <= t:
+    if np.min(b_in) < -zero_tolerance(b_in) or not b_in.any():
         raise InputError("ct_hess_3 requires a nonnegative nonzero input vector")
-    if np.min(c) < -t * max(1.0, inf_norm(c)):
+    if np.min(c) < -zero_tolerance(c):
         raise InputError("ct_hess_3 requires a nonnegative output vector")
-    b = np.maximum(b, 0.0)
+    b_in = np.maximum(b_in, 0.0)
+    sb = inf_norm(b_in)
+    b = b_in / sb
 
     vals = _eigenvalues(A)
     has_complex = np.max(np.abs(vals.imag)) > t
 
-    # base shift: nonnegative entries and spectrum in the open right
-    # half-plane (the transform is shift-invariant)
+    # shift to nonnegative entries and a spectrum in the open right
+    # half-plane (the transform is shift-invariant); ||A|| = 1 here
     mu_sign = max(0.0, -float(np.min(np.diag(A))))
     mu_spec = max(0.0, -float(np.min(vals.real)))
-    mu0 = max(mu_sign, mu_spec) + 0.25 * max(1.0, inf_norm(A))
-
-    A_base = A + mu0 * np.eye(3)
+    mu = max(mu_sign, mu_spec) + 0.25
+    A1 = A + mu * np.eye(3)
     off = ~np.eye(3, dtype=bool)
-    lam1 = perron_pair(np.where(off, np.maximum(A_base, 0.0), A_base)).perron_root
-    coincident, resid = _perron_coincident(A_base, b, lam1)
+    A1[off] = np.maximum(A1[off], 0.0)
+    lam1 = perron_pair(A1, t).perron_root
+    coincident, resid = _perron_coincident(A1, b, lam1)
     if coincident and has_complex:
         return Obstruction(
             ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
-            data={"lambda1": lam1 - mu0, "residual": resid,
-                  "complex_pair": [complex(z) for z in vals if abs(z.imag) > t]},
+            data={"lambda1": s * (lam1 - mu), "residual": s * sb * resid,
+                  "complex_pair": [s * complex(z) for z in vals if abs(z.imag) > t]},
         )
 
-    entry_tol = _entry_tolerance(A)
-    # near-degenerate boundary placements can leave the generic route badly
-    # conditioned; retrying with a different shift changes the cone geometry
-    failures: list[str] = []
-    for extra in (0.0, 0.37, 0.93, 2.1):
-        mu = mu0 + extra * max(1.0, inf_norm(A))
-        A1 = A + mu * np.eye(3)
-        A1[off] = np.maximum(A1[off], 0.0)
-        try:
-            T = _ct_frame(A1, b, coincident, t, entry_tol)
-        except (InputError, ConstructionDefect) as exc:
-            failures.append(str(exc))
-            continue
-        if T is None:
-            failures.append(f"no frame at shift {mu:.3g}")
-            continue
-        # pin the first column to b itself and certify on the original matrix
-        Tb = T.copy()
-        e1 = np.linalg.solve(Tb, b)
-        if inf_norm(e1[1:]) > 1e-6 * max(inf_norm(e1), 1e-300) or e1[0] <= 0:
-            failures.append(f"b missed the first axis at shift {mu:.3g}")
-            continue
-        Tb[:, 0] = b
-        cert = make_certificate(A, Tb, Mode.METZLER, keep_first_column=True)
-        if _certificate_ok(cert, A):
-            return _checked(cert, A, "ct_hess_3")
-        failures.append(
-            f"certificate out of tolerance at shift {mu:.3g}: "
-            f"residual {cert.residual_similarity:.2e}, "
-            f"hess {cert.hessenberg_violation:.2e}, "
-            f"sign {cert.sign_violation:.2e}")
-
-    raise ConstructionDefect(
-        "all construction attempts failed although the input passed the "
-        f"obstruction test; A = {A.tolist()}, b = {b.tolist()}; "
-        f"diagnostics: {failures}")
+    T = _ct_frame(A1, b, coincident, t)
+    if T is None:
+        raise ConstructionDefect(
+            "no controller frame although the input passed the obstruction "
+            f"test; A = {(s * A).tolist()}, b = {b_in.tolist()}")
+    e1 = np.linalg.solve(T, b)
+    if inf_norm(e1[1:]) > 1e-6 * max(inf_norm(e1), 1e-300) or e1[0] <= 0:
+        raise ConstructionDefect(
+            f"b missed the first axis; A = {(s * A).tolist()}, b = {b_in.tolist()}")
+    # pin the first column to b itself
+    T[:, 0] = b_in
+    cert = make_certificate(A, T, Mode.METZLER, keep_first_column=True)
+    return _checked(cert, A, "ct_hess_3", s)
 
 
-def _ct_frame(A1: np.ndarray, b: np.ndarray, coincident: bool, t: float,
-              entry_tol: float) -> np.ndarray | None:
-    """One construction attempt for the shifted pair (A1 nonnegative with
-    spectrum in the open right half-plane)."""
+def _ct_frame(A1: np.ndarray, b: np.ndarray, coincident: bool,
+              t: float) -> np.ndarray | None:
+    """The construction for the shifted pair (A1 nonnegative with spectrum in
+    the open right half-plane)."""
     if not classify(A1, t).is_irreducible:
-        return _controller_frame_reducible(A1, b, entry_tol)
+        return _controller_frame_reducible(A1, b)
     if coincident:
-        return eigvec_b_transform(A1, b)
-    T0 = fix_b_boundary(A1, b)
+        return eigvec_b_transform(A1, b, t)
+    T0 = fix_b_boundary(A1, b, t)
     b0 = np.maximum(np.linalg.solve(T0, b), 0.0)
     P = _zero_support_permutation(b0, t)
     A2 = P.T @ A1 @ P
@@ -1053,12 +1036,12 @@ def _ct_frame(A1: np.ndarray, b: np.ndarray, coincident: bool, t: float,
     Ab, alpha, sigma = _reducible_after_subtraction(A2, b2, t)
     if classify(Ab, t).is_irreducible:
         raise ConstructionDefect("subtraction failed to make the matrix reducible")
-    T2 = _controller_frame_reducible(Ab, b2, entry_tol)
+    T2 = _controller_frame_reducible(Ab, b2)
     if T2 is None:
         return None
     # T2 conjugates Ab; adding back b2 alpha^T only touches the first row
     H2 = np.linalg.solve(T2, (A2 + sigma * np.eye(3)) @ T2)
-    if np.min(H2) < -max(entry_tol, 1e-11 * max(1.0, inf_norm(Ab))):
+    if np.min(H2) < -RESIDUAL_BOUND:
         raise ConstructionDefect("row restoration broke nonnegativity")
     return T0 @ P @ T2
 
@@ -1075,15 +1058,15 @@ def metzler_hess_4(A, tol: float | None = None) -> SimilarityCertificate:
     controller-Hessenberg problem; some choice is guaranteed to work, so an
     all-fail outcome raises with per-choice diagnostics.
     """
-    A = as_square(A)
-    if A.shape[0] != 4:
+    A_in = as_square(A)
+    if A_in.shape[0] != 4:
         raise InputError("metzler_hess_4 expects a 4x4 matrix")
-    t = zero_tolerance(A, tol)
+    A, s, t = _unit_scale(A_in, tol)
     rep = classify(A, t)
     if not rep.is_metzler:
         raise InputError("metzler_hess_4 requires a Metzler matrix")
     if rep.is_upper_hessenberg:
-        return identity_certificate(A, Mode.METZLER)
+        return identity_certificate(A_in, Mode.METZLER)
 
     failures = []
     for lead in range(4):
@@ -1094,30 +1077,18 @@ def metzler_hess_4(A, tol: float | None = None) -> SimilarityCertificate:
         bb = np.maximum(Ap[1:, 0], 0.0)
         cc = np.maximum(Ap[0, 1:], 0.0)
         A3 = Ap[1:, 1:]
-
-        sub_results = []
-        if inf_norm(bb) <= 10 * t * max(1.0, inf_norm(A)):
-            for k in range(3):
-                e = np.eye(3)[:, k]
-                try:
-                    sub_results.append(ct_hess_3(A3, e, cc))
-                except (InputError, ConstructionDefect) as exc:
-                    failures.append((lead, f"axis input {k}: {exc}"))
-        else:
+        # a zero column below the lead leaves the input free: try each axis
+        inputs = list(np.eye(3)) if inf_norm(bb) <= 10 * t else [bb]
+        for b3 in inputs:
             try:
-                sub_results.append(ct_hess_3(A3, bb, cc))
+                sub = ct_hess_3(A3, b3, cc)
+                if isinstance(sub, Obstruction):
+                    failures.append((lead, f"obstruction: {sub.data}"))
+                    continue
+                cert = make_certificate(A, P @ _embed_trailing(sub.T), Mode.METZLER)
+                return _checked(cert, A, "metzler_hess_4", s)
             except (InputError, ConstructionDefect) as exc:
                 failures.append((lead, str(exc)))
-
-        for sub in sub_results:
-            if isinstance(sub, Obstruction):
-                failures.append((lead, f"obstruction: {sub.data}"))
-                continue
-            T = P @ _embed_trailing(sub.T)
-            cert = make_certificate(A, T, Mode.METZLER)
-            if _certificate_ok(cert, A):
-                return _checked(cert, A, "metzler_hess_4")
-            failures.append((lead, "assembled certificate failed validation"))
 
     raise ConstructionDefect(
         "all leading-index choices failed although the 4x4 Metzler "

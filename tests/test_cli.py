@@ -185,3 +185,17 @@ class TestCli:
         assert run(["classify", amat, "--tol", "1e-9"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["tolerance_used"] == 1e-9
+
+    def test_flags_a_command_does_not_read_are_usage_errors(self, files, capsys):
+        tmp, amat, bvec = files
+        search = ["search", "--n", "3", "--trials", "1", "--seed", "1",
+                  "--mode", "metzler"]
+        assert run(search + ["--tol", "1e-3"]) == 1
+        assert run(["dt-iterates", amat, bvec, "--tol", "1e-3"]) == 1
+        assert run(["dt-iterates", amat, bvec, "--json", str(tmp / "x.json")]) == 1
+        assert not (tmp / "x.json").exists()
+        capsys.readouterr()
+        assert run(search + ["--json", str(tmp / "s.json")]) == 0
+        assert run(["dt-feasibility", amat, bvec, "--tol", "1e-9",
+                    "--json", str(tmp / "d.json")]) == 2
+        assert json.loads((tmp / "d.json").read_text())["verdict"] == "infeasible"

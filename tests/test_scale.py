@@ -1,0 +1,167 @@
+"""One scale policy: the constructions and the checker give the same answer for
+``A`` and ``cA``, and the answer does not depend on a permutation of the
+coordinates either."""
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hessform.transforms
+from hessform import (
+    Generator,
+    Mode,
+    ObstructionKind,
+    SimilarityCertificate,
+    ct_hess_3,
+    dt_hess_2,
+    dt_iterates,
+    metzler_hess_3,
+    metzler_hess_4,
+    nonneg_hess_3,
+    verify_certificate,
+)
+from hessform.cli import run
+from hessform.formats import certificate_to_json, write_matrix
+from hessform.linalg import inf_norm
+from hessform.search import sample_matrix
+from hessform.transforms import identity_certificate
+
+from conftest import INFEASIBLE_DT_A, INFEASIBLE_DT_B
+
+DENSE_1E9 = 1e-9 * np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+
+CONSTRUCTORS = {
+    "nonneg_hess_3": (nonneg_hess_3, 3, Mode.NONNEG),
+    "metzler_hess_3": (metzler_hess_3, 3, Mode.METZLER),
+    "metzler_hess_4": (metzler_hess_4, 4, Mode.METZLER),
+    "ct_hess_3": (ct_hess_3, 3, Mode.METZLER),
+}
+
+
+def outcome(A, result):
+    """"certificate" for one that verifies on A, else the obstruction kind."""
+    if isinstance(result, SimilarityCertificate):
+        return "certificate" if verify_certificate(A, result) else "unverified"
+    return result.kind
+
+
+class TestRelativeChecker:
+    def test_dense_tiny_matrix_is_not_hessenberg(self):
+        assert not verify_certificate(DENSE_1E9, identity_certificate(DENSE_1E9, Mode.NONNEG))
+
+    def test_tiny_hessenberg_matrix_verifies(self):
+        A = 1e-9 * np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0, 8.0, 9.0]])
+        assert verify_certificate(A, identity_certificate(A, Mode.NONNEG))
+
+    def test_cli_verify_rejects_the_identity_certificate(self, tmp_path, capsys):
+        amat, cert = tmp_path / "A.mat", tmp_path / "cert.json"
+        write_matrix(amat, DENSE_1E9)
+        cert.write_text(certificate_to_json(
+            DENSE_1E9, identity_certificate(DENSE_1E9, Mode.NONNEG)))
+        assert run(["verify", str(amat), str(cert)]) == 1
+        assert '"verified": false' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6, 1e12])
+    def test_scaled_certificate_verifies_alike(self, c):
+        cert = nonneg_hess_3(INFEASIBLE_DT_A)
+        scaled = replace(cert, H=c * cert.H)
+        assert verify_certificate(c * INFEASIBLE_DT_A, scaled)
+        bad = cert.H.copy()
+        bad[2, 0] = 1e-6 * inf_norm(INFEASIBLE_DT_A)
+        assert not verify_certificate(c * INFEASIBLE_DT_A,
+                                      replace(cert, H=c * bad))
+
+
+class TestZeroMatrix:
+    def test_every_constructor_certifies_zero(self):
+        b = np.array([0.2, 0.0, 0.7])
+        for name, (construct, n, _) in CONSTRUCTORS.items():
+            Z = np.zeros((n, n))
+            cert = construct(Z, b) if name == "ct_hess_3" else construct(Z)
+            assert isinstance(cert, SimilarityCertificate), name
+            assert verify_certificate(Z, cert), name
+            np.testing.assert_array_equal(cert.H, 0.0)
+        assert verify_certificate(np.zeros((2, 2)), dt_hess_2(np.zeros((2, 2)), [1.0, 2.0]))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(CONSTRUCTORS)),
+       st.sampled_from([Generator.DENSE_UNIFORM, Generator.SPARSE_PATTERN,
+                        Generator.PROP1_FAMILY]),
+       st.integers(0, 2**32 - 1), st.floats(-12.0, 12.0), st.permutations(range(4)))
+def test_outcome_invariant_under_scaling_and_permutation(name, gen, seed, log_c, perm):
+    """A certificate that verifies, or an obstruction of one kind, the same for
+    A, cA and P^T A P (with b -> P^T b for ct_hess_3)."""
+    construct, n, mode = CONSTRUCTORS[name]
+    rng = np.random.default_rng(seed)
+    A = sample_matrix(n, mode, gen, rng)
+    b = rng.uniform(0.0, 1.0, n)
+    P = np.eye(n)[:, [k for k in perm if k < n]]
+    outcomes = set()
+    for M, v in [(A, b), (10.0 ** log_c * A, b), (P.T @ A @ P, P.T @ b)]:
+        result = construct(M, v) if name == "ct_hess_3" else construct(M)
+        outcomes.add(outcome(M, result))
+    assert len(outcomes) == 1
+    assert outcomes <= {"certificate", ObstructionKind.NEG_EIG_GEOM_MULT,
+                        ObstructionKind.PERRON_EIGVEC_COINCIDENCE}
+
+
+def test_constructor_fuzz_never_raises_and_always_verifies():
+    """About 250 draws per constructor, dense and sparse, half of them scaled by
+    10**U(-6, 6): nothing raises and every certificate verifies."""
+    for i in range(1000):
+        rng = np.random.default_rng([7, i])
+        name = sorted(CONSTRUCTORS)[i % 4]
+        construct, n, mode = CONSTRUCTORS[name]
+        gen = Generator.DENSE_UNIFORM if (i // 4) % 2 else Generator.SPARSE_PATTERN
+        A = sample_matrix(n, mode, gen, rng)
+        if (i // 8) % 2:
+            A = A * 10.0 ** rng.uniform(-6.0, 6.0)
+        result = construct(A, rng.uniform(0.0, 1.0, 3)) if name == "ct_hess_3" \
+            else construct(A)
+        assert outcome(A, result) in ("certificate",
+                                      ObstructionKind.NEG_EIG_GEOM_MULT,
+                                      ObstructionKind.PERRON_EIGVEC_COINCIDENCE), (name, i)
+
+
+def test_scaled_rank_one_shift_family_has_no_certificate():
+    """The 3x3 characterisation: c (u v^T - s I) has no nonnegative Hessenberg
+    form at any scale."""
+    rng = np.random.default_rng(2103)
+    for _ in range(2000):
+        A = sample_matrix(3, Mode.NONNEG, Generator.PROP1_FAMILY, rng)
+        A = A * 10.0 ** rng.uniform(-6.0, 6.0)
+        result = nonneg_hess_3(A)
+        assert not isinstance(result, SimilarityCertificate), A.tolist()
+        assert result.kind is ObstructionKind.NEG_EIG_GEOM_MULT
+        d = result.data
+        recon = d["c"] * (np.outer(d["u"], d["v"]) - d["s"] * np.eye(3))
+        assert inf_norm(recon - A) <= 1e-8 * inf_norm(A)
+
+
+def test_tol_reaches_rank_one_shift_detect(monkeypatch):
+    seen = []
+    detect = hessform.transforms.rank_one_shift_detect
+
+    def spy(A, tol=None):
+        seen.append(tol)
+        return detect(A, tol)
+
+    monkeypatch.setattr(hessform.transforms, "rank_one_shift_detect", spy)
+    A = 1e3 * INFEASIBLE_DT_A
+    nonneg_hess_3(A, tol=1e-4)
+    assert seen == [pytest.approx(1e-4 / inf_norm(A), rel=1e-15)]
+
+
+def test_dt_iterates_of_the_counterexample_at_every_scale():
+    ref = dt_iterates(INFEASIBLE_DT_A, INFEASIBLE_DT_B, 10)
+    scales = [1e-12, 1e-6, 1.0, 1e6, 1e12]
+    for c in scales:
+        for d in scales:
+            trace = dt_iterates(c * INFEASIBLE_DT_A, d * INFEASIBLE_DT_B, 10)
+            for got, want in zip(trace.points + [trace.limit_point],
+                                 ref.points + [ref.limit_point]):
+                assert got.x == pytest.approx(want.x, abs=1e-12)
+                assert got.y == pytest.approx(want.y, abs=1e-12)
