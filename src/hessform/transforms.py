@@ -6,8 +6,10 @@ residuals were verified before returning, or a structured
 postcondition-based: the particular ``T`` returned is one valid choice, never
 a canonical one.
 
-No randomness is used anywhere in this module; all fallback searches sweep
-deterministic candidate lists.
+No randomness is used anywhere in this module.  Two searches remain, both
+over fixed lists: ``metzler_hess_4`` sweeps its lead indices (and the axis
+inputs under a zero column), and a reducible controller frame whose shifted
+range has rank at most one sweeps axis completions.
 
 The problem is invariant under ``A -> cA``, and one scale policy follows it.
 The five constructors (``nonneg_hess_3``, ``metzler_hess_3``,
@@ -38,7 +40,6 @@ from .linalg import (
     jordan_like_form,
     metzler_shift,
     permutation_to_hessenberg,
-    perron_pair,
     zero_tolerance,
 )
 
@@ -352,8 +353,10 @@ def fix_b_boundary(A, b, tol: float | None = None) -> np.ndarray:
     if not report.is_irreducible:
         raise InputError("fix_b_boundary requires an irreducible matrix")
 
-    pd = perron_pair(A, t)
-    coincident, _ = _perron_coincident(A, b, pd.perron_root)
+    # eigenvalues in canonical order: the Perron root of a nonnegative matrix
+    # comes first
+    vals = _eigenvalues(A)
+    coincident, _ = _perron_coincident(A, b, float(vals[0].real))
     if coincident:
         raise PerronVectorError(
             "b is the Perron eigenvector; no commuting transform can move it "
@@ -364,7 +367,6 @@ def fix_b_boundary(A, b, tol: float | None = None) -> np.ndarray:
 
     # shift into the open right half-plane and rescale to spectral radius one;
     # both operations preserve "polynomial in A" and the cone family geometry
-    vals = _eigenvalues(A)
     min_re = float(np.min(vals.real))
     k_shift = 0.0
     if min_re <= 0 or np.min(np.diag(A)) <= 0:
@@ -717,18 +719,18 @@ def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
 # 3x3 continuous-time controller-Hessenberg form
 # ---------------------------------------------------------------------------
 
-def _plane_orthant_rays(U2: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _plane_orthant_rays(U2: np.ndarray, slack: float = 1e-12
+                        ) -> tuple[np.ndarray, np.ndarray] | None:
     """Extreme rays of (2-d subspace spanned by U2's columns) cut with the
     nonnegative orthant, in counter-clockwise order of the U2 coordinates, or
     None when the intersection is not 2-dimensional.
 
     In U2 coordinates the section is the cone ``{c : U2 c >= 0}``, so each of
     its two extreme rays is orthogonal to some row of U2: they are the two
-    feasible row normals that lie farthest apart.  The basis may carry
-    O(1e-10) noise from the SVD that produced it, so the orthant test runs at
-    a matching slack and the rays are clamped after."""
-    slack = 1e-8
-    rows = U2[np.linalg.norm(U2, axis=1) > 1e-12]
+    feasible row normals that lie farthest apart.  ``slack`` is the noise of
+    the basis: a row no longer than it is no constraint, the orthant test runs
+    at it, and the rays are clamped after."""
+    rows = U2[np.linalg.norm(U2, axis=1) > slack]
     normals = np.vstack([rows[:, ::-1] * [-1.0, 1.0], rows[:, ::-1] * [1.0, -1.0]])
     normals /= np.linalg.norm(normals, axis=1)[:, None]
     feas = normals[np.min(normals @ U2.T, axis=1) >= -slack]
@@ -742,19 +744,6 @@ def _plane_orthant_rays(U2: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if np.linalg.norm(g1 / np.linalg.norm(g1) - g2 / np.linalg.norm(g2)) < 1e-9:
         return None
     return g1 / np.linalg.norm(g1), g2 / np.linalg.norm(g2)
-
-
-def _extreme_columns(cols: np.ndarray, U2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angularly extreme columns of a rank-2 nonnegative generator set."""
-    coords = U2.T @ cols
-    norms = np.linalg.norm(coords, axis=0)
-    keep = norms > 1e-12 * float(np.max(norms))
-    coords, cols = coords[:, keep], cols[:, keep]
-    unit = coords / np.linalg.norm(coords, axis=0)
-    mean = np.mean(unit, axis=1)
-    mean = mean / max(np.linalg.norm(mean), 1e-300)
-    ang = np.arctan2(mean[0] * unit[1] - mean[1] * unit[0], mean @ unit)
-    return cols[:, int(np.argmin(ang))], cols[:, int(np.argmax(ang))]
 
 
 def _finish_controller(A1: np.ndarray, T1: np.ndarray) -> np.ndarray | None:
@@ -786,37 +775,47 @@ def _finish_controller(A1: np.ndarray, T1: np.ndarray) -> np.ndarray | None:
 def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Frame ``T = (b | p | q) >= 0`` with ``T^{-1} A1 T`` nonnegative upper
     Hessenberg for a reducible nonnegative 3x3 matrix with positive real
-    spectrum.  Returns the complete transform (trailing step included)."""
+    spectrum, or None.  Returns the complete transform (trailing step
+    included).
+
+    Such a matrix has a real spectrum whose smallest member ``lam3`` is at most
+    every diagonal entry, so ``Ahat = A1 - lam3 I >= 0``, and its range ``Pi``
+    is A1-invariant.  When ``Ahat`` has rank 2, with ``g1, g2`` the extreme
+    rays of ``Pi`` cut with the orthant, one frame serves each case:
+
+    - ``b`` off ``Pi``: ``T1 = (b | g1 | g2)``.  Every column of ``Ahat`` lies
+      in ``cone(g1, g2)``, so ``T1^{-1} Ahat >= 0`` and
+      ``T1^{-1} A1 T1 = T1^{-1} Ahat T1 + lam3 I >= 0``.  Its trailing 2x2
+      block is A1 on ``Pi``, whose spectrum is positive, so the trailing step
+      takes its nonnegative-second-eigenvalue branch and cannot obstruct.
+    - ``b`` in ``Pi``: :func:`_invariant_plane_frame`, with no trailing step.
+
+    Rank one or zero sweeps completions of the range by axis vectors."""
     n = 3
-    vals = _eigenvalues(A1)
-    lam3 = float(vals[-1].real)
+    lam3 = float(_eigenvalues(A1)[-1].real)
     Ahat = np.maximum(A1 - lam3 * np.eye(n), 0.0)
     U, s, _ = np.linalg.svd(Ahat)
     rank = int(np.count_nonzero(s > 1e-9 * inf_norm(A1)))
-    basis = [np.eye(n)[:, k] for k in range(n)]
     bnorm = b / max(inf_norm(b), 1e-300)
 
-    candidates: list[tuple[np.ndarray, np.ndarray]] = []
     if rank == 2:
-        r1, r2 = _extreme_columns(Ahat, U[:, :2])
-        candidates.append((r1, r2))
-        for e in basis:
-            candidates.append((r1, e))
-            candidates.append((r2, e))
-    elif rank == 1:
+        # the SVD's plane is accurate to about (eps ||Ahat|| + s3) / s2
+        rays = _plane_orthant_rays(U[:, :2], (1e-14 * s[0] + s[2]) / s[1])
+        if rays is None:
+            return None
+        if abs(U[:, 2] @ bnorm) <= 1e-7:
+            return _invariant_plane_frame(Ahat, lam3, bnorm, U, rays)
+        return _finish_controller(A1, np.column_stack([bnorm, *rays]))
+
+    basis = [np.eye(n)[:, k] for k in range(n)]
+    candidates: list[tuple[np.ndarray, np.ndarray]] = []
+    if rank == 1:
         ray = U[:, 0]
         if ray[np.argmax(np.abs(ray))] < 0:
             ray = -ray
         ray = np.maximum(ray, 0.0)
-        for e in basis:
-            candidates.append((ray, e))
-        for e1 in basis:
-            for e2 in basis:
-                candidates.append((e1, e2))
-    else:
-        for e1 in basis:
-            for e2 in basis:
-                candidates.append((e1, e2))
+        candidates.extend((ray, e) for e in basis)
+    candidates.extend((e1, e2) for e1 in basis for e2 in basis)
 
     for p, q in candidates:
         T1 = np.column_stack([bnorm, p, q])
@@ -828,88 +827,49 @@ def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray) -> np.ndarray | N
         T = _finish_controller(A1, T1)
         if T is not None:
             return T
-
-    if rank == 2:
-        # degenerate case: b lies in the invariant plane spanned by the
-        # shifted range; solve the 2-d subproblem in orthant coordinates
-        U2 = U[:, :2]
-        resid = bnorm - U2 @ (U2.T @ bnorm)
-        if np.linalg.norm(resid) <= 1e-7:
-            T = _invariant_plane_frame(A1, bnorm, U2, vals)
-            if T is not None:
-                return T
     return None
 
 
-def _invariant_plane_frame(A1, bnorm, U2, vals):
-    """Frame for the degenerate reducible case where b lies inside the
-    2-d invariant range of the shifted matrix.
+def _invariant_plane_frame(Ahat: np.ndarray, lam3: float, b: np.ndarray,
+                           U: np.ndarray, rays: tuple[np.ndarray, np.ndarray]
+                           ) -> np.ndarray | None:
+    """Frame ``T = (b | p | q)`` for ``b`` inside the invariant plane ``Pi``
+    of ``A1 = Ahat + lam3 I`` (spanned by ``U[:, :2]``, normal ``U[:, 2]``),
+    with ``T^{-1} A1 T`` block upper triangular, last row ``(0, 0, lam3)``:
+    nonnegative Hessenberg without a trailing step.
 
-    The plane cut with the orthant is a 2-d cone; solving the 2x2
-    controller problem in its extreme-ray coordinates yields the second
-    column.  The third column is an eigendirection transverse to the plane
-    when one is nonnegative, otherwise an in-plane feasible direction lifted
-    slightly out of the plane (largest lift that keeps the conjugation
-    nonnegative, for conditioning)."""
-    rays = _plane_orthant_rays(U2)
-    if rays is None:
-        return None
-    g1, g2 = rays
-    G = np.column_stack([g1, g2])
-    coord_slack = 1e-6 * inf_norm(A1)
-    M = np.linalg.lstsq(G, A1 @ G, rcond=None)[0]
-    if np.min(M) < -coord_slack:
-        return None
-    M = np.maximum(M, 0.0)
-    b_c = np.linalg.lstsq(G, bnorm, rcond=None)[0]
-    if np.min(b_c) < -coord_slack:
-        return None
-    b_c = np.maximum(b_c, 0.0)
-    try:
-        sub = dt_hess_2(M, b_c)
-    except (InputError, ConstructionDefect):
-        return None
-    if isinstance(sub, Obstruction):
-        return None
-    p = np.maximum(G @ sub.T[:, 1], 0.0)
-    p = p / max(inf_norm(p), 1e-300)
-
-    q_cands: list[np.ndarray] = []
-    try:
-        q_cands.append(perron_pair(A1).right_vector)
-    except (InputError, ConstructionDefect):
-        pass
-    for lam in vals.real:
-        W = A1 - lam * np.eye(3)
-        _, _, vt = np.linalg.svd(W)
-        w = vt[-1]
-        if w[np.argmax(np.abs(w))] < 0:
-            w = -w
-        if np.min(w) >= -1e-9:
-            q_cands.append(np.maximum(w, 0.0))
-    q_cands.extend(np.eye(3)[:, k] for k in range(3))
-    # out-of-plane lifts of in-plane feasible directions, largest lift first
-    outness = [float(np.linalg.norm(np.eye(3)[:, k] - U2 @ (U2.T @ np.eye(3)[:, k])))
-               for k in range(3)]
-    lift_dirs = [np.eye(3)[:, k] for k in np.argsort(outness)[::-1] if outness[k] > 1e-9]
-    for base in (p, bnorm, g1, g2):
-        for e_out in lift_dirs[:1]:
-            for eps in [2.0 ** (-j) for j in range(0, 30, 2)]:
-                q_cands.append(base + eps * e_out)
-
-    for q in q_cands:
-        if inf_norm(q) <= 0 or np.min(q) < 0:
+    ``b`` lies in the A1-invariant cone spanned by the orthant rays of ``Pi``,
+    and one ray ``p`` bounds an A1-invariant ``cone(b, p)``; the ray on the far
+    side of the Perron direction always does.  That is the leading 2x2 block:
+    the ``(b, p)`` coordinates of ``A1 b`` and ``A1 p``, nonnegative.  With
+    ``C`` the ``(b, p)`` coordinates of ``Ahat``, the third column is
+    ``(C q, lam3)``, so ``q`` ranges over the cone ``{q >= 0 : C q >= 0}``;
+    its extreme ray farthest from ``Pi`` keeps ``T`` best conditioned.  None
+    when no ray qualifies or every admissible ``q`` lies in ``Pi``."""
+    U2, normal = U[:, :2], U[:, 2]
+    for p in rays:
+        B = U2.T @ np.column_stack([b, p])
+        if abs(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]) <= 1e-9:
             continue
-        T1 = np.column_stack([bnorm, p, q / max(inf_norm(q), 1e-300)])
-        if abs(np.linalg.det(T1)) <= 1e-9:
-            continue
-        H1 = np.linalg.solve(T1, A1 @ T1)
-        if np.min(H1) < -RESIDUAL_BOUND:
-            continue
-        T = _finish_controller(A1, T1)
-        if T is not None:
-            return T
-    return None
+        C = np.linalg.solve(B, U2.T @ Ahat)
+        if np.min(C @ np.column_stack([b, p]) + lam3 * np.eye(2)) >= -RESIDUAL_BOUND:
+            break
+    else:
+        return None
+    # the cone's extreme rays lie on two of its five faces: all signed cross
+    # products of pairs of unit constraint normals, kept where feasible
+    N = np.vstack([np.eye(3), C / np.linalg.norm(C, axis=1)[:, None]])
+    i, j = np.triu_indices(5, k=1)
+    Q = np.cross(N[i], N[j])
+    Q = np.vstack([Q, -Q])
+    norms = np.linalg.norm(Q, axis=1)
+    feasible = (norms > 1e-12) & (np.min(N @ Q.T, axis=0) >= -1e-12 * norms)
+    out = np.where(feasible, np.abs(Q @ normal) / np.maximum(norms, 1e-300), -1.0)
+    k = int(np.argmax(out))
+    if out[k] <= 1e-9:
+        return None
+    q = np.maximum(Q[k], 0.0)
+    return np.column_stack([b, p, q / inf_norm(q)])
 
 
 def _zero_support_permutation(b0: np.ndarray, t: float) -> np.ndarray:
@@ -994,7 +954,9 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
     A1 = A + mu * np.eye(3)
     off = ~np.eye(3, dtype=bool)
     A1[off] = np.maximum(A1[off], 0.0)
-    lam1 = perron_pair(A1, t).perron_root
+    # eig(A + mu I) = eig(A) + mu, and a Metzler matrix's dominant eigenvalue
+    # is real
+    lam1 = float(np.max(vals.real)) + mu
     coincident, resid = _perron_coincident(A1, b, lam1)
     if coincident and has_complex:
         return Obstruction(
@@ -1081,7 +1043,7 @@ def metzler_hess_4(A, tol: float | None = None) -> SimilarityCertificate:
         inputs = list(np.eye(3)) if inf_norm(bb) <= 10 * t else [bb]
         for b3 in inputs:
             try:
-                sub = ct_hess_3(A3, b3, cc)
+                sub = ct_hess_3(A3, b3, cc, t)
                 if isinstance(sub, Obstruction):
                     failures.append((lead, f"obstruction: {sub.data}"))
                     continue

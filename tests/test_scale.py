@@ -155,6 +155,20 @@ def test_tol_reaches_rank_one_shift_detect(monkeypatch):
     assert seen == [pytest.approx(1e-4 / inf_norm(A), rel=1e-15)]
 
 
+def test_tol_reaches_ct_hess_3_from_metzler_hess_4(monkeypatch):
+    seen = []
+    construct = hessform.transforms.ct_hess_3
+
+    def spy(A, b, c=None, tol=None):
+        seen.append(tol)
+        return construct(A, b, c, tol)
+
+    monkeypatch.setattr(hessform.transforms, "ct_hess_3", spy)
+    A = 1e3 * (np.ones((4, 4)) - np.eye(4))
+    metzler_hess_4(A, tol=1e-4)
+    assert seen == [pytest.approx(1e-4 / inf_norm(A), rel=1e-15)]
+
+
 def test_dt_iterates_of_the_counterexample_at_every_scale():
     ref = dt_iterates(INFEASIBLE_DT_A, INFEASIBLE_DT_B, 10)
     scales = [1e-12, 1e-6, 1.0, 1e6, 1e12]

@@ -23,7 +23,7 @@ from hessform import (
     verify_certificate,
 )
 from hessform.linalg import classify, inf_norm
-from hessform.transforms import _plane_orthant_rays
+from hessform.transforms import _controller_frame_reducible, _plane_orthant_rays
 
 from conftest import (
     INFEASIBLE_DT_A,
@@ -404,9 +404,155 @@ class TestPlaneOrthantRays:
         c1, c2 = U2.T @ g1, U2.T @ g2
         assert c1[0] * c2[1] - c1[1] * c2[0] > 0  # counter-clockwise
 
+    def test_constraint_nearly_parallel_to_the_plane(self):
+        U2, _ = np.linalg.qr(np.array([[1.3215e-5, 0.0], [0.0, 705.0], [1.0, 0.3227]]))
+        for g in _plane_orthant_rays(U2):
+            assert np.linalg.norm(g - U2 @ (U2.T @ g)) <= 1e-12
+
     def test_plane_missing_the_orthant(self):
         U2, _ = np.linalg.qr(np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]]))
         assert _plane_orthant_rays(U2) is None
+
+
+def stress_draws(seed):
+    """Structured stress recipe: 500 pairs ``(A, b)`` of 3x3 Metzler matrices
+    and input vectors, and 500 4x4 Metzler matrices, with zero patterns,
+    integer entries, axis and half-integer inputs and scales 10**U(-4, 4)."""
+    off = ~np.eye(3, dtype=bool)
+    off4 = ~np.eye(4, dtype=bool)
+    rng = np.random.default_rng([seed, 4242])
+    for i in range(500):
+        A = rng.uniform(-3, 3, (3, 3))
+        A[off] = np.maximum(A[off], 0.0)
+        A[off & (rng.uniform(size=(3, 3)) < rng.choice([0.0, 0.3, 0.5, 0.7]))] = 0.0
+        if i % 5 == 0:
+            A = np.round(A)
+        b = rng.uniform(0, 1, 3)
+        z = rng.integers(0, 3)
+        b[rng.permutation(3)[:z]] = 0.0
+        if not b.any():
+            b[0] = 1.0
+        if i % 11 == 0:
+            b = np.round(2 * b) / 2
+            if not b.any():
+                b[1] = 1.0
+        sc = 10.0 ** rng.uniform(-4, 4) if i % 3 == 0 else 1.0
+        A4 = rng.uniform(-3, 3, (4, 4))
+        A4[off4] = np.maximum(A4[off4], 0.0)
+        A4[off4 & (rng.uniform(size=(4, 4)) < rng.choice([0.3, 0.5, 0.7]))] = 0.0
+        if i % 5 == 0:
+            A4 = np.round(A4)
+        yield sc * A, b, sc * A4
+
+
+def assert_ct_cert(A, b, result):
+    assert isinstance(result, SimilarityCertificate)
+    assert verify_certificate(A, result)
+    np.testing.assert_array_equal(result.T[:, 0], b)
+
+
+class TestReducibleControllerFrames:
+    # reducible, spectrum {3, 2, 1}: Ahat = A1 - I has rank 2 and range
+    # span{(2, 0, 1), (1, 1, 1)}
+    A1 = np.array([[3.0, 1.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 1.0]])
+
+    @staticmethod
+    def frame(A1, b):
+        A1, b = np.array(A1), np.array(b)
+        T = _controller_frame_reducible(A1, b)
+        assert T is not None
+        H = np.linalg.solve(T, A1 @ T)
+        assert np.min(T) >= 0.0
+        assert np.min(H) >= -1e-12 * inf_norm(A1)
+        assert abs(H[2, 0]) <= 1e-12 * inf_norm(A1)
+        np.testing.assert_allclose(T[:, 0] * np.max(b) / np.max(T[:, 0]), b,
+                                   atol=1e-15)
+        return H
+
+    @pytest.mark.parametrize("b", [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.3, 0.1, 2.0]])
+    def test_input_off_the_invariant_plane(self, b):
+        self.frame(self.A1, b)
+
+    @pytest.mark.parametrize("b", [[1.0, 1.0, 1.0], [3.0, 1.0, 2.0], [2.0, 0.0, 1.0]])
+    def test_input_in_the_invariant_plane(self, b):
+        H = self.frame(self.A1, b)
+        np.testing.assert_allclose(H[2, :2], 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("A1, b", [
+        # x1 >= 0 is nearly parallel to the plane: a slack of 1e-8 admits e2
+        ([[0.2249664763915007, 0.0, 0.009315935173100996],
+          [0.0, 705.2040087854459, 0.0],
+          [0.6609411372929572, 0.32269022897966954, 705.1615695403091]],
+         [1.0, 0.0006548398218884608, 0.0]),
+        # the plane is x1 = 0, and s2 = 6e-5 leaves a 1.6e-12 noise row
+        ([[0.25, 0.0, 0.0], [0.0, 0.2500973670888026, 0.0],
+          [0.3900022834237249, 0.5294780120862304, 0.36471039991659127]],
+         [0.0, 0.13984772000139276, 1.0]),
+    ])
+    def test_orthant_rays_at_the_noise_of_the_plane(self, A1, b):
+        self.frame(A1, b)
+
+    @pytest.mark.parametrize("A, b", [
+        ([[0, 2, 1], [0, 0, 0], [0, 0, 2]], [0, 0, 1]),
+        ([[-2, 2, 1], [0, -2, 0], [0, 0, 1]], [0, 0, 1]),
+        ([[-1, 0, 0], [0, 2, 0], [3, 1, -1]], [0, 1, 0]),
+        ([[3, 0, 2], [2, 0, 0], [0, 0, 0]], [0, 1, 0]),
+    ])
+    def test_defective_in_plane_pairs(self, A, b):
+        """The smallest eigenvalue is a defective double one; the in-plane ray
+        must bound an invariant cone for an admissible third column to leave
+        the plane."""
+        A, b = np.array(A, dtype=float), np.array(b, dtype=float)
+        assert_ct_cert(A, b, ct_hess_3(A, b))
+
+    @pytest.mark.parametrize("A, b", [
+        ([[17.010954694053588, 6.421538226883966, 0.0],
+          [0.0, -25.580236621942063, 0.0],
+          [3.67579891399688, 0.0, 6.830625297327138]],
+         [0.15824388611409235, 0.0, 0.18042914597358028]),
+        ([[1.904742585228135, 0.0, 0.0], [0.0, -1.1096048225815744, 0.0],
+          [1.9161876680202177, 2.0843367366191456, 0.7508266704620725]],
+         [0.5, 0.0, 0.5]),
+        ([[-0.08422558313646028, 0.0, 0.0],
+          [0.0, 0.04211279156823014, 0.08422558313646028],
+          [0.04211279156823014, 0.0, 0.12633837470469042]],
+         [0.0, 0.09637639753042748, 0.007887061398876405]),
+        ([[0.9811580312414128, 0.5613301785770948, 0.0],
+          [0.0, 2.7468923151511344, 1.9333646417239088],
+          [0.0, 0.0, -0.04752373978063007]],
+         [0.4113002428251731, 0.03953852135955038, 0.0]),
+        ([[-2.28637565287997, 0.0, 0.0],
+          [1.6294875804140716, 2.458113112573291, 0.0],
+          [0.0, 0.005090761269421762, -1.7976307565878684]],
+         [0.0, 0.5073076240874355, 0.5614771265338544]),
+        ([[-2.553769175185482, 0.0, 0.0], [0.0, 2.043369531818896, 0.0],
+          [1.6953876857387913, 2.439109280183449, 1.2067990629038903]],
+         [0.0, 0.20183251873619967, 0.32044652287114195]),
+    ])
+    def test_stress_inputs_with_a_sign_violation_after_normalisation(self, A, b):
+        A, b = np.array(A), np.array(b)
+        assert_ct_cert(A, b, ct_hess_3(A, b))
+
+    @pytest.mark.xfail(strict=True, raises=ConstructionDefect,
+                       reason="rank-one branch: the (ray, e1) completion leaves "
+                              "cond(T) about 5.5e8 after the trailing step")
+    def test_rank_one_range_with_an_ill_conditioned_completion(self):
+        A = np.array([[-1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+        b = np.array([0.39213600567471485, 0.5956170515145153, 0.4228766113645738])
+        assert_ct_cert(A, b, ct_hess_3(A, b))
+
+
+def test_stress_recipe_never_raises_and_always_verifies():
+    """Seeds 1-2 of the stress recipe: 1 000 ct_hess_3 and 1 000
+    metzler_hess_4 calls."""
+    for seed in (1, 2):
+        for A, b, A4 in stress_draws(seed):
+            result = ct_hess_3(A, b)
+            if isinstance(result, SimilarityCertificate):
+                assert_ct_cert(A, b, result)
+            else:
+                assert result.kind is ObstructionKind.PERRON_EIGVEC_COINCIDENCE
+            assert verify_certificate(A4, metzler_hess_4(A4))
 
 
 class TestMetzlerHess4:
