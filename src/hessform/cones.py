@@ -258,18 +258,19 @@ def simplex_project(x) -> SimplexPoint:
     x = as_vector(x)
     if x.size != 3:
         raise InputError("simplex_project expects a 3-vector")
-    return _project_rows(x.reshape(1, 3))[0]
+    return SimplexPoint(*_project_rows(x.reshape(1, 3))[0].tolist())
 
 
-def _project_rows(X: np.ndarray) -> list[SimplexPoint]:
-    """``simplex_project`` of every row of a finite (K, 3) array, in one pass."""
+def _project_rows(X: np.ndarray) -> np.ndarray:
+    """The planar coordinates of ``simplex_project`` for every row of a finite
+    (K, 3) array, in one pass, as a (K, 2) array."""
     t = 1e-12 * np.maximum(1.0, np.max(np.abs(X), axis=1))
     if np.any(np.min(X, axis=1) < -t):
         raise InputError("simplex_project expects a nonnegative vector")
     total = np.sum(X, axis=1)
     if np.any(total <= t):
         raise InputError("coordinate sum must be positive")
-    return [SimplexPoint(x, y) for x, y in (X[:, 1:] / total[:, None]).tolist()]
+    return X[:, 1:] / total[:, None]
 
 
 def unproject(point: SimplexPoint) -> np.ndarray:
@@ -503,12 +504,16 @@ def triangle_cover_decision(v0: SimplexPoint, points: list[SimplexPoint],
     an outlier).  Unknown means that no triangle holds the points, not even to
     within ``tol / 2``, but no three-edge certificate applies.
     """
+    pts = np.array([[p.x, p.y] for p in points], dtype=float).reshape(-1, 2)
+    return _cover_decision(v0.as_array(), pts, tol)
+
+
+def _cover_decision(v0a: np.ndarray, pts: np.ndarray, tol: float) -> CoverDecision:
+    """``triangle_cover_decision`` on the corner and the points as arrays."""
     if tol < 0:
         raise InputError("tol must be nonnegative")
-    v0a = v0.as_array()
     if not _in_triangle(v0a, tol):
         raise InputError("corner point lies outside the reference triangle")
-    pts = np.array([[p.x, p.y] for p in points], dtype=float).reshape(-1, 2)
     if not _in_triangle(pts, tol):
         raise InputError("a point lies outside the reference triangle")
 
@@ -518,6 +523,7 @@ def triangle_cover_decision(v0: SimplexPoint, points: list[SimplexPoint],
 
     far = pts[np.linalg.norm(pts - v0a, axis=1) > max(tol, 1e-13)]
     if len(far) == 0:
+        v0 = SimplexPoint(*v0a.tolist())
         return CoverDecision(Verdict.FEASIBLE, (v0, v0), None)
 
     dirs = far - v0a

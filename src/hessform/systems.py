@@ -7,13 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (
-    CoverDecision,
-    SimplexPoint,
-    _project_rows,
-    simplex_project,
-    triangle_cover_decision,
-)
+from .cones import CoverDecision, SimplexPoint, _cover_decision, _project_rows
 from .errors import InputError
 from .linalg import as_square, as_vector, classify, inf_norm, zero_tolerance
 
@@ -101,6 +95,13 @@ def dt_iterates(A, b, K: int) -> IterateTrace:
     ``b`` is tested against its own norm and each iterate sum against
     ``||A||_inf``, so ``(cA, db)`` gives the points of ``(A, b)``.
     """
+    points, limit = _projected_iterates(A, b, K)
+    return IterateTrace(points=[SimplexPoint(x, y) for x, y in points.tolist()],
+                        limit_point=SimplexPoint(*limit.tolist()), K=K)
+
+
+def _projected_iterates(A, b, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """``dt_iterates`` as arrays: the (K, 2) planar points and the limit point."""
     A = as_square(A)
     b = as_vector(b)
     if A.shape[0] != 3 or b.size != 3:
@@ -122,12 +123,10 @@ def dt_iterates(A, b, K: int) -> IterateTrace:
         if total <= t:
             raise InputError("iterate coordinate sum degenerated to zero")
         X[k] = x = x / total
-
-    return IterateTrace(points=_project_rows(X),
-                        limit_point=_iteration_limit(A, b), K=K)
+    return _project_rows(X), _iteration_limit(A, b)
 
 
-def _iteration_limit(A: np.ndarray, b: np.ndarray) -> SimplexPoint:
+def _iteration_limit(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Projected mean of the cycle the renormalised power iteration settles into.
 
     The peripheral spectrum of each basic class of a nonnegative matrix is
@@ -154,7 +153,7 @@ def _iteration_limit(A: np.ndarray, b: np.ndarray) -> SimplexPoint:
             raise InputError("iterate coordinate sum degenerated to zero")
         cycle[k] = x = x / total
         x = np.maximum(A @ x, 0.0)
-    return simplex_project(np.mean(cycle, axis=0))
+    return _project_rows(np.mean(cycle, axis=0).reshape(1, 3))[0]
 
 
 def dt_hess_feasibility_3(A, b, K: int = 50, tol: float = 1e-9) -> CoverDecision:
@@ -170,7 +169,5 @@ def dt_hess_feasibility_3(A, b, K: int = 50, tol: float = 1e-9) -> CoverDecision
     iterates) but without that certificate.  Feasible only certifies the
     finite horizon ``K`` and reports candidate witnesses.
     """
-    trace = dt_iterates(A, b, K)
-    v0 = trace.points[0]
-    cloud = list(trace.points) + [trace.limit_point]
-    return triangle_cover_decision(v0, cloud, tol=tol)
+    points, limit = _projected_iterates(A, b, K)
+    return _cover_decision(points[0], np.vstack([points, limit]), tol)

@@ -48,7 +48,7 @@ class TestAltprojHess:
         assert report.best_certificate is None
 
     def test_determinism(self, rng):
-        # nonneg runs the golden-section shift probes that Metzler skips
+        # nonneg clips the diagonal of H as well
         for A, mode in ((random_metzler(rng, 5), Mode.METZLER),
                         (random_nonneg(rng, 5), Mode.NONNEG)):
             r1 = altproj_hess(A, mode, small_cfg(9))
@@ -76,6 +76,23 @@ class TestAltprojHess:
                 assert verify_certificate(A, report.best_certificate,
                                           tol=1e-8)
 
+    def test_success_floor_on_feasible_metzler_4(self):
+        # metzler_hess_4 is total, so all 40 draws are feasible.  At the
+        # random_experiment budget the search certifies 14 of them, as did
+        # the search that shifted A by the Metzler shift; the floor leaves two
+        # for round-off in other BLAS builds, since failing restarts are
+        # chaotic.
+        hits = 0
+        for draw in range(40):
+            A = sample_matrix(4, Mode.METZLER, Generator.DENSE_UNIFORM,
+                              np.random.default_rng([41, draw]))
+            report = altproj_hess(A, Mode.METZLER,
+                                  AltProjConfig(seed=draw, restarts=4, max_iters=200))
+            if report.successes:
+                hits += 1
+                assert verify_certificate(A, report.best_certificate, tol=1e-8)
+        assert hits >= 12
+
     def test_heuristic_gap_covered_by_exact_construction(self, rng):
         # when the starved heuristic fails at the characterised dimensions,
         # the exact construction must still succeed
@@ -95,9 +112,10 @@ class TestAltprojHess:
                 assert verify_certificate(A, exact, tol=1e-8)
 
 
-# The alternation as first written: M = I (x) A - H^T (x) I built by np.kron on
-# every iteration, masks and scale rebuilt on every call.  The search hoists
-# all of these out of its loop; its reports must stay equal bit for bit.
+# The alternation written out plainly: M = I (x) A - H^T (x) I built by
+# np.kron on every iteration, masks and scale rebuilt on every call, and H
+# taken from the exact solve of the previous violation check.  The search
+# hoists all of these out of its loop; its reports must stay equal bit for bit.
 
 def _oracle_clip(H, mode, diag_floor):
     n = H.shape[0]
@@ -112,9 +130,10 @@ def _oracle_clip(H, mode, diag_floor):
 
 
 def _oracle_violation(A, T, mode):
+    """(violation, H = T^-1 A T), or (inf, None) for a singular T."""
     svals = np.linalg.svd(T, compute_uv=False)
     if svals[-1] <= 1e-12 * max(svals[0], 1.0):
-        return np.inf
+        return np.inf, None
     H = np.linalg.solve(T, A @ T)
     n = H.shape[0]
     viol = 0.0
@@ -124,12 +143,16 @@ def _oracle_violation(A, T, mode):
     viol = max(viol, float(-min(0.0, np.min(H[off]))))
     if mode is Mode.NONNEG:
         viol = max(viol, float(-min(0.0, np.min(np.diag(H)))))
-    return viol / max(1.0, inf_norm(A))
+    return viol / max(1.0, inf_norm(A)), H
 
 
-def _oracle_step(T, A_work, mode, shift):
+def _oracle_step(T, H, A, mode, shift=0.0):
+    """One alternation on A - shift I from the fit H (None: fit by lstsq);
+    the nonneg diagonal floor -shift keeps diag(H) >= 0 for the unshifted A."""
     n = T.shape[0]
-    H = np.linalg.lstsq(T, A_work @ T, rcond=None)[0]
+    A_work = A - shift * np.eye(n)
+    if H is None:
+        H = np.linalg.lstsq(T, A_work @ T, rcond=None)[0]
     H = _oracle_clip(H, mode, shift)
     M = np.kron(np.eye(n), A_work) - np.kron(H.T, np.eye(n))
     T_new = np.linalg.svd(M)[2][-1].reshape((n, n), order="F")
@@ -142,16 +165,16 @@ def _oracle_step(T, A_work, mode, shift):
     return T_new / colsums
 
 
-def _oracle_single(A, mode, cfg, rng, shift, max_iters):
+def _oracle_single(A, mode, cfg, rng, *hoisted):
     n = A.shape[0]
-    A_work = A - shift * np.eye(n)
     T = np.eye(n) + rng.uniform(0.0, 1.0, size=(n, n))
-    best_T, best_v = T.copy(), _oracle_violation(A, T, mode)
+    best_v, H = _oracle_violation(A, T, mode)
+    best_T = T.copy()
     iters = 0
-    for it in range(max_iters):
+    for it in range(cfg.max_iters):
         iters = it + 1
-        T_new = _oracle_step(T, A_work, mode, shift)
-        v = _oracle_violation(A, T_new, mode)
+        T_new = _oracle_step(T, H, A, mode)
+        v, H = _oracle_violation(A, T_new, mode)
         if v < best_v:
             best_T, best_v = T_new.copy(), v
             if v <= cfg.feasibility_tol:
@@ -163,7 +186,7 @@ def _oracle_single(A, mode, cfg, rng, shift, max_iters):
     return best_T, best_v, iters
 
 
-def _oracle_block_recursive(A, mode, cfg, rng, shift, max_iters):
+def _oracle_block_recursive(A, mode, cfg, rng, *hoisted):
     total_iters = 0
 
     def level(M):
@@ -176,10 +199,9 @@ def _oracle_block_recursive(A, mode, cfg, rng, shift, max_iters):
         pin = inf_norm(b_col) > 1e-12 * max(1.0, inf_norm(M))
         if pin:
             T2[:, 0] = b_col / np.sum(b_col)
-        sub_work = M[1:, 1:] - shift * np.eye(k - 1)
-        for _ in range(max_iters):
+        for _ in range(cfg.max_iters):
             total_iters += 1
-            T_new = _oracle_step(T2, sub_work, mode, shift)
+            T_new = _oracle_step(T2, None, M[1:, 1:], mode)
             if pin:
                 T_new[:, 0] = b_col / np.sum(b_col)
             stop = inf_norm(T_new - T2) <= cfg.step_tolerance
@@ -197,15 +219,21 @@ def _oracle_block_recursive(A, mode, cfg, rng, shift, max_iters):
         return frame @ deeper
 
     T = level(A)
-    return T, _oracle_violation(A, T, mode), total_iters
+    return T, _oracle_violation(A, T, mode)[0], total_iters
 
 
 class TestAltprojOracle:
+    # a success and a failure on each path: single and block-recursive,
+    # Metzler and nonneg
     @pytest.mark.parametrize("n, mode, draw, block, succeeds", [
         (4, Mode.METZLER, 0, False, True),
         (5, Mode.METZLER, 1, False, False),
-        (5, Mode.NONNEG, 0, False, False),  # golden-section shift probes
-        (5, Mode.NONNEG, 0, True, True),
+        (4, Mode.METZLER, 1, True, True),
+        (4, Mode.METZLER, 0, True, False),
+        (4, Mode.NONNEG, 0, False, True),
+        (5, Mode.NONNEG, 0, False, False),
+        (5, Mode.NONNEG, 2, True, True),
+        (5, Mode.NONNEG, 0, True, False),
     ])
     def test_report_matches_the_kron_formulation(self, monkeypatch, n, mode, draw,
                                                  block, succeeds):
@@ -219,6 +247,28 @@ class TestAltprojOracle:
         want = altproj_hess(A, mode, cfg)
         assert _report_bits(got) == _report_bits(want)
         assert (got.successes > 0) is succeeds
+
+    @pytest.mark.parametrize("n, mode, draw", [
+        (4, Mode.METZLER, 0), (5, Mode.METZLER, 2),
+        (5, Mode.NONNEG, 0), (5, Mode.NONNEG, 5),
+    ])
+    def test_alternation_is_shift_invariant(self, n, mode, draw):
+        # The fit on A - sI is H - sI, the nonneg diagonal floor -s on it is
+        # diag(H) >= 0, and M is unchanged, so a step on A - sI (lstsq fit)
+        # is the step on A (H from the exact solve) up to round-off.  The
+        # smallest singular value of M must be simple for its vector to be
+        # determined: where it is double the two steps differ by O(1).
+        A = sample_matrix(n, mode, Generator.DENSE_UNIFORM,
+                          np.random.default_rng([7, draw]))
+        T = np.eye(n) + np.random.default_rng([8, draw]).uniform(0.0, 1.0, (n, n))
+        H = np.linalg.solve(T, A @ T)
+        M = np.kron(np.eye(n), A) - np.kron(_oracle_clip(H, mode, 0.0).T, np.eye(n))
+        svals = np.linalg.svd(M, compute_uv=False)
+        assert svals[-2] - svals[-1] > 1e-3 * svals[0]
+        step = _oracle_step(T, H, A, mode)
+        for s in (0.0, 0.5, 3.7, 11.0, -2.0):
+            np.testing.assert_allclose(_oracle_step(T, None, A, mode, s), step,
+                                       rtol=0.0, atol=1e-10)
 
 
 class TestSampleMatrix:
@@ -270,6 +320,20 @@ class TestRandomExperiment:
         r1 = random_experiment(3, 8, 11, Mode.METZLER, Generator.DENSE_UNIFORM)
         r2 = random_experiment(3, 8, 11, Mode.METZLER, Generator.DENSE_UNIFORM)
         assert search_report_to_json(r1) == search_report_to_json(r2)
+
+    def test_adjacent_seeds_do_not_share_restart_streams(self, monkeypatch):
+        seeds = {}
+
+        def record(A, mode, cfg):
+            seeds.setdefault(experiment, []).append(cfg.seed)
+            return search.SearchReport(cfg.restarts, 0, None, np.inf)
+
+        monkeypatch.setattr(search, "altproj_hess", record)
+        for experiment in (3, 4):
+            random_experiment(5, 4, experiment, Mode.METZLER,
+                              Generator.DENSE_UNIFORM)
+        assert len(seeds[3]) == len(seeds[4]) == 4
+        assert not set(seeds[3]) & set(seeds[4])
 
     def test_nonneg_5_runs_heuristic(self):
         report = random_experiment(5, 2, 3, Mode.METZLER,
