@@ -183,10 +183,12 @@ def classify(A, tol: float | None = None) -> ClassReport:
 
     Notes
     -----
-    Irreducibility is a property of the thresholded zero pattern (strong
-    connectivity of the off-diagonal digraph), never of eigenvector signs.
-    Primitivity additionally requires the dominant eigenvalue to exceed the
-    second-largest magnitude by more than the threshold.
+    Irreducibility and primitivity are properties of the thresholded zero
+    pattern, never of eigenvector signs or of the spectrum: irreducible means
+    a strongly connected off-diagonal digraph, and primitive means an
+    irreducible nonnegative matrix whose boolean pattern, raised to
+    Wielandt's bound ``(n - 1)^2 + 1``, has no zero (so ``[[0]]`` is not
+    primitive).
     """
     A = as_square(A)
     t = zero_tolerance(A, tol)
@@ -204,10 +206,12 @@ def classify(A, tol: float | None = None) -> ClassReport:
 
     is_primitive = False
     if is_irreducible and is_nonnegative:
-        ordered = _eigenvalues(A)
-        lam1 = ordered[0].real
-        lam2 = abs(ordered[1]) if n > 1 else 0.0
-        is_primitive = n == 1 or lam1 > lam2 + t
+        # a primitive pattern stays positive beyond (n - 1)^2 + 1, an
+        # imprimitive one never turns positive: squaring past the bound decides
+        power = ~zero_pattern
+        for _ in range(int(np.ceil(np.log2((n - 1) ** 2 + 1)))):
+            power = power @ power
+        is_primitive = bool(power.all())
 
     return ClassReport(
         is_nonnegative=is_nonnegative,

@@ -1,23 +1,23 @@
 """Alternating-projection search for Hessenberg similarity beyond the exactly
 characterised dimensions, plus the seeded experiment harness.
 
-The heuristic alternates between the similarity coupling (least-squares fit of
-H given T, smallest-singular-vector refit of T given H) and the structure set
-(mode-feasible upper Hessenberg H, entrywise nonnegative T).  A restart counts
-as a success only when the exactly recomputed ``T^{-1} A T`` satisfies the
-structure constraints at the feasibility tolerance and the resulting
-certificate re-verifies from scratch.
+Each restart alternates between the similarity coupling (``H`` fitted to
+``T``, then ``T`` refitted to ``H`` as the smallest singular vector of
+``I (x) A - H^T (x) I``) and the structure set (mode-feasible upper Hessenberg
+``H``, entrywise nonnegative ``T``).  A restart counts as a success only when
+the exactly recomputed ``T^{-1} A T`` violates the structure by at most
+``RESIDUAL_BOUND * ||A||_inf`` and the resulting certificate re-verifies from
+scratch at that bound.
 
 The alternation cannot tell ``A`` from ``A - sI``: the fit gives ``H - sI``,
 the nonneg diagonal floor ``-s`` on it is ``diag(H) >= 0``, and
 ``I (x) (A - sI) - (H - sI)^T (x) I`` is the same matrix.  So it runs on ``A``
 itself, and a search builds ``I (x) A``, the structure masks and the scale
-``||A||_inf`` once for all its restarts (each level, in the block-recursive
-form, builds its own).  The exact ``H = T^{-1} A T`` that judges an iterate is
-the next iteration's fit, so an iteration pays for a singularity test (a small
-SVD), that solve and the SVD of the Kronecker refit; lstsq fits only after a
-singular ``T`` and in the block-recursive form.  The reports are bit-identical
-to rebuilding the Kronecker block and the masks on every iteration.
+``||A||_inf`` once for all its restarts.  The exact ``H = T^{-1} A T`` that
+judges an iterate is the next iteration's fit, so an iteration pays for a
+singularity test (a small SVD), that solve and the SVD of the Kronecker refit;
+lstsq fits only after a singular ``T``.  The reports are bit-identical to
+rebuilding the Kronecker block and the masks on every iteration.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ConstructionDefect, InputError
 from .linalg import as_square, classify, inf_norm, zero_tolerance
 from .transforms import (
+    RESIDUAL_BOUND,
     Mode,
     Obstruction,
     ObstructionKind,
@@ -54,6 +55,10 @@ __all__ = [
 ]
 
 
+#: A restart stops once a step moves ``T`` by at most this fraction of ``||T||_inf``.
+STEP_TOLERANCE = 1e-12
+
+
 @dataclass(frozen=True)
 class AltProjConfig:
     """Knobs for the alternating-projection search.
@@ -61,25 +66,17 @@ class AltProjConfig:
     ``seed`` is mandatory on purpose: restarts draw their initial transforms
     from per-restart streams derived from ``(seed, restart_index)``, so equal
     inputs give equal reports.  Each of the ``restarts`` runs at most
-    ``max_iters`` alternations on ``A`` itself (per level, in the
-    ``block_recursive`` form); ``step_tolerance`` ends one whose steps stall.
-    A restart succeeds when the exact ``T^{-1} A T`` violates the structure by
-    at most ``feasibility_tol * ||A||_inf`` and its certificate re-verifies at
-    ``feasibility_tol``.
+    ``max_iters`` alternations on ``A`` itself, and fewer once its steps
+    stall (:data:`STEP_TOLERANCE`).
     """
 
     seed: int
     max_iters: int = 400
     restarts: int = 8
-    step_tolerance: float = 1e-12
-    feasibility_tol: float = 1e-8
-    block_recursive: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1 or self.restarts < 1:
             raise InputError("iteration and restart counts must be positive")
-        if self.step_tolerance <= 0 or self.feasibility_tol <= 0:
-            raise InputError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -160,9 +157,10 @@ def _refit_T(kron_A: np.ndarray, H: np.ndarray, eye: np.ndarray) -> np.ndarray:
 
 def _alternate(T: np.ndarray, H: np.ndarray | None, A: np.ndarray,
                kron_A: np.ndarray, eye: np.ndarray, masks, mode: Mode) -> np.ndarray:
-    """One alternation: fit H to T (``H`` when the caller already solved it),
-    clip H to the structure, refit T to H, clip T to the nonnegative orthant
-    and normalise its columns."""
+    """One alternation from ``T``: clip its fit ``H`` to the structure, refit
+    T to H, clip T to the nonnegative orthant and normalise its columns.  The
+    fit is the exact ``T^{-1} A T`` of the last violation check, or an lstsq
+    fit when ``T`` failed its singularity test there (``H`` is None)."""
     if H is None:
         H = np.linalg.lstsq(T, A @ T, rcond=None)[0]
     H = _clip_structure(H, mode, masks)
@@ -175,13 +173,11 @@ def _alternate(T: np.ndarray, H: np.ndarray | None, A: np.ndarray,
     return T_new / colsums
 
 
-def _altproj_single(A: np.ndarray, mode: Mode, cfg: AltProjConfig,
-                    rng: np.random.Generator, eye: np.ndarray, kron_A: np.ndarray,
-                    masks, scale: float) -> tuple[np.ndarray, float, int]:
-    """One restart of the full-matrix alternation; returns (T, violation, iters).
-
-    Each iteration's exact ``H = T^{-1} A T`` is the next iteration's fit, so
-    lstsq runs only after a singular ``T``."""
+def _restart(A: np.ndarray, mode: Mode, cfg: AltProjConfig,
+             rng: np.random.Generator, eye: np.ndarray, kron_A: np.ndarray,
+             masks, scale: float) -> tuple[np.ndarray, float, int]:
+    """One restart of the alternation from a seeded ``T``; returns the best
+    iterate, its violation and the number of iterations."""
     T = eye + rng.uniform(0.0, 1.0, size=A.shape)
     best_v, H = _exact_violation(A, T, mode, masks, scale)
     best_T = T
@@ -190,58 +186,13 @@ def _altproj_single(A: np.ndarray, mode: Mode, cfg: AltProjConfig,
         v, H = _exact_violation(A, T_new, mode, masks, scale)
         if v < best_v:
             best_T, best_v = T_new, v
-            if v <= cfg.feasibility_tol:
+            if v <= RESIDUAL_BOUND:
                 break
-        stop = inf_norm(T_new - T) <= cfg.step_tolerance * inf_norm(T)
+        stop = inf_norm(T_new - T) <= STEP_TOLERANCE * inf_norm(T)
         T = T_new
         if stop:
             break
     return best_T, best_v, iters
-
-
-def _altproj_block_recursive(A: np.ndarray, mode: Mode, cfg: AltProjConfig,
-                             rng: np.random.Generator, masks,
-                             scale: float) -> tuple[np.ndarray, float, int]:
-    """Nested block parameterisation: peel one dimension per level by pinning
-    the current subdiagonal column as the first frame column.  Each level
-    fits H by lstsq."""
-    total_iters = 0
-
-    def level(M: np.ndarray) -> np.ndarray:
-        nonlocal total_iters
-        k = M.shape[0]
-        if k <= 2:
-            return np.eye(k)
-        b_col = np.maximum(M[1:, 0], 0.0)
-        eye = np.eye(k - 1)
-        T2 = eye + rng.uniform(0.0, 1.0, size=(k - 1, k - 1))
-        pin = inf_norm(b_col) > 1e-12 * inf_norm(M)
-        if pin:
-            T2[:, 0] = pinned = b_col / b_col.sum()
-        sub = M[1:, 1:]
-        kron_sub, sub_masks = np.kron(eye, sub), _masks(k - 1)
-        for it in range(cfg.max_iters):
-            total_iters += 1
-            T_new = _alternate(T2, None, sub, kron_sub, eye, sub_masks, mode)
-            if pin:
-                T_new[:, 0] = pinned
-            if inf_norm(T_new - T2) <= cfg.step_tolerance:
-                T2 = T_new
-                break
-            T2 = T_new
-        svals = np.linalg.svd(T2, compute_uv=False)
-        if svals[-1] <= 1e-10 * svals[0]:
-            T2 = T2 + 1e-3 * eye
-        frame = np.eye(k)
-        frame[1:, 1:] = T2
-        M_next = np.linalg.solve(frame, M @ frame)
-        inner = level(M_next[1:, 1:])
-        deeper = np.eye(k)
-        deeper[1:, 1:] = inner
-        return frame @ deeper
-
-    T = level(A)
-    return T, _exact_violation(A, T, mode, masks, scale)[0], total_iters
 
 
 def altproj_hess(A, mode: Mode, cfg: AltProjConfig) -> SearchReport:
@@ -266,16 +217,12 @@ def altproj_hess(A, mode: Mode, cfg: AltProjConfig) -> SearchReport:
     successes = 0
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        if cfg.block_recursive:
-            T, v, iters = _altproj_block_recursive(A, mode, cfg, rng, masks, scale)
-        else:
-            T, v, iters = _altproj_single(A, mode, cfg, rng, eye, kron_A, masks,
-                                          scale)
+        T, v, iters = _restart(A, mode, cfg, rng, eye, kron_A, masks, scale)
         success = False
-        if v <= cfg.feasibility_tol:
+        if v <= RESIDUAL_BOUND:
             try:
                 cert = make_certificate(A, T, mode)
-                success = verify_certificate(A, cert, tol=cfg.feasibility_tol)
+                success = verify_certificate(A, cert, tol=RESIDUAL_BOUND)
             except InputError:
                 success = False
             if success:
@@ -353,9 +300,10 @@ def random_experiment(n: int, trials: int, seed: int, mode: Mode,
     """Run seeded trials of the named family through :func:`exact_hessenberg`
     or, where it has no construction, the alternating projections, and aggregate.
 
-    rank-one-shift draws in nonneg mode are asserted infeasible by the exact
-    membership test (the characterisation holds in every dimension), so they
-    count zero successes by construction.
+    rank-one-shift draws in nonneg mode at n >= 3 are asserted infeasible by
+    the exact membership test (the obstruction holds in every such dimension),
+    so they count zero successes by construction.  At n = 2 every matrix is
+    already upper Hessenberg, and the draw gets its identity certificate.
     """
     if n < 2:
         raise InputError("experiments need n >= 2")
@@ -371,7 +319,7 @@ def random_experiment(n: int, trials: int, seed: int, mode: Mode,
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         A = sample_matrix(n, mode, generator, rng)
-        if generator is Generator.PROP1_FAMILY and mode is Mode.NONNEG:
+        if generator is Generator.PROP1_FAMILY and mode is Mode.NONNEG and n >= 3:
             form = rank_one_shift_detect(np.maximum(A, 0.0))
             if form is None:
                 raise ConstructionDefect(

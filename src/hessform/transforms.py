@@ -6,10 +6,9 @@ residuals were verified before returning, or a structured
 postcondition-based: the particular ``T`` returned is one valid choice, never
 a canonical one.
 
-No randomness is used anywhere in this module.  Two searches remain, both
-over fixed lists: ``metzler_hess_4`` sweeps its lead indices (and the axis
-inputs under a zero column), and a reducible controller frame whose shifted
-range has rank at most one sweeps axis completions.
+No randomness is used anywhere in this module.  One search remains, over a
+fixed list: ``metzler_hess_4`` sweeps its lead indices (and the axis inputs
+under a zero column).
 
 The problem is invariant under ``A -> cA``, and one scale policy follows it.
 The five constructors (``nonneg_hess_3``, ``metzler_hess_3``,
@@ -790,7 +789,12 @@ def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray) -> np.ndarray | N
       takes its nonnegative-second-eigenvalue branch and cannot obstruct.
     - ``b`` in ``Pi``: :func:`_invariant_plane_frame`, with no trailing step.
 
-    Rank one or zero sweeps completions of the range by axis vectors."""
+    When ``Ahat = r w^T`` has rank at most one (``r, w >= 0``), ``T^{-1} A1 T``
+    is ``lam3 I`` plus ``(T^{-1} r)(w^T T)``, and one frame serves each case:
+    ``(b | r | e_k)`` for ``b`` off the ray of ``r``, where ``T^{-1} r = e2``
+    changes row 2 alone (a Hessenberg matrix), and ``(b | e_i | e_j)`` for
+    ``b`` on it or ``Ahat = 0``, where only row 1 changes (a triangular one).
+    The axes maximise ``|det T|``; neither frame needs a trailing step."""
     n = 3
     lam3 = float(_eigenvalues(A1)[-1].real)
     Ahat = np.maximum(A1 - lam3 * np.eye(n), 0.0)
@@ -807,27 +811,15 @@ def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray) -> np.ndarray | N
             return _invariant_plane_frame(Ahat, lam3, bnorm, U, rays)
         return _finish_controller(A1, np.column_stack([bnorm, *rays]))
 
-    basis = [np.eye(n)[:, k] for k in range(n)]
-    candidates: list[tuple[np.ndarray, np.ndarray]] = []
-    if rank == 1:
-        ray = U[:, 0]
-        if ray[np.argmax(np.abs(ray))] < 0:
-            ray = -ray
-        ray = np.maximum(ray, 0.0)
-        candidates.extend((ray, e) for e in basis)
-    candidates.extend((e1, e2) for e1 in basis for e2 in basis)
-
-    for p, q in candidates:
-        T1 = np.column_stack([bnorm, p, q])
-        if abs(np.linalg.det(T1)) <= 1e-9:
-            continue
-        coeff = np.linalg.solve(T1, Ahat)
-        if np.min(coeff) < -RESIDUAL_BOUND:
-            continue
-        T = _finish_controller(A1, T1)
-        if T is not None:
-            return T
-    return None
+    r = np.abs(U[:, 0]) if rank else np.zeros(n)
+    cross = np.cross(bnorm, r)  # det(b | r | e_k) = cross[k]
+    if inf_norm(cross) > 1e-9:
+        # row 2 of T^{-1} A1 T is (w.b, lam3 + w.r, w_k)
+        k = int(np.argmax(np.abs(cross)))
+        return np.column_stack([bnorm, r, np.eye(n)[:, k]])
+    k = int(np.argmax(bnorm))  # det(b | e_i | e_j) = +-b_k
+    i, j = (m for m in range(n) if m != k)
+    return np.column_stack([bnorm, np.eye(n)[:, i], np.eye(n)[:, j]])
 
 
 def _invariant_plane_frame(Ahat: np.ndarray, lam3: float, b: np.ndarray,

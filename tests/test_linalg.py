@@ -60,6 +60,35 @@ class TestClassify:
             rep = classify(A)
             assert rep.is_irreducible == (not _permutation_reducible(A, rep.zero_pattern))
 
+    def test_primitivity_matches_the_spectral_gap(self, rng):
+        # an irreducible nonnegative matrix is primitive iff its Perron root is
+        # the only eigenvalue of largest modulus
+        cyclic = [np.roll(np.eye(n), 1, axis=1) for n in range(2, 7)]
+        cyclic.append(np.roll(np.eye(4), 1, axis=1) * rng.uniform(0.5, 2.0, (4, 4)))
+        cyclic.append(np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones((2, 2))))
+        draws = []
+        for i in range(300):
+            n = int(rng.integers(2, 7))
+            A = rng.uniform(0.0, 1.0, (n, n))
+            A[rng.uniform(size=(n, n)) < rng.choice([0.4, 0.6, 0.8])] = 0.0
+            if i % 3 == 0:
+                # zero diagonal blocks: bipartite, so period 2 when irreducible
+                k = int(rng.integers(1, n))
+                A[:k, :k] = A[k:, k:] = 0.0
+            draws.append(A)
+        verdicts = []
+        for A in cyclic + draws:
+            rep = classify(A)
+            if not rep.is_irreducible:
+                continue
+            moduli = np.abs(np.linalg.eigvals(A))
+            gap = np.count_nonzero(moduli > (1 - 1e-8) * moduli.max()) == 1
+            assert rep.is_primitive == gap
+            verdicts.append(gap)
+        assert not any(classify(C).is_primitive for C in cyclic)
+        assert verdicts[len(cyclic):].count(False) >= 10
+        assert verdicts.count(True) >= 10
+
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
             classify(np.ones((2, 3)))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hessform import (
-    ConstructionDefect,
     InputError,
     Mode,
     Obstruction,
@@ -533,13 +532,30 @@ class TestReducibleControllerFrames:
         A, b = np.array(A), np.array(b)
         assert_ct_cert(A, b, ct_hess_3(A, b))
 
-    @pytest.mark.xfail(strict=True, raises=ConstructionDefect,
-                       reason="rank-one branch: the (ray, e1) completion leaves "
-                              "cond(T) about 5.5e8 after the trailing step")
     def test_rank_one_range_with_an_ill_conditioned_completion(self):
+        # stress seed 6, i = 180: an axis completion of the range ray needs a
+        # trailing step here, which leaves cond(T) about 5.5e8
         A = np.array([[-1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
         b = np.array([0.39213600567471485, 0.5956170515145153, 0.4228766113645738])
-        assert_ct_cert(A, b, ct_hess_3(A, b))
+        cert = ct_hess_3(A, b)
+        assert_ct_cert(A, b, cert)
+        assert cert.cond_T < 10.0
+
+    @pytest.mark.parametrize("r, w, b", [
+        ([1.0, 2.0, 0.0], [0.5, 0.0, 1.0], [0.0, 0.3, 1.0]),  # b off r
+        ([1.0, 2.0, 0.0], [0.5, 0.0, 1.0], [0.5, 1.0, 0.0]),  # b on r
+        ([0.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]),  # axis b on r
+        ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.2, 1.0, 0.7]),  # rank 0
+    ])
+    def test_rank_at_most_one_range(self, r, w, b):
+        """A1 = I + r w^T: the frame (b | r | e_k) off the ray of r leaves a
+        Hessenberg matrix, and (b | e_i | e_j) on it a triangular one."""
+        A1 = np.eye(3) + np.outer(r, w)
+        H = self.frame(A1, b)
+        if not np.cross(r, b).any():
+            np.testing.assert_allclose(np.tril(H, -1), 0.0, atol=1e-15)
+        A = A1 - 3.0 * np.eye(3)
+        assert_ct_cert(A, np.array(b), ct_hess_3(A, b))
 
 
 def test_stress_recipe_never_raises_and_always_verifies():
