@@ -280,8 +280,11 @@ def exact_hessenberg(A: np.ndarray, mode: Mode, tol: float | None = None
     an obstruction, or None where only the heuristic search applies (Metzler
     n >= 5, nonneg n >= 4 outside the rank-one-minus-shift family)."""
     n = A.shape[0]
-    if n <= 2:
-        return identity_certificate(A, mode)
+    if n <= 2:  # already upper Hessenberg; the sign structure is the question
+        cert = identity_certificate(A, mode)
+        if cert.sign_violation < -zero_tolerance(A, tol):
+            raise InputError(f"{mode.value} mode requires a {mode.value} matrix")
+        return cert
     if mode is Mode.METZLER:
         if n == 3:
             return metzler_hess_3(A, tol)

@@ -7,8 +7,7 @@ postcondition-based: the particular ``T`` returned is one valid choice, never
 a canonical one.
 
 No randomness is used anywhere in this module.  One search remains, over a
-fixed list: ``metzler_hess_4`` sweeps its lead indices (and the axis inputs
-under a zero column).
+fixed list: ``metzler_hess_4`` sweeps its lead indices.
 
 The problem is invariant under ``A -> cA``, and one scale policy follows it.
 The five constructors (``nonneg_hess_3``, ``metzler_hess_3``,
@@ -37,7 +36,6 @@ from .linalg import (
     geometric_multiplicity,
     inf_norm,
     jordan_like_form,
-    metzler_shift,
     permutation_to_hessenberg,
     zero_tolerance,
 )
@@ -61,8 +59,6 @@ __all__ = [
     "rank_one_shift_detect",
     "verify_certificate",
 ]
-
-_EPS = float(np.finfo(np.float64).eps)
 
 #: Residual bound every returned certificate satisfies.
 RESIDUAL_BOUND = 1e-8
@@ -401,12 +397,6 @@ def fix_b_boundary(A, b, tol: float | None = None) -> np.ndarray:
 # 2x2 controller-Hessenberg form (discrete time)
 # ---------------------------------------------------------------------------
 
-def _complete_with_basis_vector(b: np.ndarray) -> np.ndarray:
-    """Canonical basis vector maximising |det(b | e_i)| in 2-d."""
-    dets = np.array([abs(b[1]), abs(b[0])])
-    return np.eye(2)[:, int(np.argmax(dets))]
-
-
 def dt_hess_2(A, b, tol: float | None = None) -> SimilarityCertificate | Obstruction:
     """Nonnegative frame ``T = (b | p)`` with ``T^{-1} A T >= 0`` and
     ``T^{-1} b ~ e_1`` for a 2x2 nonnegative pair, or the structured
@@ -435,23 +425,15 @@ def dt_hess_2(A, b, tol: float | None = None) -> SimilarityCertificate | Obstruc
     lam2 = float(vals[1].real)
 
     if lam2 >= -t:
-        # the shifted matrix is nonnegative of rank at most one; cover its ray
-        Ahat = A - lam2 * np.eye(2)
-        Ahat = np.maximum(Ahat, 0.0)
-        U, sv, _ = np.linalg.svd(Ahat)
-        if sv[0] <= t:
-            p = _complete_with_basis_vector(b)
-        else:
-            ray = U[:, 0]
-            if ray[np.argmax(np.abs(ray))] < 0:
-                ray = -ray
-            ray = np.maximum(ray, 0.0)
-            det = b[0] * ray[1] - b[1] * ray[0]
-            if abs(det) > zero_tolerance(b):
-                p = ray
-            else:
-                p = _complete_with_basis_vector(b)
-        T = np.column_stack([b, p])
+        # Ahat = A - lam2 I = r w^T >= 0, and T^{-1} Ahat T = (T^{-1} r)(w^T T)
+        # >= 0 once r lies in cone(b, p): p is the axis on r's side of b (no
+        # worse conditioned than r), or the one farther from b if no side shows
+        U, sv, _ = np.linalg.svd(np.maximum(A - lam2 * np.eye(2), 0.0))
+        ray = np.abs(U[:, 0])
+        side = b[0] * ray[1] - b[1] * ray[0]
+        if sv[0] <= t or abs(side) <= zero_tolerance(b):
+            side = b[0] - b[1]
+        T = np.column_stack([b, np.eye(2)[:, int(side > 0)]])
         cert = make_certificate(A, T, Mode.NONNEG, keep_first_column=True)
         return _checked(cert, A, "dt_hess_2 (nonnegative second eigenvalue)", s)
 
@@ -595,13 +577,6 @@ def diag_commuting_transform(A, b, tol: float | None = None) -> np.ndarray:
 # 3x3 nonnegative Hessenberg decision
 # ---------------------------------------------------------------------------
 
-def _embed_leading(T2: np.ndarray) -> np.ndarray:
-    n = T2.shape[0] + 1
-    out = np.eye(n)
-    out[:n - 1, :n - 1] = T2
-    return out
-
-
 def _embed_trailing(T2: np.ndarray) -> np.ndarray:
     n = T2.shape[0] + 1
     out = np.eye(n)
@@ -609,14 +584,37 @@ def _embed_trailing(T2: np.ndarray) -> np.ndarray:
     return out
 
 
+def _leading_partition(A: np.ndarray, k: int, t: float) -> np.ndarray | None:
+    """``T >= 0`` with ``T^{-1} A T`` nonnegative upper Hessenberg from the 2x2
+    block ``B`` that leaves out the scalar index ``k``, or None when that
+    block's controller step obstructs.
+
+    :func:`dt_hess_2` on ``(A[B, B], v = A[B, k])`` gives ``T2 >= 0`` with
+    ``T2^{-1} A[B, B] T2 >= 0`` and ``T2^{-1} v = ||v||_inf e_1``.  In the
+    order ``(B, k)``, the conjugate by ``diag(T2, 1)`` is nonnegative with a
+    zero at (1, 2); ``T = (e_k | T2 on the rows B)`` takes its columns in the
+    order ``[2, 0, 1]``, which moves that zero to (2, 0)."""
+    B = [i for i in range(3) if i != k]
+    sub = dt_hess_2(A[np.ix_(B, B)], A[B, k], t)
+    if isinstance(sub, Obstruction):
+        return None
+    T = np.zeros((3, 3))
+    T[k, 0] = 1.0
+    T[np.ix_(B, [1, 2])] = sub.T
+    return T
+
+
 def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstruction:
     """Decide 3x3 nonnegative Hessenberg similarity: a verified certificate or
     the rank-one-minus-shift obstruction.
 
-    Branch order: real nonnegative spectrum (Jordan route), an off-diagonal
-    zero (permutation), then the block reduction through the 2x2
-    controller-Hessenberg step on the leading partition and, failing that, the
-    transposed trailing partition.
+    A 3x3 nonnegative matrix has a nonnegative Hessenberg form unless it is
+    ``c (u v^T - s I)``.  Off that family, a permutation serves when one moves
+    an off-diagonal zero to (2, 0); otherwise every off-diagonal entry is
+    positive and a leading partition (:func:`_leading_partition`) serves for
+    some scalar index, tried in the order (2, 0, 1); one whose certificate
+    fails in floating point passes to the next.  All three failing off the
+    family contradicts the characterisation and raises.
     """
     A = as_square(A)
     if A.shape[0] != 3:
@@ -638,56 +636,53 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
             },
         )
 
-    vals = _eigenvalues(A)
-    real_nonneg = np.max(np.abs(vals.imag)) <= t and np.min(vals.real) >= -t
-    if real_nonneg:
-        V, _ = jordan_like_form(A)
-        cert = make_certificate(A, V, Mode.NONNEG)
-        return _checked(cert, A, "nonneg_hess_3 (real nonnegative spectrum)", s)
-
     P = permutation_to_hessenberg(A, t)
     if P is not None:
         cert = make_certificate(A, P, Mode.NONNEG, normalize=False)
         return _checked(cert, A, "nonneg_hess_3 (permutation)", s)
 
-    # all off-diagonal entries are positive; reduce through a 2x2 block
-    A11, v_r = A[:2, :2], A[:2, 2]
-    sub = dt_hess_2(A11, v_r, t)
-    if isinstance(sub, SimilarityCertificate):
-        T = _embed_leading(sub.T)
-        B = np.linalg.solve(T, A @ T)
-        P = permutation_to_hessenberg(B, 10 * t)
-        if P is None:
-            raise ConstructionDefect(
-                "leading block reduction produced no movable zero")
-        cert = make_certificate(A, T @ P, Mode.NONNEG)
-        return _checked(cert, A, "nonneg_hess_3 (leading partition)", s)
-
-    A22, w_l = A[1:, 1:], A[0, 1:]
-    sub = dt_hess_2(A22.T, w_l, t)
-    if isinstance(sub, SimilarityCertificate):
-        S = np.linalg.solve(sub.T.T, np.eye(2))  # inverse transpose
-        T = _embed_trailing(S)
-        B = np.linalg.solve(T, A @ T)
-        P = permutation_to_hessenberg(B, 10 * t)
-        if P is None:
-            raise ConstructionDefect(
-                "trailing block reduction produced no movable zero")
-        cert = make_certificate(A, T @ P, Mode.NONNEG)
-        return _checked(cert, A, "nonneg_hess_3 (trailing partition)", s)
+    failures = []
+    for k in (2, 0, 1):
+        try:
+            T = _leading_partition(A, k, t)
+            if T is not None:
+                cert = make_certificate(A, T, Mode.NONNEG)
+                return _checked(cert, A, "nonneg_hess_3 (leading partition)", s)
+            failures.append((k, "obstruction"))
+        except (InputError, ConstructionDefect) as exc:
+            failures.append((k, str(exc)))
 
     raise ConstructionDefect(
-        "both block partitions obstructed although the rank-one-minus-shift "
+        "no leading partition certified although the rank-one-minus-shift "
         "test is negative; this contradicts the 3x3 characterisation. "
-        f"A = {(s * A).tolist()}")
+        f"A = {(s * A).tolist()}; per scalar index: {failures}")
+
+
+def _shift_to_rank_one(A2: np.ndarray) -> np.ndarray:
+    """``A2 - lam I`` for a 2x2 Metzler ``A2`` and ``lam`` its smaller (real)
+    eigenvalue: nonnegative, of rank at most one.  With ``h = (a - d) / 2``
+    the diagonal is ``|h| + r`` and ``bc / (|h| + r)``, ``r = sqrt(h^2 + bc)``,
+    each free of cancellation, so the rank holds to rounding of its own
+    entries even when ``A2`` is near scalar."""
+    (a, b), (c, d) = A2
+    b, c = max(b, 0.0), max(c, 0.0)
+    h = 0.5 * (a - d)
+    big = abs(h) + float(np.hypot(h, np.sqrt(b * c)))
+    small = b * c / big if big > 0 else 0.0
+    return np.array([[big, b], [c, small]] if h >= 0 else [[small, b], [c, big]])
 
 
 def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
-    """Metzler Hessenberg form for any 3x3 Metzler matrix (always succeeds).
+    """Metzler Hessenberg form for any 3x3 Metzler matrix (always succeeds),
+    with ``T >= 0``.
 
-    Shifts to a nonnegative matrix, enlarging the shift once if the result
-    lies in the rank-one-minus-shift family, runs the nonnegative decision,
-    then un-shifts the conjugated matrix.
+    Off upper Hessenberg input, ``A[2, 0] > 0``, so ``b = A[1:, 0]`` is
+    nonzero.  The 2x2 Metzler block ``A2 = A[1:, 1:]`` has a real spectrum;
+    with ``lam`` its smaller eigenvalue, ``A2 - lam I >= 0`` has rank at most
+    one, so :func:`dt_hess_2` takes its nonnegative-second-eigenvalue branch
+    and returns ``T2 = (b | p) >= 0``.  Then ``T = diag(1, T2)`` gives
+    ``H[2, 0] = 0``, a nonnegative first row ``A[0, 1:] T2`` and the Metzler
+    trailing block ``T2^{-1} A2 T2``.
     """
     A_in = as_square(A)
     if A_in.shape[0] != 3:
@@ -699,18 +694,9 @@ def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
     if rep.is_upper_hessenberg:
         return identity_certificate(A_in, Mode.METZLER)
 
-    shifted, _ = metzler_shift(A, t)
-    form = rank_one_shift_detect(shifted, t)
-    if form is not None:
-        # c (u v^T - s I) + (c s + eps) I = c u v^T + eps I is outside the family
-        shifted = shifted + (form.c * form.s + 1e-8) * np.eye(3)
-
-    result = nonneg_hess_3(shifted, t)
-    if isinstance(result, Obstruction):
-        raise ConstructionDefect(
-            "shifted matrix still reported an obstruction; the Metzler "
-            "construction is total, so this is a defect")
-    cert = make_certificate(A, result.T, Mode.METZLER, normalize=False)
+    # exact to the rounding of its own entries, so tested at its own scale
+    sub = dt_hess_2(_shift_to_rank_one(A[1:, 1:]), np.maximum(A[1:, 0], 0.0))
+    cert = make_certificate(A, _embed_trailing(sub.T), Mode.METZLER)
     return _checked(cert, A, "metzler_hess_3", s)
 
 
@@ -1009,8 +995,9 @@ def metzler_hess_4(A, tol: float | None = None) -> SimilarityCertificate:
 
     Tries each of the four cyclic repositionings that make one index the
     leading scalar and solves the trailing 3x3 continuous-time
-    controller-Hessenberg problem; some choice is guaranteed to work, so an
-    all-fail outcome raises with per-choice diagnostics.
+    controller-Hessenberg problem, or, under a zero column below the lead,
+    takes the ``T3 >= 0`` of :func:`metzler_hess_3`; some choice is guaranteed
+    to work, so an all-fail outcome raises with per-choice diagnostics.
     """
     A_in = as_square(A)
     if A_in.shape[0] != 4:
@@ -1031,18 +1018,21 @@ def metzler_hess_4(A, tol: float | None = None) -> SimilarityCertificate:
         bb = np.maximum(Ap[1:, 0], 0.0)
         cc = np.maximum(Ap[0, 1:], 0.0)
         A3 = Ap[1:, 1:]
-        # a zero column below the lead leaves the input free: try each axis
-        inputs = list(np.eye(3)) if inf_norm(bb) <= 10 * t else [bb]
-        for b3 in inputs:
-            try:
-                sub = ct_hess_3(A3, b3, cc, t)
+        try:
+            if inf_norm(bb) <= 10 * t:
+                # a zero column below the lead: any T3 >= 0 keeps the row
+                # cc T3 nonnegative
+                T3 = metzler_hess_3(A3, t).T
+            else:
+                sub = ct_hess_3(A3, bb, cc, t)
                 if isinstance(sub, Obstruction):
                     failures.append((lead, f"obstruction: {sub.data}"))
                     continue
-                cert = make_certificate(A, P @ _embed_trailing(sub.T), Mode.METZLER)
-                return _checked(cert, A, "metzler_hess_4", s)
-            except (InputError, ConstructionDefect) as exc:
-                failures.append((lead, str(exc)))
+                T3 = sub.T
+            cert = make_certificate(A, P @ _embed_trailing(T3), Mode.METZLER)
+            return _checked(cert, A, "metzler_hess_4", s)
+        except (InputError, ConstructionDefect) as exc:
+            failures.append((lead, str(exc)))
 
     raise ConstructionDefect(
         "all leading-index choices failed although the 4x4 Metzler "

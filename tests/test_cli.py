@@ -104,6 +104,21 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["kind"] == "obstruction"
 
+    @pytest.mark.parametrize("text, mode", [
+        ("2 2\n1 -3\n2 1\n", "nonneg"),
+        ("2 2\n-1 -3\n2 1\n", "metzler"),
+        ("1 1\n-2\n", "nonneg"),
+    ])
+    def test_hessenberg_rejects_wrong_sign_at_small_n(self, tmp_path, capsys, text, mode):
+        """No identity certificate with a sign violation: at n <= 2 input
+        without the mode's sign structure is a usage error, as at n >= 3."""
+        path = tmp_path / "A.mat"
+        path.write_text(text)
+        assert run(["hessenberg", str(path), "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "requires" in captured.err
+
     def test_hessenberg_obstruction_4x4_is_recheckable(self, tmp_path, capsys):
         u = np.array([0.5, 1.0, 1.5, 0.8])
         v = np.array([1.2, 0.4, 0.9, 1.1])

@@ -86,17 +86,27 @@ class TestZeroMatrix:
         assert verify_certificate(np.zeros((2, 2)), dt_hess_2(np.zeros((2, 2)), [1.0, 2.0]))
 
 
+def small_integer_matrix(n, mode, rng):
+    """Entries 0-3, less a diagonal of 0-4 in Metzler mode: exact zeros, ties
+    and repeated eigenvalues, which uniform draws almost never give."""
+    A = rng.integers(0, 4, (n, n)).astype(float)
+    if mode is Mode.METZLER:
+        A -= np.diag(rng.integers(0, 5, n))
+    return A
+
+
 @settings(max_examples=300)
 @given(st.sampled_from(sorted(CONSTRUCTORS)),
        st.sampled_from([Generator.DENSE_UNIFORM, Generator.SPARSE_PATTERN,
-                        Generator.PROP1_FAMILY]),
+                        Generator.PROP1_FAMILY, "small-integer"]),
        st.integers(0, 2**32 - 1), st.floats(-12.0, 12.0), st.permutations(range(4)))
 def test_outcome_invariant_under_scaling_and_permutation(name, gen, seed, log_c, perm):
     """A certificate that verifies, or an obstruction of one kind, the same for
     A, cA and P^T A P (with b -> P^T b for ct_hess_3)."""
     construct, n, mode = CONSTRUCTORS[name]
     rng = np.random.default_rng(seed)
-    A = sample_matrix(n, mode, gen, rng)
+    A = small_integer_matrix(n, mode, rng) if gen == "small-integer" \
+        else sample_matrix(n, mode, gen, rng)
     b = rng.uniform(0.0, 1.0, n)
     P = np.eye(n)[:, [k for k in perm if k < n]]
     outcomes = set()
@@ -108,15 +118,15 @@ def test_outcome_invariant_under_scaling_and_permutation(name, gen, seed, log_c,
                         ObstructionKind.PERRON_EIGVEC_COINCIDENCE}
 
 
-def test_constructor_fuzz_never_raises_and_always_verifies():
-    """About 250 draws per constructor, dense and sparse, half of them scaled by
-    10**U(-6, 6): nothing raises and every certificate verifies."""
+def fuzz_constructors(seed, draw):
+    """1 000 draws ``draw(i, n, mode, rng)`` over the constructors in turn,
+    every other block of eight scaled by 10**U(-6, 6): nothing raises and
+    every certificate verifies."""
     for i in range(1000):
-        rng = np.random.default_rng([7, i])
+        rng = np.random.default_rng([seed, i])
         name = sorted(CONSTRUCTORS)[i % 4]
         construct, n, mode = CONSTRUCTORS[name]
-        gen = Generator.DENSE_UNIFORM if (i // 4) % 2 else Generator.SPARSE_PATTERN
-        A = sample_matrix(n, mode, gen, rng)
+        A = draw(i, n, mode, rng)
         if (i // 8) % 2:
             A = A * 10.0 ** rng.uniform(-6.0, 6.0)
         result = construct(A, rng.uniform(0.0, 1.0, 3)) if name == "ct_hess_3" \
@@ -124,6 +134,17 @@ def test_constructor_fuzz_never_raises_and_always_verifies():
         assert outcome(A, result) in ("certificate",
                                       ObstructionKind.NEG_EIG_GEOM_MULT,
                                       ObstructionKind.PERRON_EIGVEC_COINCIDENCE), (name, i)
+
+
+def test_constructor_fuzz_never_raises_and_always_verifies():
+    """About 250 draws per constructor, dense and sparse, half of them scaled."""
+    fuzz_constructors(7, lambda i, n, mode, rng: sample_matrix(
+        n, mode, Generator.DENSE_UNIFORM if (i // 4) % 2 else Generator.SPARSE_PATTERN, rng))
+
+
+def test_small_integer_fuzz_never_raises_and_always_verifies():
+    """About 250 small-integer draws per constructor, half of them scaled."""
+    fuzz_constructors(29, lambda i, n, mode, rng: small_integer_matrix(n, mode, rng))
 
 
 def test_scaled_rank_one_shift_family_has_no_certificate():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,13 @@ from hessform import (
     verify_certificate,
 )
 from hessform.linalg import classify, inf_norm
-from hessform.transforms import _controller_frame_reducible, _plane_orthant_rays
+from hessform.search import Generator, sample_matrix
+from hessform.transforms import (
+    _controller_frame_reducible,
+    _leading_partition,
+    _plane_orthant_rays,
+    _unit_scale,
+)
 
 from conftest import (
     INFEASIBLE_DT_A,
@@ -303,6 +311,7 @@ class TestNonnegHess3:
             if isinstance(result, SimilarityCertificate):
                 assert_good_cert(A, result, Mode.NONNEG)
                 assert spectra_match(A, result.H)
+                assert np.min(result.T) >= 0.0
 
     def test_all_positive_offdiagonal_goes_through_blocks(self, rng):
         # strictly positive off-diagonals with a complex pair force branch (c)
@@ -315,6 +324,53 @@ class TestNonnegHess3:
             done += 1
             result = nonneg_hess_3(A)
             assert_good_cert(A, result, Mode.NONNEG)
+
+    def test_family_obstructs_every_leading_partition(self):
+        """On the family no leading partition serves: each 2x2 block's input
+        is its Perron vector and its second eigenvalue is negative."""
+        for i in range(300):
+            A = sample_matrix(3, Mode.NONNEG, Generator.PROP1_FAMILY,
+                              np.random.default_rng([23, i]))
+            A, _, t = _unit_scale(A, None)
+            for k in range(3):
+                assert _leading_partition(A, k, t) is None, (i, k)
+
+
+#: Admissible inputs that raised before each 3x3 construction took one exact
+#: route: integer draws (ConstructionDefect from both block partitions) and
+#: eigenvalue gaps near the Jordan route's clustering threshold
+#: (ClusterAmbiguityError).
+PINNED_NONNEG_3 = [
+    np.array([[0.0, 1.0, 1.0], [2.0, 1.0, 2.0], [3.0, 2.0, 1.0]]),
+    np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [3.0, 2.0, 1.0]]),
+    np.eye(3) + np.ones((3, 3)) + 6.02e-6 * np.diag([1.0, 0.0, 0.0]),
+    np.array([[1.0, 0.0, 0.0], [0.0, 1.0 + 1.2e-6, 0.0], [0.3, 0.0, 0.5]]),
+]
+PINNED_METZLER_3 = PINNED_NONNEG_3 + [
+    np.array([[-1.0, 2.0, 3.0], [1.0, 0.0, 3.0], [3.0, 2.0, 1.0]]),
+]
+
+
+class TestPinned3x3:
+    @pytest.mark.parametrize("i", range(len(PINNED_NONNEG_3)))
+    def test_nonneg_hess_3_certifies(self, i):
+        A = PINNED_NONNEG_3[i]
+        cert = nonneg_hess_3(A)
+        assert_good_cert(A, cert, Mode.NONNEG)
+        assert np.min(cert.T) >= 0.0
+
+    @pytest.mark.parametrize("i", range(len(PINNED_METZLER_3)))
+    def test_metzler_hess_3_certifies(self, i):
+        A = PINNED_METZLER_3[i]
+        cert = metzler_hess_3(A)
+        assert_good_cert(A, cert, Mode.METZLER)
+        assert np.min(cert.T) >= 0.0
+
+    def test_every_permutation_certifies(self):
+        A = PINNED_NONNEG_3[1]
+        for perm in itertools.permutations(range(3)):
+            B = A[np.ix_(perm, perm)]
+            assert_good_cert(B, nonneg_hess_3(B), Mode.NONNEG)
 
 
 class TestMetzlerHess3:
@@ -340,6 +396,7 @@ class TestMetzlerHess3:
             cert = metzler_hess_3(A)
             assert_good_cert(A, cert, Mode.METZLER)
             assert spectra_match(A, cert.H)
+            assert np.min(cert.T) >= 0.0
 
 
 class TestCtHess3:
