@@ -288,9 +288,9 @@ class CoverCertificate:
     reference triangle can contain the point set.
 
     ``v0`` sits on the relative interior of one edge while the set touches the
-    other two edges; any admissible triangle then collapses onto
-    ``conv{v0, contact_1, contact_2}``, and ``outlier`` lies strictly outside
-    it on the ``v0`` side of the contact line.
+    other two off their shared corner; any admissible triangle then collapses
+    onto ``conv{v0, contact_1, contact_2}``, and ``outlier`` lies strictly
+    outside it on the ``v0`` side of the contact line.
     """
 
     v0: SimplexPoint
@@ -377,7 +377,9 @@ def _infeasibility_certificate(v0, pts, tol):
         return None  # corner, not relative interior
     others = [e for e in _EDGES if e != edge0]
     away = pts[np.linalg.norm(pts - v0, axis=1) > tol]
-    contact_sets = {e: away[_edge_distance(away, e) <= tol] for e in others}
+    near = [_edge_distance(away, e) <= tol for e in others]
+    # a point on both contact edges is their shared corner, not a contact
+    contact_sets = {e: away[hit & ~(near[0] & near[1])] for e, hit in zip(others, near)}
     if not all(len(hits) for hits in contact_sets.values()):
         return None
 
@@ -429,6 +431,8 @@ def verify_cover_certificate(cert: CoverCertificate, v0: SimplexPoint,
         arr = cp.as_array()
         if _edge_distance(arr, edge) > tol:
             return False
+        if all(_edge_distance(arr, e) <= tol for e in cert.contacts):
+            return False  # the shared corner of the contact edges
         if not np.any(np.all(np.abs(cloud - arr) <= tol, axis=1)):
             return False
         contacts.append(arr)

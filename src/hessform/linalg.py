@@ -597,7 +597,8 @@ def _jordan_blocks_for_real_cluster(A, values, threshold):
 
 
 def jordan_like_form(A, cluster_tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Real Jordan-like decomposition ``A @ V = V @ J`` for n <= 4.
+    """Real Jordan-like decomposition ``A @ V = V @ J`` for n <= 4 (no
+    construction calls it).
 
     ``J`` is block diagonal with real Jordan blocks (ones on the
     superdiagonal) for clustered real eigenvalues and 2x2 rotation-scaling

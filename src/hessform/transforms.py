@@ -35,7 +35,6 @@ from .linalg import (
     classify,
     geometric_multiplicity,
     inf_norm,
-    jordan_like_form,
     permutation_to_hessenberg,
     zero_tolerance,
 )
@@ -105,14 +104,14 @@ class RankOneShiftForm:
 class SimilarityCertificate:
     """Checkable record of a similarity ``H = T^{-1} A T``.
 
+    ``T``, ``T_inv`` and ``H`` are as built; the metrics are taken at unit
+    column sums, on ``(T D^{-1}, D H D^{-1})`` with ``D`` the column sums of
+    ``|T|``, so no positive column scaling of ``T`` changes them.
     ``residual_similarity`` is ``||A T - T H||_inf / ||A||_inf`` (relative, so
     it does not change under ``A -> cA``; exactly zero for a zero matrix);
     ``hessenberg_violation`` the largest magnitude below the first
     subdiagonal of ``H``; ``sign_violation`` the smallest entry of ``H``
-    (off-diagonal only in Metzler mode).  The two violations are entries of
-    ``H``, in the units of ``A``.  Columns of ``T`` are scaled to unit
-    absolute sum before the residuals are reported, except where a construction
-    pins a column (e.g. the input vector).
+    (off-diagonal only in Metzler mode), both in the units of ``A``.
     """
 
     T: np.ndarray
@@ -148,34 +147,36 @@ def _sign_violation(H: np.ndarray, mode: Mode) -> float:
     return float(np.min(H[off]))
 
 
-def make_certificate(A, T, mode: Mode, normalize: bool = True,
-                     keep_first_column: bool = False) -> SimilarityCertificate:
-    """Assemble a certificate for ``H = T^{-1} A T`` with recomputed metrics."""
+def _unit_columns(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``T D^{-1}``, ``D`` (the column sums of ``|T|``) and ``cond(T D^{-1}) <= 1e14``."""
+    d = np.sum(np.abs(T), axis=0)
+    if np.any(d <= 0):
+        raise InputError("T has a zero column")
+    svals = np.linalg.svd(T / d, compute_uv=False)
+    if svals[-1] <= 0 or svals[0] / svals[-1] > 1e14:
+        raise InputError("T is singular beyond the conditioning bound")
+    return T / d, d, float(svals[0] / svals[-1])
+
+
+def make_certificate(A, T, mode: Mode) -> SimilarityCertificate:
+    """Certificate for ``H = T^{-1} A T`` that keeps the caller's ``T``, with
+    every metric recomputed at unit column sums."""
     A = as_square(A)
     T = as_square(np.array(T, dtype=float, copy=True), "T")
     if T.shape != A.shape:
         raise InputError("T must match the shape of A")
-    if normalize:
-        sums = np.sum(np.abs(T), axis=0)
-        if np.any(sums <= 0):
-            raise InputError("T has a zero column")
-        start = 1 if keep_first_column else 0
-        T[:, start:] = T[:, start:] / sums[start:]
-    svals = np.linalg.svd(T, compute_uv=False)
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    if not np.isfinite(cond) or cond > 1e14:
-        raise InputError("T is singular beyond the conditioning bound")
-    T_inv = np.linalg.solve(T, np.eye(T.shape[0]))
-    H = T_inv @ A @ T
-    residual = inf_norm(A @ T - T @ H) / (inf_norm(A) or 1.0)
+    Tn, d, cond = _unit_columns(T)
+    Tn_inv = np.linalg.solve(Tn, np.eye(T.shape[0]))
+    Hn = Tn_inv @ A @ Tn
+    residual = inf_norm(A @ Tn - Tn @ Hn) / (inf_norm(A) or 1.0)
     return SimilarityCertificate(
         T=T,
-        T_inv=T_inv,
-        H=H,
+        T_inv=Tn_inv / d[:, None],
+        H=Hn / d[:, None] * d,
         residual_similarity=float(residual),
-        min_entry_T=float(np.min(T)),
-        hessenberg_violation=_hessenberg_violation(H),
-        sign_violation=_sign_violation(H, mode),
+        min_entry_T=float(np.min(Tn)),
+        hessenberg_violation=_hessenberg_violation(Hn),
+        sign_violation=_sign_violation(Hn, mode),
         mode=mode,
         cond_T=cond,
     )
@@ -183,19 +184,18 @@ def make_certificate(A, T, mode: Mode, normalize: bool = True,
 
 def identity_certificate(A, mode: Mode) -> SimilarityCertificate:
     """Certificate with T = I for a matrix already in the target form."""
-    A = as_square(A)
-    return make_certificate(A, np.eye(A.shape[0]), mode, normalize=False)
+    return make_certificate(A, np.eye(as_square(A).shape[0]), mode)
 
 
 def _holds(norm_A: float, residual: float, hessenberg_violation: float,
-           sign_violation: float, tol: float) -> bool:
-    """The acceptance predicate of every certificate: the similarity residual
-    ``||A T - T H||_inf`` and both entry violations of ``H`` within
-    ``tol * ||A||_inf``.  Relative throughout, so the verdict for ``(cA, cH)``
-    is the verdict for ``(A, H)``; a zero matrix needs exact zeros."""
+           sign_violation: float, min_entry_T: float, tol: float) -> bool:
+    """The acceptance predicate of every certificate, at unit column sums of
+    ``T``: ``T >= -tol``, and the residual ``||A T - T H||_inf`` and both entry
+    violations of ``H`` within ``tol * ||A||_inf``.  Relative throughout, so the
+    verdict for ``(cA, cH)`` is that for ``(A, H)``; a zero matrix needs zeros."""
     bound = tol * norm_A
-    return (residual <= bound and hessenberg_violation <= bound
-            and sign_violation >= -bound)
+    return (min_entry_T >= -tol and residual <= bound
+            and hessenberg_violation <= bound and sign_violation >= -bound)
 
 
 def _unit_scale(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, float, float]:
@@ -215,11 +215,12 @@ def _checked(cert: SimilarityCertificate, A, context: str,
     :func:`verify_certificate` holds.  Failing it is a bug, not an obstruction."""
     norm_A = inf_norm(A)
     if not _holds(norm_A, cert.residual_similarity * norm_A,
-                  cert.hessenberg_violation, cert.sign_violation, RESIDUAL_BOUND):
+                  cert.hessenberg_violation, cert.sign_violation,
+                  cert.min_entry_T, RESIDUAL_BOUND):
         raise ConstructionDefect(
-            f"{context}: similarity residual {cert.residual_similarity:.3e}, "
-            f"Hessenberg violation {cert.hessenberg_violation:.3e}, "
-            f"sign violation {cert.sign_violation:.3e} at unit scale")
+            f"{context}: min(T) {cert.min_entry_T:.3e}, similarity residual "
+            f"{cert.residual_similarity:.3e}, Hessenberg violation "
+            f"{cert.hessenberg_violation:.3e}, sign violation {cert.sign_violation:.3e}")
     return replace(cert, H=s * cert.H,
                    hessenberg_violation=s * cert.hessenberg_violation,
                    sign_violation=s * cert.sign_violation)
@@ -229,21 +230,21 @@ def verify_certificate(A, cert: SimilarityCertificate, tol: float = 1e-8) -> boo
     """Re-derive every certificate metric from scratch and test it against ``tol``.
 
     An independent linear solve recomputes ``T^{-1}``; nothing stored in the
-    certificate is trusted except ``T``, ``H`` and the mode.  Every bound is
-    ``tol`` times ``||A||_inf`` (times ``cond(T)`` for the recomputed ``H``),
-    so the verdict does not change under ``A -> cA`` with ``H -> cH``.
+    certificate is trusted except ``T``, ``H`` and the mode.  It runs at unit
+    column sums, and every bound but ``min(T) >= -tol`` is ``tol ||A||_inf``
+    (times ``cond(T)`` for the recomputed ``H``), so neither ``A -> cA`` with
+    ``H -> cH`` nor a positive column scaling of ``T`` changes the verdict.
     """
     A = as_square(A)
     T = as_square(cert.T, "certificate T")
     H = as_square(cert.H, "certificate H")
     if T.shape != A.shape or H.shape != A.shape:
         raise InputError("certificate dimensions do not match the matrix")
-    svals = np.linalg.svd(T, compute_uv=False)
-    if svals[-1] <= 0 or svals[0] / svals[-1] > 1e14:
-        raise InputError("certificate T is singular beyond the conditioning bound")
+    T, d, _ = _unit_columns(T)
+    H = H * d[:, None] / d
     norm_A = inf_norm(A)
     if not _holds(norm_A, inf_norm(A @ T - T @ H), _hessenberg_violation(H),
-                  _sign_violation(H, cert.mode), tol):
+                  _sign_violation(H, cert.mode), float(np.min(T)), tol):
         return False
     T_inv = np.linalg.solve(T, np.eye(T.shape[0]))
     return inf_norm(T_inv @ A @ T - H) <= tol * norm_A * inf_norm(T_inv) * inf_norm(T)
@@ -399,12 +400,17 @@ def fix_b_boundary(A, b, tol: float | None = None) -> np.ndarray:
 
 def dt_hess_2(A, b, tol: float | None = None) -> SimilarityCertificate | Obstruction:
     """Nonnegative frame ``T = (b | p)`` with ``T^{-1} A T >= 0`` and
-    ``T^{-1} b ~ e_1`` for a 2x2 nonnegative pair, or the structured
-    obstruction.
+    ``T^{-1} b ~ e_1`` for a 2x2 nonnegative pair, or the obstruction, which
+    occurs exactly when ``lam_2 < 0`` and ``b`` is the Perron eigenvector.
 
-    The obstruction occurs exactly when the second eigenvalue is negative and
-    ``b`` is the Perron eigenvector.  The first column of ``T`` is ``b``
-    scaled to unit max-norm.
+    ``p = A b - m b``, with ``m`` the least of ``tr A`` and the ratios
+    ``(A b)_i / b_i`` on the support of ``b``, gives by Cayley-Hamilton
+    ``H = [[m, (tr A - m) m - det A], [1, tr A - m]] >= 0``: ``m <= lam_1``
+    (Collatz-Wielandt), the least ratio is at least its ``a_kk >= lam_2``,
+    and ``0 <= m <= tr A``.  At the ratio ``p`` is on the axis ``e_{1-k}``,
+    which the frame takes, also for a ratio within the zero threshold of
+    ``tr A`` (so ``p`` stays off ``b`` at ``lam_2 ~ 0``); at ``tr A``,
+    ``p = -det(A) A^{-1} b``.  ``T[:, 0]`` is ``b / ||b||_inf``.
     """
     A = as_square(A)
     b_in = as_vector(b)
@@ -420,57 +426,45 @@ def dt_hess_2(A, b, tol: float | None = None) -> SimilarityCertificate | Obstruc
         raise InputError("b must be nonzero")
     b = np.maximum(b_in, 0.0) / sb
 
-    vals = _eigenvalues(A)
-    lam1 = float(vals[0].real)
-    lam2 = float(vals[1].real)
+    R, lam2 = _shift_to_rank_one(A)
+    if lam2 < -t:
+        lam1 = lam2 + R[0, 0] + R[1, 1]
+        coincident, resid = _perron_coincident(A, b, lam1)
+        if coincident:
+            return Obstruction(ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
+                               data={"lambda1": s * lam1, "lambda2": s * lam2,
+                                     "residual": s * sb * resid, "b": b_in.copy()})
 
-    if lam2 >= -t:
-        # Ahat = A - lam2 I = r w^T >= 0, and T^{-1} Ahat T = (T^{-1} r)(w^T T)
-        # >= 0 once r lies in cone(b, p): p is the axis on r's side of b (no
-        # worse conditioned than r), or the one farther from b if no side shows
-        U, sv, _ = np.linalg.svd(np.maximum(A - lam2 * np.eye(2), 0.0))
-        ray = np.abs(U[:, 0])
-        side = b[0] * ray[1] - b[1] * ray[0]
-        if sv[0] <= t or abs(side) <= zero_tolerance(b):
-            side = b[0] - b[1]
-        T = np.column_stack([b, np.eye(2)[:, int(side > 0)]])
-        cert = make_certificate(A, T, Mode.NONNEG, keep_first_column=True)
-        return _checked(cert, A, "dt_hess_2 (nonnegative second eigenvalue)", s)
-
-    coincident, resid = _perron_coincident(A, b, lam1)
-    if coincident:
-        return Obstruction(
-            ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
-            data={"lambda1": s * lam1, "lambda2": s * lam2,
-                  "residual": s * sb * resid, "b": b_in.copy()},
-        )
-
-    T1 = fix_b_boundary(A, b, t)
-    b1 = np.linalg.solve(T1, b)
-    b1 = np.maximum(b1, 0.0)
-    # one entry of b1 is (numerically) zero; complete with the matching axis
-    zero_idx = int(np.argmin(b1))
-    b1[zero_idx] = 0.0
-    T2 = np.column_stack([b1, np.eye(2)[:, zero_idx]])
-    if abs(np.linalg.det(T2)) <= 1e-12 * inf_norm(b1):
-        raise ConstructionDefect("degenerate frame after boundary placement")
-    cert = make_certificate(A, T1 @ T2, Mode.NONNEG, keep_first_column=True)
-    return _checked(cert, A, "dt_hess_2 (negative second eigenvalue)", s)
+    Ab, trace = A @ b, np.trace(A)
+    ratios = np.where(b > zero_tolerance(b), Ab / np.maximum(b, 1e-300), np.inf)
+    k = int(np.argmin(ratios))
+    p = np.eye(2)[:, 1 - k] if ratios[k] <= trace + t else np.maximum(Ab - trace * b, 0.0)
+    cert = make_certificate(A, np.column_stack([b, p]), Mode.NONNEG)
+    return _checked(cert, A, "dt_hess_2", s)
 
 
 # ---------------------------------------------------------------------------
-# Perron-input Jordan route
+# Perron-input frame by deflation
 # ---------------------------------------------------------------------------
 
 def eigvec_b_transform(A, b, tol: float | None = None) -> np.ndarray:
-    """Nonnegative ``T`` with ``T^{-1} b = e_1`` and ``T^{-1} A T >= 0`` when
-    ``b`` is the positive Perron eigenvector of an irreducible nonnegative
-    matrix with real nonnegative spectrum (n <= 4).
+    """Nonnegative ``T`` with ``T^{-1} b = e_1`` and ``T^{-1} A T >= 0`` upper
+    triangular when ``b`` is the positive Perron eigenvector of an irreducible
+    nonnegative matrix with real nonnegative spectrum (n <= 4).
 
-    Built from a Jordan basis ``V = (b, v_2, ...)`` by adding multiples of
-    ``b`` to the trailing columns until ``T`` is entrywise nonnegative; the
-    recurrence bound on those multiples keeps the conjugated matrix
-    nonnegative.  Each lower bound is enlarged by 25% against roundoff.
+    Deflation: an orthonormal basis ``V`` of the complement of ``b`` turns one
+    real eigenvector at a time (an SVD null vector of the trailing block less
+    an eigenvalue, completed by QR) until ``(b | V)^{-1} A (b | V)`` is
+    ``[[lam_1, g^T], [0, R]]`` with ``R`` upper triangular.  Column signs make
+    R's superdiagonal nonnegative, a free sign taking the side that needs the
+    smaller multiple of ``b``.  At n = 4 a negative ``R[0, 2]`` is cleared by a
+    sign flip where ``R[0, 1]`` or ``R[1, 2]`` is noise, else by the smaller
+    shear: ``V[:, 2] += x V[:, 0]`` moves it alone, by ``x (R[0, 0] - R[2, 2])``,
+    and ``V[:, 1] += y V[:, 0]`` by ``-y R[1, 2]`` (``R[0, 1]`` by
+    ``y (R[0, 0] - R[1, 1])``).  ``T = (b | V + b alpha^T)`` gives
+    ``[[lam_1, lam_1 alpha^T + g^T - alpha^T R], [0, R]]``, with each ``alpha_j``
+    the least value such that ``alpha_j >= max_i(-V_ij / b_i)`` (``T >= 0``) and
+    ``alpha_j (lam_1 - R_jj) >= sum_{i<j} alpha_i R_ij - g_j``.
     """
     A = as_square(A)
     b = as_vector(b)
@@ -489,40 +483,41 @@ def eigvec_b_transform(A, b, tol: float | None = None) -> np.ndarray:
     vals = _eigenvalues(A)
     if np.max(np.abs(vals.imag)) > t or np.min(vals.real) < -t:
         raise InputError("spectrum must be real and nonnegative")
-    lam1 = float(vals[0].real)
-    coincident, resid = _perron_coincident(A, b, lam1)
+    coincident, resid = _perron_coincident(A, b, float(vals[0].real))
     if not coincident:
-        raise InputError(
-            f"b is not the Perron eigenvector (residual {resid:.3e})")
+        raise InputError(f"b is not the Perron eigenvector (residual {resid:.3e})")
 
-    V, J = jordan_like_form(A)
-    # first block is the simple dominant eigenvalue; align its column with b
-    if abs(J[0, 0] - lam1) > max(1e-6 * inf_norm(A), 10 * t):
-        raise ConstructionDefect("dominant eigenvalue is not the leading Jordan block")
-    v1 = V[:, 0]
-    scale = float(b @ v1) / float(v1 @ v1)
-    if scale <= 0:
-        raise ConstructionDefect("Perron column misaligned with b")
-    V = V.copy()
-    V[:, 0] = b
-    V[:, 1:] = V[:, 1:] * scale  # keep relative chain scaling intact
+    V = np.linalg.qr(np.column_stack([b, np.eye(n)]))[0][:, 1:]
+    for j, mu in enumerate(vals.real[1:n - 1]):
+        w = np.linalg.svd(V[:, j:].T @ A @ V[:, j:] - mu * np.eye(n - 1 - j))[2][-1]
+        V[:, j:] = V[:, j:] @ np.linalg.qr(np.column_stack([w, np.eye(n - 1 - j)]))[0]
+    for j in range(n - 1):
+        R = V.T @ A @ V
+        free = j == 0 or abs(R[j - 1, j]) <= t
+        if (np.max(V[:, j] / b) < np.max(-V[:, j] / b)) if free else R[j - 1, j] < 0:
+            V[:, j] *= -1.0
+    R = V.T @ A @ V
+    if n == 4 and R[0, 2] < -t:
+        k = int(np.argmin(np.diag(R, 1)))
+        x = -R[0, 2] / max(R[0, 0] - R[2, 2], t)
+        y = R[0, 2] / max(R[1, 2], t)
+        if R[k, k + 1] <= 1e-7 * inf_norm(A):
+            V[:, 1 + k:] *= -1.0
+        elif abs(y) < x and R[0, 1] + y * (R[0, 0] - R[1, 1]) >= 0:
+            V[:, 1] += y * V[:, 0]
+        else:
+            V[:, 2] += x * V[:, 0]
 
-    lam = np.diag(J).copy()
-    alpha = np.zeros(n)
-    for i in range(1, n):
-        need_pos = max(0.0, float(np.max(-V[:, i] / b)))
-        need_rec = 0.0
-        gap = lam1 - lam[i]
-        if gap <= t:
-            raise ConstructionDefect("dominant eigenvalue is not simple")
-        if J[i - 1, i] != 0.0:
-            need_rec = alpha[i - 1] / gap
-        alpha[i] = 1.25 * max(need_pos, need_rec)
+    F = np.column_stack([b, V])
+    K = np.linalg.solve(F, A @ F)
+    g, R, gaps = K[0, 1:], K[1:, 1:], K[0, 0] - np.diag(K)[1:]
+    if np.any(gaps <= t):
+        raise ConstructionDefect("dominant eigenvalue is not simple")
+    alpha = np.zeros(n - 1)
+    for j in range(n - 1):
+        alpha[j] = max(np.max(-V[:, j] / b), (alpha[:j] @ R[:j, j] - g[j]) / gaps[j])
 
-    T = V + np.outer(b, alpha)
-    if np.min(T) < -10 * t * inf_norm(T):
-        raise ConstructionDefect("transform failed to become nonnegative")
-    T = np.maximum(T, 0.0)
+    T = np.maximum(np.column_stack([b, V + np.outer(b, alpha)]), 0.0)
     H = np.linalg.solve(T, A @ T)
     if np.min(H) < -1e-7 * inf_norm(A):
         raise ConstructionDefect("conjugated matrix failed to stay nonnegative")
@@ -589,8 +584,8 @@ def _leading_partition(A: np.ndarray, k: int, t: float) -> np.ndarray | None:
     block ``B`` that leaves out the scalar index ``k``, or None when that
     block's controller step obstructs.
 
-    :func:`dt_hess_2` on ``(A[B, B], v = A[B, k])`` gives ``T2 >= 0`` with
-    ``T2^{-1} A[B, B] T2 >= 0`` and ``T2^{-1} v = ||v||_inf e_1``.  In the
+    :func:`dt_hess_2` on ``(A[B, B], v = A[B, k])`` gives its shifted Krylov
+    frame ``T2 = (v / ||v||_inf | p) >= 0`` with ``T2^{-1} A[B, B] T2 >= 0``.  In the
     order ``(B, k)``, the conjugate by ``diag(T2, 1)`` is nonnegative with a
     zero at (1, 2); ``T = (e_k | T2 on the rows B)`` takes its columns in the
     order ``[2, 0, 1]``, which moves that zero to (2, 0)."""
@@ -638,7 +633,7 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
 
     P = permutation_to_hessenberg(A, t)
     if P is not None:
-        cert = make_certificate(A, P, Mode.NONNEG, normalize=False)
+        cert = make_certificate(A, P, Mode.NONNEG)
         return _checked(cert, A, "nonneg_hess_3 (permutation)", s)
 
     failures = []
@@ -658,18 +653,19 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
         f"A = {(s * A).tolist()}; per scalar index: {failures}")
 
 
-def _shift_to_rank_one(A2: np.ndarray) -> np.ndarray:
-    """``A2 - lam I`` for a 2x2 Metzler ``A2`` and ``lam`` its smaller (real)
-    eigenvalue: nonnegative, of rank at most one.  With ``h = (a - d) / 2``
-    the diagonal is ``|h| + r`` and ``bc / (|h| + r)``, ``r = sqrt(h^2 + bc)``,
-    each free of cancellation, so the rank holds to rounding of its own
-    entries even when ``A2`` is near scalar."""
+def _shift_to_rank_one(A2: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(A2 - lam I, lam)`` for a 2x2 Metzler ``A2`` and ``lam`` its smaller
+    (real) eigenvalue; ``A2 - lam I`` is nonnegative, of rank at most one.
+    With ``h = (a - d) / 2`` its diagonal is ``|h| + r`` and ``bc / (|h| + r)``,
+    ``r = sqrt(h^2 + bc)``, and ``lam = min(a, d) - bc / (|h| + r)``, each
+    free of cancellation, so the rank holds to rounding even near scalar."""
     (a, b), (c, d) = A2
     b, c = max(b, 0.0), max(c, 0.0)
     h = 0.5 * (a - d)
     big = abs(h) + float(np.hypot(h, np.sqrt(b * c)))
     small = b * c / big if big > 0 else 0.0
-    return np.array([[big, b], [c, small]] if h >= 0 else [[small, b], [c, big]])
+    shifted = np.array([[big, b], [c, small]] if h >= 0 else [[small, b], [c, big]])
+    return shifted, min(a, d) - small
 
 
 def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
@@ -679,8 +675,8 @@ def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
     Off upper Hessenberg input, ``A[2, 0] > 0``, so ``b = A[1:, 0]`` is
     nonzero.  The 2x2 Metzler block ``A2 = A[1:, 1:]`` has a real spectrum;
     with ``lam`` its smaller eigenvalue, ``A2 - lam I >= 0`` has rank at most
-    one, so :func:`dt_hess_2` takes its nonnegative-second-eigenvalue branch
-    and returns ``T2 = (b | p) >= 0``.  Then ``T = diag(1, T2)`` gives
+    one and no negative eigenvalue, so :func:`dt_hess_2` cannot obstruct and
+    returns ``T2 = (b | p) >= 0``.  Then ``T = diag(1, T2)`` gives
     ``H[2, 0] = 0``, a nonnegative first row ``A[0, 1:] T2`` and the Metzler
     trailing block ``T2^{-1} A2 T2``.
     """
@@ -695,7 +691,7 @@ def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
         return identity_certificate(A_in, Mode.METZLER)
 
     # exact to the rounding of its own entries, so tested at its own scale
-    sub = dt_hess_2(_shift_to_rank_one(A[1:, 1:]), np.maximum(A[1:, 0], 0.0))
+    sub = dt_hess_2(_shift_to_rank_one(A[1:, 1:])[0], np.maximum(A[1:, 0], 0.0))
     cert = make_certificate(A, _embed_trailing(sub.T), Mode.METZLER)
     return _checked(cert, A, "metzler_hess_3", s)
 
@@ -744,8 +740,7 @@ def _finish_controller(A1: np.ndarray, T1: np.ndarray) -> np.ndarray | None:
         # run the trailing reduction even for small subdiagonal leakage; it
         # actively zeroes the corner entry instead of trusting loose bounds
         try:
-            sub = dt_hess_2(np.maximum(H1[1:, 1:], 0.0),
-                            np.maximum(b_sub, 0.0))
+            sub = dt_hess_2(np.maximum(H1[1:, 1:], 0.0), np.maximum(b_sub, 0.0))
         except (InputError, ConstructionDefect):
             return None
         if isinstance(sub, Obstruction):
@@ -772,7 +767,7 @@ def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray) -> np.ndarray | N
       in ``cone(g1, g2)``, so ``T1^{-1} Ahat >= 0`` and
       ``T1^{-1} A1 T1 = T1^{-1} Ahat T1 + lam3 I >= 0``.  Its trailing 2x2
       block is A1 on ``Pi``, whose spectrum is positive, so the trailing step
-      takes its nonnegative-second-eigenvalue branch and cannot obstruct.
+      has no negative eigenvalue and cannot obstruct.
     - ``b`` in ``Pi``: :func:`_invariant_plane_frame`, with no trailing step.
 
     When ``Ahat = r w^T`` has rank at most one (``r, w >= 0``), ``T^{-1} A1 T``
@@ -952,9 +947,8 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
     if inf_norm(e1[1:]) > 1e-6 * max(inf_norm(e1), 1e-300) or e1[0] <= 0:
         raise ConstructionDefect(
             f"b missed the first axis; A = {(s * A).tolist()}, b = {b_in.tolist()}")
-    # pin the first column to b itself
     T[:, 0] = b_in
-    cert = make_certificate(A, T, Mode.METZLER, keep_first_column=True)
+    cert = make_certificate(A, T, Mode.METZLER)
     return _checked(cert, A, "ct_hess_3", s)
 
 

@@ -102,7 +102,8 @@ def small_integer_matrix(n, mode, rng):
        st.integers(0, 2**32 - 1), st.floats(-12.0, 12.0), st.permutations(range(4)))
 def test_outcome_invariant_under_scaling_and_permutation(name, gen, seed, log_c, perm):
     """A certificate that verifies, or an obstruction of one kind, the same for
-    A, cA and P^T A P (with b -> P^T b for ct_hess_3)."""
+    A, cA and P^T A P (with b -> P^T b for ct_hess_3), and for ct_hess_3 also
+    under b -> cb."""
     construct, n, mode = CONSTRUCTORS[name]
     rng = np.random.default_rng(seed)
     A = small_integer_matrix(n, mode, rng) if gen == "small-integer" \
@@ -110,7 +111,8 @@ def test_outcome_invariant_under_scaling_and_permutation(name, gen, seed, log_c,
     b = rng.uniform(0.0, 1.0, n)
     P = np.eye(n)[:, [k for k in perm if k < n]]
     outcomes = set()
-    for M, v in [(A, b), (10.0 ** log_c * A, b), (P.T @ A @ P, P.T @ b)]:
+    for M, v in [(A, b), (10.0 ** log_c * A, b), (P.T @ A @ P, P.T @ b),
+                 (A, 10.0 ** log_c * b)]:
         result = construct(M, v) if name == "ct_hess_3" else construct(M)
         outcomes.add(outcome(M, result))
     assert len(outcomes) == 1
@@ -145,6 +147,20 @@ def test_constructor_fuzz_never_raises_and_always_verifies():
 def test_small_integer_fuzz_never_raises_and_always_verifies():
     """About 250 small-integer draws per constructor, half of them scaled."""
     fuzz_constructors(29, lambda i, n, mode, rng: small_integer_matrix(n, mode, rng))
+
+
+@pytest.mark.parametrize("d", 10.0 ** np.arange(-12, 13, 3))
+def test_ct_hess_3_total_at_every_input_scale(d):
+    """100 dense Metzler pairs with b = d U(0, 1)^3: a certificate that
+    verifies, with T[:, 0] = b, at every d.  The checker measures T at unit
+    column sums, so the pinned column's scale does not matter."""
+    for i in range(100):
+        rng = np.random.default_rng([3, i])
+        A = sample_matrix(3, Mode.METZLER, Generator.DENSE_UNIFORM, rng)
+        b = d * rng.uniform(0.0, 1.0, 3)
+        result = ct_hess_3(A, b)
+        assert outcome(A, result) == "certificate", i
+        np.testing.assert_array_equal(result.T[:, 0], b)
 
 
 def test_scaled_rank_one_shift_family_has_no_certificate():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hessform import (
+    CoverCertificate,
     Domain,
     Generator,
     InputError,
@@ -12,8 +13,11 @@ from hessform import (
     dt_hess_feasibility_3,
     dt_iterates,
     is_controller_hessenberg,
+    make_certificate,
     sample_matrix,
+    triangle_cover_decision,
     unproject,
+    verify_certificate,
     verify_cover_certificate,
 )
 
@@ -260,3 +264,62 @@ class TestDtHessFeasibility:
             done += 1
             assert decision.verdict is not Verdict.INFEASIBLE
         assert done == 15
+
+
+def _probe_pair(i):
+    """Pair i of a probe recipe with zero patterns: ``A = U(0, 1)^{3x3}``,
+    masked by ``U < 0.6`` on odd i, and ``b = U(0, 1)^3 (U < 0.8)``."""
+    rng = np.random.default_rng([79, i])
+    A = rng.uniform(0, 1, (3, 3))
+    if i % 2:
+        A = A * (rng.uniform(0, 1, (3, 3)) < 0.6)
+    return A, rng.uniform(0, 1, 3) * (rng.uniform(0, 1, 3) < 0.8)
+
+
+class TestCornerContacts:
+    """A point on both contact edges is their shared corner of D, not a
+    contact: with one point touching both, the three-edge argument fails."""
+
+    # (A, b, j, k): the frame (b | A b - s b | e_k), s = (A b)_j / b_j (s = 0
+    # for j None), certifies, so the pair is not infeasible
+    FEASIBLE = [
+        (np.array([[0.0, 0.0, 0.0], [0.0, 0.2319, 0.0], [0.0, 0.6009, 0.4047]]),
+         np.array([0.9042, 0.0822, 0.0]), None, 2),
+        (*_probe_pair(679), 0, 1),
+        (*_probe_pair(3609), 1, 2),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(FEASIBLE)))
+    def test_pair_with_a_certified_frame_is_not_infeasible(self, case):
+        A, b, j, k = self.FEASIBLE[case]
+        s = 0.0 if j is None else (A @ b)[j] / b[j]
+        T = np.column_stack([b, A @ b - s * b, np.eye(3)[:, k]])
+        assert verify_certificate(A, make_certificate(A, T, Mode.NONNEG))
+        assert dt_hess_feasibility_3(A, b).verdict is not Verdict.INFEASIBLE
+
+    @pytest.mark.parametrize("A, b", [(INFEASIBLE_DT_A, INFEASIBLE_DT_B), _probe_pair(3423)])
+    def test_infeasible_pairs_keep_a_verified_certificate(self, A, b):
+        decision = dt_hess_feasibility_3(A, b)
+        assert decision.verdict is Verdict.INFEASIBLE
+        trace = dt_iterates(A, b, 50)
+        cloud = list(trace.points) + [trace.limit_point]
+        assert verify_cover_certificate(decision.certificate, trace.points[0], cloud)
+
+    def test_corner_contact_is_rejected(self):
+        # the corner (0, 1) and a point of the hypotenuse on the far side of
+        # the segment from v0 to that corner than (0.02, 0.5): no triangle
+        # holds the three, but a certificate that takes the corner as the
+        # left contact does not prove it
+        v0 = SimplexPoint(0.5, 0.0)
+        cloud = [v0, SimplexPoint(0.0, 1.0), SimplexPoint(0.25, 0.75),
+                 SimplexPoint(0.02, 0.5)]
+        normal = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        cert = CoverCertificate(
+            v0=v0, v0_edge="bottom",
+            contacts={"left": SimplexPoint(0.0, 1.0),
+                      "hypotenuse": SimplexPoint(0.25, 0.75)},
+            outlier=SimplexPoint(0.02, 0.5),
+            contact_line=(float(normal[0]), float(normal[1]), float(normal[1])),
+            outlier_margin=0.1)
+        assert not verify_cover_certificate(cert, v0, cloud)
+        assert triangle_cover_decision(v0, cloud).verdict is Verdict.UNKNOWN

@@ -1,9 +1,13 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import hessform.linalg
+import hessform.transforms
 from hessform import (
+    ConstructionDefect,
     InputError,
     Mode,
     Obstruction,
@@ -26,6 +30,7 @@ from hessform import (
 from hessform.linalg import classify, inf_norm
 from hessform.search import Generator, sample_matrix
 from hessform.transforms import (
+    _checked,
     _controller_frame_reducible,
     _leading_partition,
     _plane_orthant_rays,
@@ -152,6 +157,55 @@ class TestDtHess2:
         with pytest.raises(InputError):
             dt_hess_2(np.eye(2), [0.0, 0.0])
 
+    def test_h_is_the_shifted_krylov_form(self):
+        # H = [[m, (tr - m) m - det], [1, tr - m]] up to column scaling, with
+        # m the least of tr A and the ratios (A b)_i / b_i over supp(b)
+        done = 0
+        for i in range(400):
+            rng = np.random.default_rng([211, i])
+            A = rng.uniform(0.0, 1.0, (2, 2)) * (rng.uniform(size=(2, 2)) < 0.8)
+            b = rng.uniform(0.0, 1.0, 2) * (rng.uniform(size=2) < 0.8)
+            if not b.any():
+                continue
+            result = dt_hess_2(A, b)
+            if isinstance(result, Obstruction):
+                continue
+            done += 1
+            tr, det = np.trace(A), np.linalg.det(A)
+            m = min([tr] + [(A @ b)[j] / b[j] for j in range(2) if b[j] > 0])
+            H = result.H
+            np.testing.assert_allclose(np.diag(H), [m, tr - m], atol=1e-12)
+            assert H[0, 1] * H[1, 0] == pytest.approx((tr - m) * m - det, abs=1e-12)
+            np.testing.assert_allclose(result.T[:, 0], b / np.max(b), atol=1e-15)
+        assert done > 300
+
+    @pytest.mark.parametrize("A, b", [
+        ([[2.0, 1.0], [1.0, 2.0]], [3.0, 1.0]),  # m is the ratio at k = 0
+        ([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.5]),  # m = tr A < every ratio
+        ([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]),  # lam2 = 0, b the Perron vector
+    ])
+    def test_closed_form_without_eigensolver_or_boundary_transform(
+            self, monkeypatch, A, b):
+        def fail(*args, **kwargs):
+            raise AssertionError("dt_hess_2 called a general solver")
+
+        monkeypatch.setattr(hessform.transforms, "_eigenvalues", fail)
+        monkeypatch.setattr(hessform.transforms, "fix_b_boundary", fail)
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        A = np.array(A)
+        assert_good_cert(A, dt_hess_2(A, b), Mode.NONNEG)
+        obstruction = dt_hess_2(np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 1.0])
+        assert obstruction.kind is ObstructionKind.PERRON_EIGVEC_COINCIDENCE
+
+    def test_trailing_entry_at_the_zero_threshold(self):
+        # an entry of b at roundoff level counts as zero in the ratios; as a
+        # support index its ratio a_00 would pick the axis e_1 and a frame
+        # (b | e_1) with determinant 7e-17
+        A = np.array([[0.1, 0.0], [0.6, 0.9]])
+        result = dt_hess_2(A, [7e-17, 0.79])
+        assert_good_cert(A, result, Mode.NONNEG)
+        assert result.cond_T < 10.0
+
     def test_first_column_proportional_to_b(self, rng):
         for _ in range(40):
             A = random_nonneg(rng, 2)
@@ -250,6 +304,73 @@ class TestEigvecBTransform:
                                        atol=1e-8)
             H = np.linalg.solve(T, A @ T)
             assert np.min(H) >= -1e-8 * max(1.0, inf_norm(A))
+
+
+#: Nonsymmetric Perron inputs with a real spectrum: (4.41, 1.59, 1),
+#: (5.45, 1, 0.55), (4.76, 2.44, 1.52, 0.28) with R[0, 2] >= 0 after the
+#: signs, and (7.06, 1.79, 0.16, 0) and (6.16, 3, 1.37, 0.48), which clear a
+#: negative R[0, 2] by the shear of V[:, 1] and of V[:, 2].
+NONSYMMETRIC_PERRON = [
+    [[2.0, 3.0, 1.0], [1.0, 3.0, 0.0], [0.0, 1.0, 2.0]],
+    [[1.0, 2.0, 0.0], [2.0, 3.0, 2.0], [2.0, 1.0, 3.0]],
+    [[3.0, 0.0, 1.0, 1.0], [0.0, 2.0, 0.0, 1.0], [1.0, 2.0, 2.0, 3.0],
+     [1.0, 3.0, 0.0, 2.0]],
+    [[2.0, 1.0, 0.0, 2.0], [3.0, 3.0, 3.0, 0.0], [3.0, 2.0, 1.0, 2.0],
+     [1.0, 1.0, 2.0, 3.0]],
+    [[3.0, 2.0, 1.0, 0.0], [2.0, 3.0, 0.0, 1.0], [3.0, 3.0, 3.0, 0.0],
+     [0.0, 2.0, 0.0, 2.0]],
+]
+#: Spectrum {5, 0, 0} with one Jordan block at 0; A b = 5 b.
+DEFECTIVE_PERRON_A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [4.0, 7.0, 3.0]])
+DEFECTIVE_PERRON_B = np.array([1.0, 4.0, 16.0])
+
+
+class TestEigvecBTransformByDeflation:
+    @pytest.fixture(autouse=True)
+    def no_jordan_basis(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("jordan_like_form called")
+
+        monkeypatch.setattr(hessform.linalg, "jordan_like_form", fail)
+        assert not hasattr(hessform.transforms, "jordan_like_form")
+
+    @staticmethod
+    def check(A, b, tol=1e-12):
+        T = eigvec_b_transform(A, b)
+        n = A.shape[0]
+        assert np.min(T) >= 0.0
+        np.testing.assert_array_equal(T[:, 0], b)
+        H = np.linalg.solve(T, A @ T)
+        assert np.min(H) >= -tol * inf_norm(A)
+        assert np.max(np.abs(np.tril(H, -1))) <= tol * inf_norm(A)
+        np.testing.assert_allclose(np.linalg.solve(T, b), np.eye(n)[:, 0], atol=1e-12)
+        return T
+
+    @pytest.mark.parametrize("i", range(len(NONSYMMETRIC_PERRON)))
+    def test_nonsymmetric_real_spectrum(self, i):
+        from hessform.linalg import perron_pair
+
+        A = np.array(NONSYMMETRIC_PERRON[i])
+        self.check(A, perron_pair(A).right_vector)
+
+    def test_defective_spectrum(self):
+        self.check(DEFECTIVE_PERRON_A, DEFECTIVE_PERRON_B)
+
+    @pytest.mark.parametrize("i", [43, 47])
+    def test_triple_eigenvalue_at_n4(self, i):
+        """Spectrum {3, 1, 1, 1} with a two-dimensional eigenspace at 1: one
+        of R[0, 1], R[1, 2] is rounding noise, so its sign is free and a sign
+        flip, not a shear by about 1 / noise, clears a negative R[0, 2]."""
+        rng = np.random.default_rng([31, i])
+        U = np.triu(rng.uniform(0.0, 1.0, (4, 4)), 1) + np.diag([3.0, 1.0, 1.0, 1.0])
+        U[1, 2] = 0.0
+        S = np.eye(4) + 0.05 * rng.uniform(0.0, 1.0, (4, 4))
+        T = self.check(S @ U @ np.linalg.inv(S), S[:, 0], tol=1e-7)
+        assert np.linalg.cond(T / np.abs(T).sum(axis=0)) < 1e3
+
+    def test_defective_spectrum_through_ct_hess_3(self):
+        A = DEFECTIVE_PERRON_A - 6.0 * np.eye(3)
+        assert_ct_cert(A, DEFECTIVE_PERRON_B, ct_hess_3(A, DEFECTIVE_PERRON_B))
 
 
 class TestDiagCommutingTransform:
@@ -677,11 +798,46 @@ class TestVerifyCertificate:
 
     def test_identity_on_hessenberg(self):
         A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        cert = make_certificate(A, np.eye(2), Mode.NONNEG, normalize=False)
+        cert = make_certificate(A, np.eye(2), Mode.NONNEG)
         assert verify_certificate(A, cert)
+
+    #: Tridiagonal A and a T with one negative entry for which
+    #: T^{-1} A T is nonnegative upper Hessenberg.
+    TRIDIAGONAL = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    NEGATIVE_T = np.array([[1.0, -0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+    def test_rejects_negative_t(self):
+        A = self.TRIDIAGONAL
+        cert = make_certificate(A, self.NEGATIVE_T, Mode.NONNEG)
+        assert cert.sign_violation >= 0.0 and cert.hessenberg_violation == 0.0
+        assert cert.min_entry_T == pytest.approx(-1.0 / 3.0)
+        assert not verify_certificate(A, cert)
+        with pytest.raises(ConstructionDefect):
+            _checked(cert, A, "negative T", 1.0)
+
+    def test_invariant_under_column_scaling(self, rng):
+        # (T E, E^{-1} H E) is the same similarity for a positive diagonal E
+        for _ in range(20):
+            A = random_metzler(rng, 4)
+            cert = metzler_hess_4(A)
+            E = 10.0 ** rng.uniform(-12.0, 12.0, 4)
+            scaled = replace(cert, T=cert.T * E, H=cert.H * E / E[:, None])
+            assert verify_certificate(A, scaled)
+            bad = cert.H.copy()
+            bad[3, 0] = 1e-6 * inf_norm(A)
+            assert not verify_certificate(A, replace(scaled, H=bad * E / E[:, None]))
+
+    def test_make_certificate_keeps_t(self):
+        T = np.array([[2.0, 0.0], [1.0, 3e-9]])
+        A = np.array([[1.0, 2.0], [3.0, 4.0]])
+        cert = make_certificate(A, T, Mode.NONNEG)
+        np.testing.assert_array_equal(cert.T, T)
+        np.testing.assert_allclose(cert.T_inv @ T, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(T @ cert.H, A @ T, rtol=1e-12, atol=1e-12)
+        assert cert.cond_T == pytest.approx(np.linalg.cond(T / np.abs(T).sum(axis=0)))
 
     def test_singular_t_rejected(self):
         A = np.eye(2)
         with pytest.raises(InputError):
             cert = make_certificate(A, np.array([[1.0, 1.0], [1.0, 1.0]]),
-                                    Mode.NONNEG, normalize=False)
+                                    Mode.NONNEG)
