@@ -313,8 +313,19 @@ def _cross2(a, b) -> float:
 
 
 def _tri_contains(v0, p, q, pts, tol):
-    """Minimum inward half-plane margin of pts w.r.t. triangle (v0, p, q)."""
-    return float(np.min(_margins(v0, p, q, pts))) if len(pts) else 0.0
+    """Least signed distance of pts to triangle (v0, p, q): the inward
+    half-plane margin of a point inside, minus the Euclidean distance of one
+    outside.  A half-plane alone would let a point sit up to
+    ``tol / sin(angle / 2)`` behind the apex of a thin triangle."""
+    if not len(pts):
+        return 0.0
+    margins = _margins(v0, p, q, pts)
+    out = margins < 0
+    if not out.any():
+        return float(np.min(margins))
+    dist = _points_to_edges(pts[out], np.array([v0, p, q]))
+    # never above a violated half-plane's margin, also after rounding
+    return float(np.min(np.minimum(margins[out], -dist)))
 
 
 def _margins(v0, p, q, pts) -> np.ndarray:
@@ -323,7 +334,7 @@ def _margins(v0, p, q, pts) -> np.ndarray:
     area2 = _cross2(verts[1] - verts[0], verts[2] - verts[0])
     if abs(area2) < 1e-15:
         # degenerate triangle: containment means lying on the segment hull
-        return -_points_to_segment(pts, verts)
+        return -_points_to_edges(pts, verts)
     if area2 < 0:
         verts = verts[[0, 2, 1]]
     margins = np.full(len(pts), np.inf)
@@ -344,16 +355,16 @@ def _dot_rows(d, w) -> np.ndarray:
     return d[:, 0] * w[0] + d[:, 1] * w[1]
 
 
-def _points_to_segment(pts, verts) -> np.ndarray:
-    """Distance of each row of pts to the segment hull of collinear verts."""
-    a = verts[0]
-    spread = verts - a
-    far = spread[int(np.argmax(np.linalg.norm(spread, axis=1)))]
-    L = np.linalg.norm(far)
-    u = far / L if L > 1e-15 else 0.0 * far  # u = 0: distance to the one point
-    ends = spread @ u
-    t = np.clip(_dot_rows(pts - a, u), np.min(ends), np.max(ends))
-    return np.linalg.norm(pts - a - np.outer(t, u), axis=1)
+def _points_to_edges(pts, verts) -> np.ndarray:
+    """Distance of each row of pts to the nearest edge segment of the triangle
+    verts; for collinear verts, to the segment they span."""
+    d = verts[[1, 2, 0]] - verts
+    rel = pts[:, None, :] - verts  # (N, 3, 2): each row from each corner
+    t = (rel[..., 0] * d[:, 0] + rel[..., 1] * d[:, 1]) / np.maximum(
+        d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1], 1e-300)  # an edge of length 0: t = 0
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    gx, gy = rel[..., 0] - t * d[:, 0], rel[..., 1] - t * d[:, 1]
+    return np.sqrt(np.min(gx * gx + gy * gy, axis=1))
 
 
 def _clip_ray(v0: np.ndarray, d: np.ndarray) -> np.ndarray | None:
@@ -449,16 +460,16 @@ def verify_cover_certificate(cert: CoverCertificate, v0: SimplexPoint,
     return inside < -tol
 
 
-def _wedge(dirs: np.ndarray) -> np.ndarray | None:
-    """The row of ``dirs`` along the clockwise edge of the narrowest wedge
-    holding them all; None if that wedge spans pi."""
+def _wedge(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows of ``dirs`` along the clockwise and the counter-clockwise edge
+    of the narrowest wedge holding them all; None if that wedge spans pi."""
     angles = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * math.pi)
     order = np.argsort(angles)
     gaps = np.diff(np.append(angles[order], angles[order[0]] + 2 * math.pi))
     k = int(np.argmax(gaps))
     if gaps[k] <= math.pi + 1e-12:
         return None
-    return dirs[order[(k + 1) % len(order)]]
+    return dirs[order[(k + 1) % len(order)]], dirs[order[k]]
 
 
 def _turned_in(dirs: np.ndarray, lo: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
@@ -500,8 +511,11 @@ def triangle_cover_decision(v0: SimplexPoint, points: list[SimplexPoint],
     cross ``pq`` at ``p'``, ``q'`` in D, and ``(v0, p', q')`` holds the points
     and lies in ``(v0, P*, Q*)``.  The rays are first turned inward as far as
     keeps every point within ``tol / 2``: a ray grazing an edge of D leaves it
-    far from where a slightly turned one does.  If every point lies on one
-    ray, the corner of D farthest off it closes the triangle.
+    far from where a slightly turned one does.  A turned ray also moves its
+    exit along the edge of D it leaves through, which can leave a point there
+    more than ``tol`` behind that corner; then the wedge's own edges are
+    tried.  If every point lies on one ray, the corner of D farthest off it
+    closes the triangle.
 
     Feasible comes with the witness corners ``(p, q)``, Infeasible with a
     three-edge certificate (``v0`` and contacts pinned to the three edges with
@@ -531,9 +545,10 @@ def _cover_decision(v0a: np.ndarray, pts: np.ndarray, tol: float) -> CoverDecisi
         return CoverDecision(Verdict.FEASIBLE, (v0, v0), None)
 
     dirs = far - v0a
-    lo = _wedge(dirs)
-    pair = None if lo is None else _chord_cover(
-        v0a, pts, _turned_in(dirs, lo, 0.5 * tol), tol)
+    edges = _wedge(dirs)
+    pair = None if edges is None else (
+        _chord_cover(v0a, pts, _turned_in(dirs, edges[0], 0.5 * tol), tol)
+        or _chord_cover(v0a, pts, edges, tol))
     if pair is None:
         return CoverDecision(Verdict.UNKNOWN, None, None)
     return CoverDecision(Verdict.FEASIBLE, tuple(SimplexPoint(*w) for w in pair), None)

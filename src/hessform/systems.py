@@ -88,20 +88,42 @@ def is_controller_hessenberg(sys: PositiveSystem, tol: float | None = None) -> b
 def dt_iterates(A, b, K: int) -> IterateTrace:
     """Project the first ``K`` discrete-time iterates onto the plane.
 
-    Each iterate is renormalised to unit coordinate sum before the next
-    multiplication (the projection is scale invariant, so this only guards
-    against overflow); all ``K`` are projected in one pass.  The limit point
-    is the exact mean of the cycle they settle into (``_iteration_limit``).
-    ``b`` is tested against its own norm and each iterate sum against
-    ``||A||_inf``, so ``(cA, db)`` gives the points of ``(A, b)``.
+    The iterates ``A^k b`` at unit coordinate sum (the projection is scale
+    invariant, so this only guards against overflow) and the limit point, the
+    exact mean of the cycle they settle into, come off one ladder of
+    squarings (``_projected_iterates``).  ``b`` is tested against its own norm
+    and each iterate sum against ``||A||_inf``, so ``(cA, db)`` gives the
+    points of ``(A, b)``.
     """
-    points, limit = _projected_iterates(A, b, K)
-    return IterateTrace(points=[SimplexPoint(x, y) for x, y in points.tolist()],
-                        limit_point=SimplexPoint(*limit.tolist()), K=K)
+    points = _projected_iterates(A, b, K)
+    return IterateTrace(points=[SimplexPoint(x, y) for x, y in points[:-1].tolist()],
+                        limit_point=SimplexPoint(*points[-1].tolist()), K=K)
 
 
-def _projected_iterates(A, b, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """``dt_iterates`` as arrays: the (K, 2) planar points and the limit point."""
+def _projected_iterates(A, b, K: int) -> np.ndarray:
+    """``dt_iterates`` as one (K + 1, 2) array: the K planar points, then the limit.
+
+    ``A`` is cut to the coordinates reachable from ``b``'s support,
+    ``M = max(A, 0)`` there, and squared twenty times with renormalisation
+    (more for ``K > 2**20``), so after ``j`` squarings ``M ~ A^(2^j)``.  The
+    iterates never leave that support and on it ``M x = A x``, so at rung
+    ``j`` the rows ``X[2^j : 2^(j+1)]`` are the row-normalised
+    ``X[:2^j] M^T``: ``ceil(log2 K)`` block products instead of ``K - 1``
+    single steps.  Products of nonnegative matrices do not cancel, so each
+    entry keeps a relative error of order ``log2(K) eps``.  Each step's sum
+    of ``max(A x, 0)`` must exceed ``1e-9 ||A||_inf``, tested once for all.
+    Without the cut, renormalising by the largest entry would flush a slower
+    class that holds ``b`` to zero.
+
+    The limit is the mean of the cycle the iteration settles into.  The
+    peripheral spectrum of each basic class of a nonnegative matrix is
+    ``rho`` times the p-th roots of unity, p at most the class size, so for
+    3x3 the period is 1, 2 or 3: after the twenty squarings (``2**20``
+    steps), the mean of the next six normalised iterates is the exact cycle
+    mean, a fixed point when it converges.  It lies in the closed convex hull
+    of the iterates, so appending it never weakens an infeasibility
+    certificate.
+    """
     A = as_square(A)
     b = as_vector(b)
     if A.shape[0] != 3 or b.size != 3:
@@ -114,38 +136,27 @@ def _projected_iterates(A, b, K: int) -> tuple[np.ndarray, np.ndarray]:
     if np.min(b) < -zero_tolerance(b) or not b.any():
         raise InputError("dt_iterates requires a nonnegative nonzero vector")
 
-    X = np.empty((K, 3))
-    x = np.maximum(b, 0.0)
-    X[0] = x = x / float(x.sum())
-    for k in range(1, K):
-        x = np.maximum(A @ x, 0.0)
-        total = float(x.sum())
-        if total <= t:
-            raise InputError("iterate coordinate sum degenerated to zero")
-        X[k] = x = x / total
-    return _project_rows(X), _iteration_limit(A, b)
-
-
-def _iteration_limit(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Projected mean of the cycle the renormalised power iteration settles into.
-
-    The peripheral spectrum of each basic class of a nonnegative matrix is
-    ``rho`` times the p-th roots of unity, p at most the class size, so for 3x3
-    the period is 1, 2 or 3.  Twenty renormalised squarings advance the
-    iteration by ``2**20`` steps, and the mean of the next six normalised
-    iterates is the exact cycle mean: a fixed point when it converges.  It lies
-    in the closed convex hull of the iterates, so appending it never weakens an
-    infeasibility certificate.  ``A`` is first cut to the coordinates reachable
-    from ``b``'s support, which the iterates never leave: renormalising by the
-    largest entry would flush the columns of a slower class there to zero.
-    """
+    b = np.maximum(b, 0.0)
+    X = np.empty((K + 1, 3))
+    X[0] = b / float(b.sum())
     step = (A > 0) | np.eye(3, dtype=bool)
     reach = step @ step @ (b > 0)
     M = np.maximum(A, 0.0) * np.outer(reach, reach)
-    for _ in range(20):
+    for rung in range(max(20, (K - 1).bit_length())):
         M = M / (float(M.max()) or 1.0)  # a nilpotent M stays zero
+        n = 1 << rung
+        if n < K:
+            Y = X[:min(n, K - n)] @ M.T
+            total = Y.sum(axis=1)
+            if not total.min() > 0:
+                raise InputError("iterate coordinate sum degenerated to zero")
+            X[n:n + len(Y)] = Y / total[:, None]
         M = M @ M
-    x = M @ np.maximum(b, 0.0)
+        if rung == 19:  # 2**20 steps on: the start of the limit cycle
+            x = M @ b
+    if np.any(np.maximum(X[:K - 1] @ A.T, 0.0).sum(axis=1) <= t):
+        raise InputError("iterate coordinate sum degenerated to zero")
+
     cycle = np.empty((6, 3))
     for k in range(6):
         total = float(x.sum())
@@ -153,21 +164,24 @@ def _iteration_limit(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise InputError("iterate coordinate sum degenerated to zero")
         cycle[k] = x = x / total
         x = np.maximum(A @ x, 0.0)
-    return _project_rows(np.mean(cycle, axis=0).reshape(1, 3))[0]
+    X[K] = np.mean(cycle, axis=0)
+    return _project_rows(X)
 
 
 def dt_hess_feasibility_3(A, b, K: int = 50, tol: float = 1e-9) -> CoverDecision:
     """Necessary-condition analysis for a nonnegative discrete-time
     controller-Hessenberg transformation of a 3x3 pair.
 
-    Projects the iterates ``A^k b`` (plus the analytic limit point) onto the
-    plane and asks whether a triangle cornered at the projection of ``b`` can
-    contain them, which the chord lemma of ``triangle_cover_decision`` decides
-    exactly.  Infeasible comes with the structured edge-contact certificate
-    and rules out every nonnegative frame ``T = (b | p | q)`` with
-    ``T^{-1} A T >= 0``.  Unknown rules them out too (no triangle holds the
-    iterates) but without that certificate.  Feasible only certifies the
-    finite horizon ``K`` and reports candidate witnesses.
+    Projects the iterates ``A^k b``, k < K, and their limit onto the plane in
+    one (K + 1, 2) array, from the one ladder of squarings ``A^(2^j)`` that
+    ``_projected_iterates`` runs for both, and asks whether a triangle
+    cornered at the projection of ``b`` can contain them, which the chord
+    lemma of ``triangle_cover_decision`` decides exactly.  Infeasible comes
+    with the structured edge-contact certificate and rules out every
+    nonnegative frame ``T = (b | p | q)`` with ``T^{-1} A T >= 0``.  Unknown
+    rules them out too (no triangle holds the iterates) but without that
+    certificate.  Feasible only certifies the finite horizon ``K`` and
+    reports candidate witnesses.
     """
-    points, limit = _projected_iterates(A, b, K)
-    return _cover_decision(points[0], np.vstack([points, limit]), tol)
+    points = _projected_iterates(A, b, K)
+    return _cover_decision(points[0], points, tol)

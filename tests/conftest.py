@@ -84,13 +84,22 @@ def in_witness_triangle(v0, p, q, u, tol=1e-7):
         return np.linalg.norm(u - (a + t * d)) <= tol
     if area2 < 0:
         verts = verts[[0, 2, 1]]
+    inside = True
     for i in range(3):
         a, b = verts[i], verts[(i + 1) % 3]
         edge = b - a
         inward = np.array([-edge[1], edge[0]]) / np.linalg.norm(edge)
-        if (u - a) @ inward < -tol:
-            return False
-    return True
+        inside = inside and (u - a) @ inward >= 0.0
+    if inside:
+        return True
+    # outside: the Euclidean distance to the nearest edge segment, since a
+    # half-plane test passes points behind the apex of a thin triangle
+    dist = []
+    for i in range(3):
+        a, d = verts[i], verts[(i + 1) % 3] - verts[i]
+        t = np.clip((u - a) @ d / (d @ d), 0.0, 1.0)
+        dist.append(np.linalg.norm(u - (a + t * d)))
+    return min(dist) <= tol
 
 
 def structure_scale(A):

@@ -279,6 +279,10 @@ class TestTriangleCoverDecision:
         # the tangent ray through (0, 0.25) leaves D there, short of (0, 0.5);
         # (v0, (1, 0), (0, 0.5)) misses (0, 0.25) by 5e-11
         ((1e-10, 0.0), [(0.0, 0.5), (0.0, 0.25), (0.5, 0.0)]),
+        # both points on the left edge: the turned rays leave D past them,
+        # which leaves each behind a corner by about 1e-9; the wedge's own
+        # edges leave D through them
+        ((0.2, 0.4), [(0.0, 0.5), (0.0, 0.75)]),
     ])
     def test_ray_grazing_an_edge_within_tolerance(self, v0, pts):
         decision = triangle_cover_decision(SimplexPoint(*v0), _points(pts))
@@ -339,7 +343,9 @@ def _scalar_certificate(v0, pts, tol):
                 side_u = float(normal @ u) - cval
                 if side_u * side_v0 <= tol:
                     continue
-                inside = _tri_contains(v0, ca, cb, u.reshape(1, 2), tol)
+                # the half-plane margin: the certificate's outlier test, which
+                # the Euclidean distance of verify_cover_certificate bounds
+                inside = float(_margins(v0, ca, cb, u.reshape(1, 2))[0])
                 if inside < -tol:
                     return CoverCertificate(
                         v0=SimplexPoint(*v0), v0_edge=edge0,
@@ -409,6 +415,16 @@ class TestInfeasibilityCertificate:
         assert _tri_contains(v0, p, q, off, 1e-9) == pytest.approx(-0.5)
         assert _tri_contains(v0, p, q, off[:2], 1e-9) == pytest.approx(-0.1)
         assert _tri_contains(v0, v0, v0, v0 + [[0.3, 0.4]], 1e-9) == pytest.approx(-0.5)
+
+    def test_point_behind_a_thin_apex_is_outside(self):
+        # a witness the grid search once returned: the point lies within 1e-16
+        # of every edge's half-plane, yet 3e-8 past the corner (0, 0.49999997)
+        v0, p, q = np.array([1e-9, 0.0]), np.array([0.0, 0.49999997]), np.array([0.0, 4.5e-8])
+        u = np.array([[0.0, 0.5]])
+        assert np.min(_margins(v0, p, q, u)) > -1e-16
+        assert _tri_contains(v0, p, q, u, 1e-9) == pytest.approx(-3e-8, rel=1e-6)
+        assert not in_witness_triangle(tuple(v0), SimplexPoint(*p), SimplexPoint(*q),
+                                       (0.0, 0.5), tol=1e-9)
 
     def test_margin_of_a_row_does_not_depend_on_its_batch(self):
         # the batch check of the cover decision and the one-row re-check of

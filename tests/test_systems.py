@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,9 @@ from hessform import (
     verify_certificate,
     verify_cover_certificate,
 )
+
+from hessform.cones import _cover_decision
+from hessform.linalg import zero_tolerance
 
 from conftest import (
     INFEASIBLE_DT_A,
@@ -47,6 +52,81 @@ def _dt_family_pair(i):
     while not np.any(np.linalg.matrix_power(A, 3)):  # nilpotent: no iterates
         A = sample_matrix(3, Mode.NONNEG, Generator.DENSE_UNIFORM, rng)
     return A, rng.uniform(0.0, 1.0, 3)
+
+
+def _oracle_iterates(A, b, K):
+    """Reference for ``dt_iterates``: K - 1 single renormalised steps, then
+    the limit from twenty renormalised squarings of the reach-cut A and the
+    mean of six more steps.  The (K + 1, 2) points, limit last."""
+    A, b = np.asarray(A, dtype=float), np.maximum(np.asarray(b, dtype=float), 0.0)
+    if not b.any():
+        raise InputError("dt_iterates requires a nonnegative nonzero vector")
+    t = zero_tolerance(A)
+    X = np.empty((K + 1, 3))
+    X[0] = x = b / b.sum()
+    for k in range(1, K):
+        x = np.maximum(A @ x, 0.0)
+        total = float(x.sum())
+        if total <= t:
+            raise InputError("iterate coordinate sum degenerated to zero")
+        X[k] = x = x / total
+    step = (A > 0) | np.eye(3, dtype=bool)
+    reach = step @ step @ (b > 0)
+    M = np.maximum(A, 0.0) * np.outer(reach, reach)
+    for _ in range(20):
+        M = M / (float(M.max()) or 1.0)
+        M = M @ M
+    x = M @ b
+    cycle = np.empty((6, 3))
+    for k in range(6):
+        total = float(x.sum())
+        if total <= 0:
+            raise InputError("iterate coordinate sum degenerated to zero")
+        cycle[k] = x = x / total
+        x = np.maximum(A @ x, 0.0)
+    X[K] = np.mean(cycle, axis=0)
+    return X[:, 1:] / X.sum(axis=1)[:, None]
+
+
+def _ladder_and_oracle(A, b, K):
+    """``dt_iterates`` and the oracle on one input, each as its (K + 1, 2)
+    points or the InputError message it raised."""
+    def ladder():
+        trace = dt_iterates(A, b, K)
+        return np.array([[p.x, p.y] for p in [*trace.points, trace.limit_point]])
+
+    out = []
+    for f in (ladder, lambda: _oracle_iterates(A, b, K)):
+        try:
+            out.append(f())
+        except InputError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _edge_family(rng, i):
+    """Pair i of the edge families: period 2, period 3, reducible with b in
+    the slower class, zero-masked; b has zeros on every other pair."""
+    kind = i % 4
+    if kind == 0:
+        A = np.zeros((3, 3))
+        A[0, 1], A[1, 0] = rng.uniform(0.1, 5.0, 2)
+        A[2] = rng.uniform(0.0, 1.0, 3) * (rng.uniform(size=3) < 0.5)
+    elif kind == 1:
+        A = np.zeros((3, 3))
+        A[0, 1], A[1, 2], A[2, 0] = rng.uniform(0.1, 5.0, 3)
+    elif kind == 2:
+        A = np.zeros((3, 3))
+        A[0, 0] = rng.uniform(1.0, 3.0)
+        A[1:] = rng.uniform(0.0, 0.5, (2, 3)) * (rng.uniform(size=(2, 3)) < 0.8)
+    else:
+        A = rng.uniform(0.0, 1.0, (3, 3)) * (rng.uniform(size=(3, 3)) < 0.5)
+    b = rng.uniform(0.1, 1.0, 3)
+    if kind == 2:
+        b[0] = 0.0
+    if i % 2:
+        b[int(rng.integers(3))] = 0.0
+    return A, b
 
 
 class TestPositiveSystem:
@@ -122,6 +202,43 @@ class TestDtIterates:
                 assert trace.points[k].x == pytest.approx(p[1], abs=1e-12)
                 assert trace.points[k].y == pytest.approx(p[2], abs=1e-12)
                 x = A @ x
+
+    def test_ladder_matches_the_step_by_step_oracle(self):
+        # K at and next to powers of two, where the ladder's blocks end
+        rng = np.random.default_rng(41)
+        raised = 0
+        for i in range(24):
+            A, b = _edge_family(rng, i)
+            for scale in (1.0, 1e150, 1e-150):
+                for K in (1, 2, 3, 4, 31, 32, 33, 64, 65):
+                    got, want = _ladder_and_oracle(scale * A, b, K)
+                    if isinstance(want, str):
+                        raised += 1
+                        assert got == want, (i, scale, K)
+                        continue
+                    assert not isinstance(got, str), (i, scale, K, got)
+                    assert np.max(np.abs(got - want)) <= 1e-13, (i, scale, K)
+                    assert got[-1].tobytes() == want[-1].tobytes(), (i, scale, K)
+        assert 0 < raised < 24 * 27
+
+    @pytest.mark.parametrize("A, b", [
+        *((np.diag([1.0, 1.0], 1), b) for b in np.vstack([np.eye(3), np.ones(3)])),
+        # e3 -> e2 -> 0 inside the nilpotent class {2, 3}, under the class {1}
+        (np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), np.eye(3)[2]),
+        (np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), np.eye(3)[0]),
+        # A e2 sums to 1e-12 <= 1e-9 ||A||, though the reach-cut ladder keeps e2
+        (np.diag([1.0, 1e-12, 0.0]), np.eye(3)[1]),
+    ])
+    def test_vanishing_iterates_raise_like_the_oracle(self, A, b):
+        # the ladder's zero block sums raise, never divide by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for K in range(1, 7):
+                got, want = _ladder_and_oracle(A, b, K)
+                if isinstance(want, str):
+                    assert got == want == "iterate coordinate sum degenerated to zero"
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_scale_invariance(self, rng):
         A = rng.uniform(0.0, 2.0, size=(3, 3))
@@ -274,6 +391,19 @@ def _probe_pair(i):
     if i % 2:
         A = A * (rng.uniform(0, 1, (3, 3)) < 0.6)
     return A, rng.uniform(0, 1, 3) * (rng.uniform(0, 1, 3) < 0.8)
+
+
+def test_verdicts_agree_with_the_oracle_points():
+    # the dt recipe and the zero-masked probe recipe
+    for A, b in [*map(_dt_family_pair, range(500)), *map(_probe_pair, range(500))]:
+        try:
+            want = _oracle_iterates(A, b, 50)
+        except InputError as exc:
+            with pytest.raises(InputError, match=str(exc)):
+                dt_hess_feasibility_3(A, b)
+            continue
+        assert dt_hess_feasibility_3(A, b).verdict is \
+            _cover_decision(want[0], want, 1e-9).verdict
 
 
 class TestCornerContacts:
