@@ -316,16 +316,18 @@ def _tri_contains(v0, p, q, pts, tol):
     """Least signed distance of pts to triangle (v0, p, q): the inward
     half-plane margin of a point inside, minus the Euclidean distance of one
     outside.  A half-plane alone would let a point sit up to
-    ``tol / sin(angle / 2)`` behind the apex of a thin triangle."""
+    ``tol / sin(angle / 2)`` behind the apex of a thin triangle.  A half-plane
+    margin below ``-tol`` already settles containment and stands in for the
+    distance, which is never smaller."""
     if not len(pts):
         return 0.0
     margins = _margins(v0, p, q, pts)
-    out = margins < 0
-    if not out.any():
-        return float(np.min(margins))
-    dist = _points_to_edges(pts[out], np.array([v0, p, q]))
+    least = float(np.min(margins))
+    if not -tol <= least < 0:
+        return least
+    dist = _points_to_edges(pts[margins < 0], np.array([v0, p, q]))
     # never above a violated half-plane's margin, also after rounding
-    return float(np.min(np.minimum(margins[out], -dist)))
+    return min(least, -float(np.max(dist)))
 
 
 def _margins(v0, p, q, pts) -> np.ndarray:
@@ -370,10 +372,10 @@ def _points_to_edges(pts, verts) -> np.ndarray:
 def _clip_ray(v0: np.ndarray, d: np.ndarray) -> np.ndarray | None:
     """Farthest point of the reference triangle along the ray from v0 along d."""
     d = d / math.hypot(d[0], d[1])
-    # x >= 0, y >= 0, x + y <= 1 as a p <= c; a unit d leaves through at least one
-    a, c = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]), np.array([0.0, 0.0, 1.0])
-    out = a @ d > 1e-15
-    t_max = float(np.min((c - a @ v0)[out] / (a @ d)[out]))
+    x, y, dx, dy = float(v0[0]), float(v0[1]), float(d[0]), float(d[1])
+    # room and rate towards x >= 0, y >= 0, x + y <= 1; a unit d heads for at least one
+    t_max = min(room / rate for room, rate in ((x, -dx), (y, -dy), (1.0 - (x + y), dx + dy))
+                if rate > 1e-15)
     return v0 + t_max * d if t_max >= 0 else None
 
 
@@ -460,39 +462,78 @@ def verify_cover_certificate(cert: CoverCertificate, v0: SimplexPoint,
     return inside < -tol
 
 
-def _wedge(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows of ``dirs`` along the clockwise and the counter-clockwise edge
-    of the narrowest wedge holding them all; None if that wedge spans pi."""
+def _turned_wedge(dirs: np.ndarray, tau: float) -> tuple[np.ndarray, ...] | None:
+    """The edges of the narrowest wedge that leaves every row of ``dirs`` at
+    most ``tau`` outside, clockwise one first: the wedge of the rows turned
+    in as far as that allows.  One shared ray if they cross, None if the
+    wedge spans pi.
+
+    The rows' angles are cut open at the gap between them that leaves the
+    narrowest wedge.  That is the largest gap unless a row near ``v0``, whose
+    angle ``tau`` leaves wide, fits better on the other side, so only gaps
+    within twice the widest allowance of the largest are tried."""
     angles = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * math.pi)
+    allow = np.arcsin(tau / np.hypot(dirs[:, 0], dirs[:, 1]))  # rows are longer than 2 tau
     order = np.argsort(angles)
     gaps = np.diff(np.append(angles[order], angles[order[0]] + 2 * math.pi))
-    k = int(np.argmax(gaps))
-    if gaps[k] <= math.pi + 1e-12:
+    best = None
+    for k in np.flatnonzero(gaps >= np.max(gaps) - 2 * np.max(allow)):
+        start = order[(k + 1) % len(order)]
+        lo = dirs[start] / math.hypot(dirs[start, 0], dirs[start, 1])
+        angle = np.arctan2(lo[0] * dirs[:, 1] - lo[1] * dirs[:, 0], dirs @ lo)
+        if gaps[k] < math.pi:  # counter-clockwise from lo they run to 2 pi - gap
+            past_pi = np.mod(angles - angles[start], 2 * math.pi) > math.pi
+            angle = np.where(past_pi, np.mod(angle, 2 * math.pi), angle)
+        turns = [float(np.min(angle + allow)), float(np.max(angle - allow))]
+        if best is None or turns[1] - turns[0] < best[1][1] - best[1][0]:
+            best = lo, turns
+    lo, turns = best
+    if turns[1] - turns[0] >= math.pi - 1e-12:
         return None
-    return dirs[order[(k + 1) % len(order)]], dirs[order[k]]
-
-
-def _turned_in(dirs: np.ndarray, lo: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
-    """The wedge edges of ``dirs`` (the clockwise one along ``lo``) turned in as far
-    as leaves every row at most ``tau`` outside; one shared ray if they cross."""
-    lo = lo / math.hypot(lo[0], lo[1])
-    angle = np.arctan2(lo[0] * dirs[:, 1] - lo[1] * dirs[:, 0], dirs @ lo)
-    allow = np.arcsin(tau / np.hypot(dirs[:, 0], dirs[:, 1]))  # rows are longer than 2 tau
-    turns = [float(np.min(angle + allow)), float(np.max(angle - allow))]
     if turns[0] >= turns[1]:
         turns = [0.5 * sum(turns)] * 2
     left = np.array([-lo[1], lo[0]])
     return tuple(math.cos(t) * lo + math.sin(t) * left for t in turns)
 
 
-def _chord_cover(v0, pts, rays, tol):
-    """The triangle that the rays from v0 (clockwise one first) cut from D, if
-    it holds every point up to tol.  Coincident rays are closed with the corner
-    of D farthest off them, keeping (v0, p, q) counter-clockwise."""
-    p, q = _clip_ray(v0, rays[0]), _clip_ray(v0, rays[1])
+def _ray_exit(v0, dirs, ray, side, tol):
+    """Where the turned ``ray`` leaves D, unless that leaves a point more
+    than tol past the exit; then where the ray through the outermost such
+    point does, or that point if the exit falls short of it.  ``dirs`` are
+    the points farther than tol from ``v0``, less ``v0``; ``side`` is +1 for
+    the clockwise ray, -1 for the counter-clockwise one.
+
+    A point on the outer side of the ray and beyond the perpendicular at its
+    exit is nearest to the exit of every triangle with that corner, so this
+    test settles the corner whatever the other ray is.  A turned ray moves
+    its exit along the edge of D it leaves through, which can leave a point
+    there past the corner, and a ray that grazes an edge has an
+    ill-conditioned exit."""
+    p = _clip_ray(v0, ray)
+    if p is None:
+        return None
+    ahead = dirs @ ray > (p - v0) @ ray  # beyond the perpendicular at p
+    if not ahead.any():
+        return p
+    u = dirs[ahead]
+    out = -side * (ray[0] * u[:, 1] - ray[1] * u[:, 0]) / np.hypot(u[:, 0], u[:, 1])
+    past = (out >= 0) & (np.hypot(*(u - (p - v0)).T) > tol)
+    if not past.any():
+        return p
+    u = u[past][int(np.argmax(out[past]))]  # the outermost
+    p = _clip_ray(v0, u)
+    return v0 + u if p is None or (p - v0) @ u < u @ u else p
+
+
+def _chord_cover(v0, pts, p, q, tol):
+    """The triangle (v0, p, q) on the exits p (clockwise) and q of the rays
+    from v0, if it holds every point up to tol.  Coincident rays are closed
+    with the corner of D farthest off them, keeping (v0, p, q)
+    counter-clockwise."""
     if p is None or q is None:
         return None
     if abs(_cross2(p - v0, q - v0)) <= 1e-12:
+        p = q = p if math.dist(p, v0) >= math.dist(q, v0) else q  # the farther exit
         off = [_cross2(p - v0, c - v0) for c in _CORNERS]
         k = int(np.argmax(np.abs(off)))
         p, q = (p, _CORNERS[k]) if off[k] > 0 else (_CORNERS[k], q)
@@ -511,11 +552,12 @@ def triangle_cover_decision(v0: SimplexPoint, points: list[SimplexPoint],
     cross ``pq`` at ``p'``, ``q'`` in D, and ``(v0, p', q')`` holds the points
     and lies in ``(v0, P*, Q*)``.  The rays are first turned inward as far as
     keeps every point within ``tol / 2``: a ray grazing an edge of D leaves it
-    far from where a slightly turned one does.  A turned ray also moves its
-    exit along the edge of D it leaves through, which can leave a point there
-    more than ``tol`` behind that corner; then the wedge's own edges are
-    tried.  If every point lies on one ray, the corner of D farthest off it
-    closes the triangle.
+    far from where a slightly turned one does, and a point near ``v0`` sets a
+    tangent that ``tol`` barely pins.  A turned ray also moves its exit along
+    the edge of D it leaves through, which can leave a point there more than
+    ``tol`` past that corner; such a ray is turned back through the outermost
+    of those points, on its own.  If every point lies on one ray, the corner
+    of D farthest off it closes the triangle.
 
     Feasible comes with the witness corners ``(p, q)``, Infeasible with a
     three-edge certificate (``v0`` and contacts pinned to the three edges with
@@ -545,10 +587,11 @@ def _cover_decision(v0a: np.ndarray, pts: np.ndarray, tol: float) -> CoverDecisi
         return CoverDecision(Verdict.FEASIBLE, (v0, v0), None)
 
     dirs = far - v0a
-    edges = _wedge(dirs)
-    pair = None if edges is None else (
-        _chord_cover(v0a, pts, _turned_in(dirs, edges[0], 0.5 * tol), tol)
-        or _chord_cover(v0a, pts, edges, tol))
+    rays = _turned_wedge(dirs, 0.5 * tol)
+    pair = None
+    if rays is not None:
+        p, q = (_ray_exit(v0a, dirs, ray, side, tol) for ray, side in zip(rays, (1.0, -1.0)))
+        pair = _chord_cover(v0a, pts, p, q, tol)
     if pair is None:
         return CoverDecision(Verdict.UNKNOWN, None, None)
     return CoverDecision(Verdict.FEASIBLE, tuple(SimplexPoint(*w) for w in pair), None)

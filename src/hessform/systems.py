@@ -103,15 +103,16 @@ def dt_iterates(A, b, K: int) -> IterateTrace:
 def _projected_iterates(A, b, K: int) -> np.ndarray:
     """``dt_iterates`` as one (K + 1, 2) array: the K planar points, then the limit.
 
-    ``A`` is cut to the coordinates reachable from ``b``'s support,
-    ``M = max(A, 0)`` there, and squared twenty times with renormalisation
-    (more for ``K > 2**20``), so after ``j`` squarings ``M ~ A^(2^j)``.  The
-    iterates never leave that support and on it ``M x = A x``, so at rung
-    ``j`` the rows ``X[2^j : 2^(j+1)]`` are the row-normalised
-    ``X[:2^j] M^T``: ``ceil(log2 K)`` block products instead of ``K - 1``
-    single steps.  Products of nonnegative matrices do not cancel, so each
+    The negative entries of ``A`` that the input check lets through (within
+    its zero tolerance) are set to zero.  ``A`` is cut to the coordinates
+    reachable from ``b``'s support, ``M`` there, and squared twenty times
+    with renormalisation (more for ``K > 2**20``), so after ``j`` squarings
+    ``M ~ A^(2^j)``.  The iterates never leave that support and on it
+    ``M x = A x``, so at rung ``j`` the rows ``X[2^j : 2^(j+1)]`` are the
+    row-normalised ``X[:2^j] M^T``: ``ceil(log2 K)`` block products instead
+    of ``K - 1`` single steps.  Products of nonnegative matrices do not cancel, so each
     entry keeps a relative error of order ``log2(K) eps``.  Each step's sum
-    of ``max(A x, 0)`` must exceed ``1e-9 ||A||_inf``, tested once for all.
+    of ``A x`` must exceed ``1e-9 ||A||_inf``, tested once for all.
     Without the cut, renormalising by the largest entry would flush a slower
     class that holds ``b`` to zero.
 
@@ -136,12 +137,13 @@ def _projected_iterates(A, b, K: int) -> np.ndarray:
     if np.min(b) < -zero_tolerance(b) or not b.any():
         raise InputError("dt_iterates requires a nonnegative nonzero vector")
 
-    b = np.maximum(b, 0.0)
+    # one matrix for the ladder, the degeneracy test and the cycle
+    A, b = np.maximum(A, 0.0), np.maximum(b, 0.0)
     X = np.empty((K + 1, 3))
     X[0] = b / float(b.sum())
     step = (A > 0) | np.eye(3, dtype=bool)
     reach = step @ step @ (b > 0)
-    M = np.maximum(A, 0.0) * np.outer(reach, reach)
+    M = A * np.outer(reach, reach)
     for rung in range(max(20, (K - 1).bit_length())):
         M = M / (float(M.max()) or 1.0)  # a nilpotent M stays zero
         n = 1 << rung
@@ -154,7 +156,7 @@ def _projected_iterates(A, b, K: int) -> np.ndarray:
         M = M @ M
         if rung == 19:  # 2**20 steps on: the start of the limit cycle
             x = M @ b
-    if np.any(np.maximum(X[:K - 1] @ A.T, 0.0).sum(axis=1) <= t):
+    if np.any((X[:K - 1] @ A.T).sum(axis=1) <= t):
         raise InputError("iterate coordinate sum degenerated to zero")
 
     cycle = np.empty((6, 3))
@@ -163,7 +165,7 @@ def _projected_iterates(A, b, K: int) -> np.ndarray:
         if total <= 0:
             raise InputError("iterate coordinate sum degenerated to zero")
         cycle[k] = x = x / total
-        x = np.maximum(A @ x, 0.0)
+        x = A @ x
     X[K] = np.mean(cycle, axis=0)
     return _project_rows(X)
 

@@ -283,12 +283,40 @@ class TestTriangleCoverDecision:
         # which leaves each behind a corner by about 1e-9; the wedge's own
         # edges leave D through them
         ((0.2, 0.4), [(0.0, 0.5), (0.0, 0.75)]),
+        # the counter-clockwise ray grazes the left edge and must turn; the
+        # clockwise one must not, or (0.95, 0.05) ends up 1.9e-9 behind the
+        # corner that the turn moves up the hypotenuse
+        ((1e-10, 0.6), [(0.95, 0.05), (0.0, 0.9), (0.0, 0.75)]),
+        # a point 5.7e-8 from v0 sets the counter-clockwise tangent, which
+        # leaves D at (4.8e-4, 0); the turned ray leaves D 1.2e-9 above
+        # (0, 4.7e-9), and the ray through that point leaves D at it
+        ((0.19211192649200742, 0.42012566256365813),
+         [(0.19211190270290007, 0.420125610408981), (0.06551138282675424, 0.42776291778461434),
+          (0.0, 0.999999990240882), (0.1921117692884973, 0.4201261366465846),
+          (0.1211490453175191, 0.6343213857635976), (0.0, 4.693038624381529e-09)]),
+        # v0 2.3e-10 below the hypotenuse, the point on it: the ray through
+        # the point grazes the hypotenuse and leaves D 1.6e-8 short of it
+        ((0.5280339350568085, 0.4719660647144597), [(0.14918009728234172, 0.8508199027176583)]),
     ])
     def test_ray_grazing_an_edge_within_tolerance(self, v0, pts):
         decision = triangle_cover_decision(SimplexPoint(*v0), _points(pts))
         assert decision.verdict is Verdict.FEASIBLE
         p, q = decision.witnesses
         assert all(in_witness_triangle(v0, p, q, u, tol=1e-9) for u in pts)
+
+    def test_points_near_a_triangle_are_never_unknown(self):
+        # Unknown promises that no triangle holds the points within tol / 2;
+        # corners and grazing rays are where the tangent and the turned rays
+        # leave D far apart
+        rng = np.random.default_rng(23)
+        configs = [c for c in (_near_triangle_configuration(rng, 1e-9) for _ in range(1500)) if c]
+        for v0, pts in configs:
+            decision = triangle_cover_decision(SimplexPoint(*v0), _points(pts))
+            assert decision.verdict is not Verdict.UNKNOWN, (v0, pts)
+            if decision.verdict is Verdict.FEASIBLE:
+                p, q = decision.witnesses
+                assert all(in_witness_triangle(v0, p, q, u, tol=1e-9) for u in pts), (v0, pts)
+        assert len(configs) > 600
 
     @given(_cover_configurations())
     @settings(max_examples=300)
@@ -305,6 +333,82 @@ class TestTriangleCoverDecision:
             rng = np.random.default_rng(7)
             P, Q = _boundary_points(rng, 2000), _boundary_points(rng, 2000)
             assert np.min(_cover_gaps(np.array(v0), P, Q, np.array(pts))) > 0.5e-9
+
+
+def _near_triangle_configuration(rng, tol):
+    """A corner v0 of D, often within a few tol of an edge, and 1-7 points of
+    D within tol / 2 of a triangle (v0, p, q) with p and q on the boundary of
+    D: on its corners and edges or inside, some moved by up to tol / 2."""
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    def boundary():
+        k = rng.integers(3)
+        f = rng.choice([rng.uniform(), rng.uniform(0, 1e-8), 1 - rng.uniform(0, 1e-8)])
+        return corners[k] + f * (corners[(k + 1) % 3] - corners[k])
+
+    if rng.uniform() < 0.25:
+        w = rng.uniform(0.01, 1.0, 3)
+        v0 = w[1:] / w.sum()
+    else:  # on an edge, or up to 3 tol inside or 1 tol outside it
+        v0 = boundary()
+        v0 = v0 + (np.array([1 / 3, 1 / 3]) - v0) * rng.choice([0.0, rng.uniform(-tol, 3 * tol)])
+    verts = np.array([v0, boundary(), boundary()])
+    (a, b), (c, d) = verts[1] - v0, verts[2] - v0
+    if abs(a * d - b * c) < 1e-6:
+        return None
+    p, q = SimplexPoint(*verts[1]), SimplexPoint(*verts[2])
+    pts, n = [], rng.integers(1, 8)
+    while len(pts) < n:
+        i = rng.integers(3)
+        f = rng.choice([rng.uniform(), rng.uniform(0, 1e-6), 1 - rng.uniform(0, 1e-6)])
+        u = (verts[i] + f * (verts[(i + 1) % 3] - verts[i]) if rng.uniform() < 0.7
+             else rng.dirichlet(np.ones(3)) @ verts)
+        if rng.uniform() < 0.6:
+            angle = rng.uniform(0, 2 * np.pi)
+            u = u + rng.uniform(0, 0.499 * tol) * np.array([np.cos(angle), np.sin(angle)])
+        u = np.where(np.abs(u) < 0.5 * tol, 0.0, u)  # onto an edge of D
+        if (min(u) >= 0 and sum(u) <= 1
+                and in_witness_triangle(tuple(v0), p, q, tuple(u), tol=0.5 * tol)):
+            pts.append(tuple(u))
+    return tuple(v0), pts
+
+
+def _near_triangle_configuration(rng, tol):
+    """A corner v0 of D, often within a few tol of an edge, and 1-7 points of
+    D within tol / 2 of a triangle (v0, p, q) with p and q on the boundary of
+    D: on its corners and edges or inside, some moved by up to tol / 2."""
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    def boundary():
+        k = rng.integers(3)
+        f = rng.choice([rng.uniform(), rng.uniform(0, 1e-8), 1 - rng.uniform(0, 1e-8)])
+        return corners[k] + f * (corners[(k + 1) % 3] - corners[k])
+
+    if rng.uniform() < 0.25:
+        w = rng.uniform(0.01, 1.0, 3)
+        v0 = w[1:] / w.sum()
+    else:  # on an edge, or up to 3 tol inside or 1 tol outside it
+        v0 = boundary()
+        v0 = v0 + (np.array([1 / 3, 1 / 3]) - v0) * rng.choice([0.0, rng.uniform(-tol, 3 * tol)])
+    verts = np.array([v0, boundary(), boundary()])
+    (a, b), (c, d) = verts[1] - v0, verts[2] - v0
+    if abs(a * d - b * c) < 1e-6:
+        return None
+    p, q = SimplexPoint(*verts[1]), SimplexPoint(*verts[2])
+    pts, n = [], rng.integers(1, 8)
+    while len(pts) < n:
+        i = rng.integers(3)
+        f = rng.choice([rng.uniform(), rng.uniform(0, 1e-6), 1 - rng.uniform(0, 1e-6)])
+        u = (verts[i] + f * (verts[(i + 1) % 3] - verts[i]) if rng.uniform() < 0.7
+             else rng.dirichlet(np.ones(3)) @ verts)
+        if rng.uniform() < 0.6:
+            angle = rng.uniform(0, 2 * np.pi)
+            u = u + rng.uniform(0, 0.499 * tol) * np.array([np.cos(angle), np.sin(angle)])
+        u = np.where(np.abs(u) < 0.5 * tol, 0.0, u)  # onto an edge of D
+        if (min(u) >= 0 and sum(u) <= 1
+                and in_witness_triangle(tuple(v0), p, q, tuple(u), tol=0.5 * tol)):
+            pts.append(tuple(u))
+    return tuple(v0), pts
 
 
 def _scalar_certificate(v0, pts, tol):

@@ -221,6 +221,21 @@ class TestDtIterates:
                     assert got[-1].tobytes() == want[-1].tobytes(), (i, scale, K)
         assert 0 < raised < 24 * 27
 
+    def test_entries_within_the_zero_tolerance_count_as_zeros(self):
+        # the input check lets entries down to -zero_tolerance(A) through; the
+        # ladder, the degeneracy test and the cycle all read them as zeros
+        rng = np.random.default_rng(43)
+        for i in range(12):
+            A, b = _edge_family(rng, i)
+            A_neg = np.where(A == 0.0, -0.5 * zero_tolerance(A), A)
+            for K in (1, 3, 33, 50):
+                got = _ladder_and_oracle(A_neg, b, K)[0]
+                want = _ladder_and_oracle(A, b, K)[0]
+                if isinstance(want, str):
+                    assert got == want, (i, K)
+                else:
+                    assert got.tobytes() == want.tobytes(), (i, K)
+
     @pytest.mark.parametrize("A, b", [
         *((np.diag([1.0, 1.0], 1), b) for b in np.vstack([np.eye(3), np.ones(3)])),
         # e3 -> e2 -> 0 inside the nilpotent class {2, 3}, under the class {1}
