@@ -336,7 +336,7 @@ class TestTriangleCoverDecision:
 
 
 def _near_triangle_configuration(rng, tol):
-    """A corner v0 of D, often within a few tol of an edge, and 1-7 points of
+    """A point v0 of D, often within a few tol of an edge, and 1-7 points of
     D within tol / 2 of a triangle (v0, p, q) with p and q on the boundary of
     D: on its corners and edges or inside, some moved by up to tol / 2."""
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -366,45 +366,7 @@ def _near_triangle_configuration(rng, tol):
         if rng.uniform() < 0.6:
             angle = rng.uniform(0, 2 * np.pi)
             u = u + rng.uniform(0, 0.499 * tol) * np.array([np.cos(angle), np.sin(angle)])
-        u = np.where(np.abs(u) < 0.5 * tol, 0.0, u)  # onto an edge of D
-        if (min(u) >= 0 and sum(u) <= 1
-                and in_witness_triangle(tuple(v0), p, q, tuple(u), tol=0.5 * tol)):
-            pts.append(tuple(u))
-    return tuple(v0), pts
-
-
-def _near_triangle_configuration(rng, tol):
-    """A corner v0 of D, often within a few tol of an edge, and 1-7 points of
-    D within tol / 2 of a triangle (v0, p, q) with p and q on the boundary of
-    D: on its corners and edges or inside, some moved by up to tol / 2."""
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-    def boundary():
-        k = rng.integers(3)
-        f = rng.choice([rng.uniform(), rng.uniform(0, 1e-8), 1 - rng.uniform(0, 1e-8)])
-        return corners[k] + f * (corners[(k + 1) % 3] - corners[k])
-
-    if rng.uniform() < 0.25:
-        w = rng.uniform(0.01, 1.0, 3)
-        v0 = w[1:] / w.sum()
-    else:  # on an edge, or up to 3 tol inside or 1 tol outside it
-        v0 = boundary()
-        v0 = v0 + (np.array([1 / 3, 1 / 3]) - v0) * rng.choice([0.0, rng.uniform(-tol, 3 * tol)])
-    verts = np.array([v0, boundary(), boundary()])
-    (a, b), (c, d) = verts[1] - v0, verts[2] - v0
-    if abs(a * d - b * c) < 1e-6:
-        return None
-    p, q = SimplexPoint(*verts[1]), SimplexPoint(*verts[2])
-    pts, n = [], rng.integers(1, 8)
-    while len(pts) < n:
-        i = rng.integers(3)
-        f = rng.choice([rng.uniform(), rng.uniform(0, 1e-6), 1 - rng.uniform(0, 1e-6)])
-        u = (verts[i] + f * (verts[(i + 1) % 3] - verts[i]) if rng.uniform() < 0.7
-             else rng.dirichlet(np.ones(3)) @ verts)
-        if rng.uniform() < 0.6:
-            angle = rng.uniform(0, 2 * np.pi)
-            u = u + rng.uniform(0, 0.499 * tol) * np.array([np.cos(angle), np.sin(angle)])
-        u = np.where(np.abs(u) < 0.5 * tol, 0.0, u)  # onto an edge of D
+        u = np.where(np.abs(u) < 0.5 * tol, 0.0, u)  # onto the bottom or left edge
         if (min(u) >= 0 and sum(u) <= 1
                 and in_witness_triangle(tuple(v0), p, q, tuple(u), tol=0.5 * tol)):
             pts.append(tuple(u))
