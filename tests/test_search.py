@@ -71,8 +71,8 @@ class TestAltprojHess:
 
     def test_success_floor_on_feasible_metzler_4(self):
         # metzler_hess_4 is total, so all 40 draws are feasible.  At the
-        # random_experiment budget the search certifies 14 of them, as did
-        # the search that shifted A by the Metzler shift; the floor leaves two
+        # random_experiment budget the search certifies 15 of them with the
+        # Gram-matrix refit (14 with the SVD refit); the floor leaves room
         # for round-off in other BLAS builds, since failing restarts are
         # chaotic.
         hits = 0
@@ -85,6 +85,33 @@ class TestAltprojHess:
                 hits += 1
                 assert verify_certificate(A, report.best_certificate, tol=1e-8)
         assert hits >= 12
+
+    def test_restarts_do_not_depend_on_their_stack(self):
+        # restarts=11 runs a full lockstep block and then three restarts;
+        # restarts=3 runs its three alone
+        assert 3 < search.LOCKSTEP_BLOCK < 11
+        A = sample_matrix(4, Mode.METZLER, Generator.DENSE_UNIFORM,
+                          np.random.default_rng([5, 0]))
+        few = altproj_hess(A, Mode.METZLER, small_cfg(0, restarts=3, max_iters=100))
+        many = altproj_hess(A, Mode.METZLER, small_cfg(0, restarts=11, max_iters=100))
+        assert 1 <= few.successes < many.successes
+        assert _report_bits(few)[3] == _report_bits(many)[3][:3]
+        assert _report_bits(few)[4] == _report_bits(many)[4]
+
+    @pytest.mark.parametrize("A, mode", [
+        ([[2.0]], Mode.NONNEG),
+        ([[-2.0]], Mode.METZLER),
+        ([[1.0, 2.0], [3.0, 0.5]], Mode.NONNEG),
+        ([[-1.0, 2.0], [3.0, -4.0]], Mode.METZLER),
+    ])
+    def test_at_most_2x2_every_restart_succeeds(self, A, mode):
+        # already upper Hessenberg; at n = 1 both masks of the structure
+        # violation are empty and must score 0, not raise
+        A = np.array(A)
+        report = altproj_hess(A, mode, small_cfg(1))
+        assert report.successes == report.attempts
+        assert report.best_violation == 0.0
+        assert verify_certificate(A, report.best_certificate, tol=1e-8)
 
     def test_heuristic_gap_covered_by_exact_construction(self, rng):
         # when the starved heuristic fails at the characterised dimensions,
@@ -105,10 +132,12 @@ class TestAltprojHess:
                 assert verify_certificate(A, exact, tol=1e-8)
 
 
-# The alternation written out plainly: M = I (x) A - H^T (x) I built by
-# np.kron on every iteration, masks and scale rebuilt on every call, and H
-# taken from the exact solve of the previous violation check.  The search
-# hoists all of these out of its loop; its reports must stay equal bit for bit.
+# The alternation written out plainly, one restart after the other: M =
+# I (x) A - H^T (x) I built by np.kron on every iteration, masks and scale
+# rebuilt on every call, and H taken from the exact solve of the previous
+# violation check.  The search hoists all of these out of its loop and runs
+# its restarts in lockstep on stacked arrays; its reports must stay equal bit
+# for bit.
 
 def _oracle_clip(H, mode, diag_floor):
     n = H.shape[0]
@@ -148,7 +177,7 @@ def _oracle_step(T, H, A, mode, shift=0.0):
         H = np.linalg.lstsq(T, A_work @ T, rcond=None)[0]
     H = _oracle_clip(H, mode, shift)
     M = np.kron(np.eye(n), A_work) - np.kron(H.T, np.eye(n))
-    T_new = np.linalg.svd(M)[2][-1].reshape((n, n), order="F")
+    T_new = np.linalg.eigh(M.T @ M)[1][:, 0].reshape((n, n), order="F")
     T_new = np.maximum(-T_new if np.sum(T_new) < 0 else T_new, 0.0)
     colsums = np.sum(T_new, axis=0)
     dead = colsums <= 1e-12
@@ -158,7 +187,7 @@ def _oracle_step(T, H, A, mode, shift=0.0):
     return T_new / colsums
 
 
-def _oracle_restart(A, mode, cfg, rng, *hoisted):
+def _oracle_restart(A, mode, cfg, rng):
     n = A.shape[0]
     T = np.eye(n) + rng.uniform(0.0, 1.0, size=(n, n))
     best_v, H = _oracle_violation(A, T, mode)
@@ -179,13 +208,26 @@ def _oracle_restart(A, mode, cfg, rng, *hoisted):
     return best_T, best_v, iters
 
 
+def _oracle_restarts(A, mode, cfg):
+    """The restarts one after the other, each on its own stream (seed, r)."""
+    runs = [_oracle_restart(A, mode, cfg, np.random.default_rng([cfg.seed, r]))
+            for r in range(cfg.restarts)]
+    best_T, best_v, iters = zip(*runs)
+    return np.array(best_T), np.array(best_v), np.array(iters)
+
+
 class TestAltprojOracle:
-    # a success and a failure in each mode
+    # A success and a failure in each mode.  In the last search the restarts
+    # end in three ways within one stack: at max_iters (100), by a stall (43)
+    # and by a success (9).
+    ITERATIONS = {(4, Mode.NONNEG, 5): [100, 100, 43, 9]}
+
     @pytest.mark.parametrize("n, mode, draw, succeeds", [
         (4, Mode.METZLER, 0, True),
         (5, Mode.METZLER, 1, False),
         (4, Mode.NONNEG, 0, True),
         (5, Mode.NONNEG, 0, False),
+        (4, Mode.NONNEG, 5, True),
     ])
     def test_report_matches_the_kron_formulation(self, monkeypatch, n, mode, draw,
                                                  succeeds):
@@ -193,10 +235,14 @@ class TestAltprojOracle:
                           np.random.default_rng([5, draw]))
         cfg = AltProjConfig(seed=draw, restarts=4, max_iters=100)
         got = altproj_hess(A, mode, cfg)
-        monkeypatch.setattr(search, "_restart", _oracle_restart)
+        monkeypatch.setattr(search, "_restarts", _oracle_restarts)
         want = altproj_hess(A, mode, cfg)
         assert _report_bits(got) == _report_bits(want)
         assert (got.successes > 0) is succeeds
+        if (n, mode, draw) in self.ITERATIONS:
+            assert [log.iterations for log in got.logs] == self.ITERATIONS[n, mode, draw]
+            assert [log.success for log in got.logs] == [False, False, False, True]
+            assert got.logs[2].final_violation > RESIDUAL_BOUND
 
     @pytest.mark.parametrize("n, mode, draw", [
         (4, Mode.METZLER, 0), (5, Mode.METZLER, 2),
