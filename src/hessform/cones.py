@@ -207,8 +207,8 @@ def boundary_shift(A, b, tol: float = 1e-9) -> float:
     Raises
     ------
     InputError
-        If ``b`` is already interior at ``s = 0`` (apply inverse iterations
-        first) or no coefficient zero puts ``b`` on the boundary.
+        If ``b`` is already interior at ``s = 0`` or no coefficient zero puts
+        ``b`` on the boundary.
     """
     A = as_square(A)
     b = as_vector(b)
@@ -227,8 +227,7 @@ def boundary_shift(A, b, tol: float = 1e-9) -> float:
     if abs(f0) <= tol:
         return 0.0
     if f0 > tol:
-        raise InputError(
-            "vector is interior to cone(A) at s = 0; apply inverse iterations first")
+        raise InputError("vector is interior to cone(A) at s = 0")
 
     zeros = []
     for i in range(n):

@@ -204,8 +204,9 @@ def _restarts(A: np.ndarray, mode: Mode, cfg: AltProjConfig
     violation and its number of iterations.
 
     The restarts run in lockstep, LOCKSTEP_BLOCK at a time, on stacked arrays
-    of the ones still active.  A restart leaves the stack at its first
-    improving violation within RESIDUAL_BOUND, else when its step stalls
+    of the ones still active.  A restart whose start already scores within
+    RESIDUAL_BOUND takes 0 iterations.  Any other leaves the stack at its
+    first improving violation within RESIDUAL_BOUND, else when its step stalls
     (:data:`STEP_TOLERANCE`), else after ``cfg.max_iters`` alternations.
     """
     # The alternation cannot tell A from A - sI (the fit, the nonneg diagonal
@@ -214,14 +215,18 @@ def _restarts(A: np.ndarray, mode: Mode, cfg: AltProjConfig
     eye, masks, scale = np.eye(n), _masks(n, mode), inf_norm(A) or 1.0
     kron_A = np.kron(eye, A)
     best_T, best_v = np.empty((R, n, n)), np.empty(R)
-    iters = np.empty(R, dtype=int)
+    iters = np.zeros(R, dtype=int)
     for first in range(0, R, LOCKSTEP_BLOCK):
         rows = np.arange(first, min(first + LOCKSTEP_BLOCK, R))
         T = np.stack([eye + np.random.default_rng([cfg.seed, r]).uniform(0.0, 1.0, size=A.shape)
                       for r in rows])
         v, H = _exact_violation(A, T, masks, scale)
         best_T[rows], best_v[rows] = T, v
+        go = v > RESIDUAL_BOUND
         for it in range(1, cfg.max_iters + 1):
+            rows, T, H, v = rows[go], T[go], H[go], v[go]
+            if not rows.size:
+                break
             T_new = _alternate(T, H, v == np.inf, A, kron_A, eye, masks)
             v, H = _exact_violation(A, T_new, masks, scale)
             iters[rows] = it
@@ -230,9 +235,7 @@ def _restarts(A: np.ndarray, mode: Mode, cfg: AltProjConfig
             step = np.abs(T_new - T).sum(axis=2).max(axis=1)  # ||.||_inf per row
             stall = step <= STEP_TOLERANCE * np.abs(T).sum(axis=2).max(axis=1)
             go = ~((better & (v <= RESIDUAL_BOUND)) | stall)
-            rows, T, H, v = rows[go], T_new[go], H[go], v[go]
-            if not rows.size:
-                break
+            T = T_new
     return best_T, best_v, iters
 
 

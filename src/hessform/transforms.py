@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cones import boundary_shift
 from .errors import ConstructionDefect, InputError, PerronVectorError
 from .linalg import (
     _eigenvalues,
@@ -61,8 +60,6 @@ __all__ = [
 
 #: Residual bound every returned certificate satisfies.
 RESIDUAL_BOUND = 1e-8
-#: Inverse-iteration cap inside fix_b_boundary.
-INVERSE_ITERATION_CAP = 1000
 
 
 class Mode(str, enum.Enum):
@@ -320,18 +317,18 @@ def fix_b_boundary(A, b, tol: float | None = None) -> np.ndarray:
     """Nonnegative ``T`` commuting with ``A`` that moves ``b`` onto the
     boundary of the nonnegative orthant.
 
-    ``T`` is a polynomial in ``A``: a power of a shifted copy times one final
-    boundary shift, so ``T^{-1} A T = A`` holds by commutation.  Requires an
-    irreducible nonnegative ``A`` and ``b >= 0`` that is not the Perron
-    eigenvector.
+    For ``b > 0``, ``T = (sigma I - A)^{-1}`` with ``sigma = max_i (A b)_i / b_i``.
+    By Collatz-Wielandt, ``sigma > rho(A)`` for an irreducible nonnegative
+    ``A`` and a positive ``b`` that is not the Perron eigenvector, so
+    ``T = sum_k A^k / sigma^{k+1}`` is a positive polynomial in ``A`` and
+    ``T^{-1} A T = A``.  ``T^{-1} b = sigma b - A b >= 0`` vanishes where the
+    ratio is largest.  A ``b`` with a zero entry is already on the boundary
+    and gets ``T = I``.
 
     Raises
     ------
     PerronVectorError
         When ``A b = lam_1 b`` within tolerance (no such T exists).
-    ConstructionDefect
-        When the inverse iteration exceeds its cap, indicating a vector
-        numerically indistinguishable from the Perron direction.
     """
     A = as_square(A)
     b = as_vector(b)
@@ -361,37 +358,9 @@ def fix_b_boundary(A, b, tol: float | None = None) -> np.ndarray:
     if np.min(b) <= zero_tolerance(b):
         return np.eye(n)
 
-    # shift into the open right half-plane and rescale to spectral radius one;
-    # both operations preserve "polynomial in A" and the cone family geometry
-    min_re = float(np.min(vals.real))
-    k_shift = 0.0
-    if min_re <= 0 or np.min(np.diag(A)) <= 0:
-        k_shift = max(0.0, -min_re) + 0.25 * inf_norm(A)
-    # eig(A + k I) = eig(A) + k, so W needs no eigenvalue computation of its own
-    W = A + k_shift * np.eye(n)
-    rho = float(np.max(np.abs(vals + k_shift)))
-    W = W / max(rho, 1e-300)
-
-    y = b / np.sum(b)
-    m = 0
-    while True:
-        try:
-            z = np.linalg.solve(W, y)
-        except np.linalg.LinAlgError as exc:
-            raise ConstructionDefect(f"shifted matrix became singular: {exc}") from exc
-        if np.min(z) <= 1e-9 * float(np.max(np.abs(z))):
-            break
-        y = z / np.sum(np.abs(z))
-        m += 1
-        if m > INVERSE_ITERATION_CAP:
-            raise ConstructionDefect(
-                "inverse iteration cap exceeded; b may be numerically "
-                "indistinguishable from the Perron eigenvector")
-
-    s_star = boundary_shift(W, y, tol=max(t, 1e-11))
-    T = np.linalg.matrix_power(W, m) @ (W + s_star * np.eye(n))
-    T = np.maximum(T, 0.0)  # products of nonnegative factors; clears -0.0
-    return T
+    sigma = float(np.max(A @ b / b))
+    T = np.linalg.inv(sigma * np.eye(n) - A)
+    return np.maximum(T, 0.0)  # a positive series; clears round-off below zero
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +594,8 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
             ObstructionKind.NEG_EIG_GEOM_MULT,
             data={
                 "lambda2": s * lam2,
-                "geometric_multiplicity": geometric_multiplicity(A, lam2),
+                # rank_one_shift_detect has checked it is n - 1 at this lam2
+                "geometric_multiplicity": A.shape[0] - 1,
                 "u": form.u, "v": form.v, "s": form.s, "c": s * form.c,
                 "reconstruction_residual": inf_norm(form.reconstruct() - A),
             },

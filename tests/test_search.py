@@ -108,10 +108,20 @@ class TestAltprojHess:
         # already upper Hessenberg; at n = 1 both masks of the structure
         # violation are empty and must score 0, not raise
         A = np.array(A)
-        report = altproj_hess(A, mode, small_cfg(1))
+        cfg = small_cfg(1)
+        report = altproj_hess(A, mode, cfg)
         assert report.successes == report.attempts
         assert report.best_violation == 0.0
         assert verify_certificate(A, report.best_certificate, tol=1e-8)
+        # a restart whose start already scores within the bound takes no step;
+        # at n = 1 every start does
+        n = A.shape[0]
+        for log in report.logs:
+            T = np.eye(n) + np.random.default_rng([cfg.seed, log.restart]).uniform(
+                0.0, 1.0, (n, n))
+            at_start = n == 1 or _oracle_violation(A, T, mode)[0] <= RESIDUAL_BOUND
+            assert (log.iterations == 0) is at_start
+        assert any(log.iterations == 0 for log in report.logs)
 
     def test_heuristic_gap_covered_by_exact_construction(self, rng):
         # when the starved heuristic fails at the characterised dimensions,
@@ -193,6 +203,8 @@ def _oracle_restart(A, mode, cfg, rng):
     best_v, H = _oracle_violation(A, T, mode)
     best_T = T.copy()
     iters = 0
+    if best_v <= RESIDUAL_BOUND:
+        return best_T, best_v, iters
     for it in range(cfg.max_iters):
         iters = it + 1
         T_new = _oracle_step(T, H, A, mode)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hessform.cones
 import hessform.linalg
 import hessform.transforms
 from hessform import (
@@ -116,6 +117,37 @@ class TestFixBBoundary:
     def test_reducible_rejected(self):
         with pytest.raises(InputError):
             fix_b_boundary(np.diag([1.0, 2.0]), [1.0, 1.0])
+
+    @pytest.mark.filterwarnings("ignore:input vector is within 10x")
+    @pytest.mark.parametrize("case", ["2x2", "positive 4x4", "near Perron"])
+    def test_closed_form_resolvent(self, monkeypatch, case):
+        # T = (sigma I - A)^-1 with sigma the largest ratio (A b)_i / b_i:
+        # no boundary-shift eigen-search and no matrix power
+        def fail(*args, **kwargs):
+            raise AssertionError("the closed form needs no iteration")
+
+        monkeypatch.setattr(hessform.cones, "boundary_shift", fail)
+        monkeypatch.setattr(hessform.transforms, "boundary_shift", fail, raising=False)
+        monkeypatch.setattr(np.linalg, "matrix_power", fail)
+        if case == "2x2":
+            A, b = np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 1.0])
+        elif case == "positive 4x4":
+            rng = np.random.default_rng(11)
+            A, b = random_irreducible_nonneg(rng, 4), rng.uniform(0.05, 3.0, 4)
+        else:
+            rng = np.random.default_rng(12)
+            A = random_irreducible_nonneg(rng, 3)
+            vals, vecs = np.linalg.eig(A)
+            perron = np.abs(vecs[:, np.argmax(vals.real)].real)
+            b = perron * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, 3))
+        T = fix_b_boundary(A, b)
+        assert np.min(T) >= 0
+        assert inf_norm(A @ T - T @ A) <= 1e-12 * inf_norm(A) * inf_norm(T)
+        ratios = A @ b / b
+        b1 = np.linalg.solve(T, b)
+        np.testing.assert_allclose(b1, np.max(ratios) * b - A @ b, rtol=0.0,
+                                   atol=1e-12 * np.max(b))
+        assert np.argmin(b1) == np.argmax(ratios)
 
     def test_postconditions_random(self, rng):
         done = 0
