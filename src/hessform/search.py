@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionDefect, InputError
+from .errors import InputError
 from .linalg import as_square, classify, inf_norm, zero_tolerance
 from .transforms import (
     RESIDUAL_BOUND,
@@ -342,9 +342,9 @@ def random_experiment(n: int, trials: int, seed: int, mode: Mode,
     """Run seeded trials of the named family through :func:`exact_hessenberg`
     or, where it has no construction, the alternating projections, and aggregate.
 
-    rank-one-shift draws in nonneg mode at n >= 3 are asserted infeasible by
-    the exact membership test (the obstruction holds in every such dimension),
-    so they count zero successes by construction.  At n = 2 every matrix is
+    rank-one-shift draws in nonneg mode at n >= 3 get the family obstruction
+    from the exact membership test (the obstruction holds in every such
+    dimension), so they count zero successes.  At n = 2 every matrix is
     already upper Hessenberg, and the draw gets its identity certificate.
     """
     if n < 2:
@@ -361,13 +361,6 @@ def random_experiment(n: int, trials: int, seed: int, mode: Mode,
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         A = sample_matrix(n, mode, generator, rng)
-        if generator is Generator.PROP1_FAMILY and mode is Mode.NONNEG and n >= 3:
-            form = rank_one_shift_detect(np.maximum(A, 0.0))
-            if form is None:
-                raise ConstructionDefect(
-                    "family draw escaped its own membership test")
-            logs.append(RestartLog(trial, 1, np.inf, False))
-            continue
         result = exact_hessenberg(A, mode)
         if isinstance(result, SimilarityCertificate):
             v = float(max(result.hessenberg_violation,

@@ -18,6 +18,7 @@ from hessform.formats import (
     read_matrix,
     write_matrix,
 )
+from hessform.search import Generator, sample_matrix
 from hessform.transforms import Mode, metzler_hess_3
 
 from conftest import INFEASIBLE_DT_A, INFEASIBLE_DT_B, INFEASIBLE_DT_POINTS
@@ -168,6 +169,27 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["kind"] == "similarity-certificate"
         assert out["mode"] == "metzler"
+
+    def test_ctpos_obstruction_exit(self, tmp_path, capsys):
+        """The 3-cycle with its Perron vector as input obstructs: exit 2."""
+        amat = tmp_path / "cycle.mat"
+        amat.write_text("3 3\n0 0 1\n1 0 0\n0 1 0\n")
+        bvec = tmp_path / "ones.vec"
+        bvec.write_text("3\n1 1 1\n")
+        assert run(["ctpos", str(amat), str(bvec)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["kind"] == "obstruction"
+        assert out["obstruction"] == "perron_eigenvector_coincidence"
+
+    def test_hessenberg_unknown_exit(self, tmp_path, capsys):
+        """A 5x5 Metzler draw that the heuristic search leaves unsolved: exit 3."""
+        A = sample_matrix(5, Mode.METZLER, Generator.DENSE_UNIFORM,
+                          np.random.default_rng(0))
+        amat = tmp_path / "m5.mat"
+        write_matrix(amat, A)
+        assert run(["hessenberg", str(amat), "--mode", "metzler", "--seed", "1"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "unknown"
 
     def test_search_deterministic_bytes(self, tmp_path):
         out1 = tmp_path / "r1.json"

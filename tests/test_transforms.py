@@ -28,13 +28,14 @@ from hessform import (
     sorted_spectrum,
     verify_certificate,
 )
-from hessform.linalg import classify, inf_norm
+from hessform.linalg import classify, inf_norm, permutation_to_hessenberg
 from hessform.search import Generator, sample_matrix
 from hessform.transforms import (
     _checked,
     _controller_frame_reducible,
     _leading_partition,
     _plane_orthant_rays,
+    _reducible_after_subtraction,
     _unit_scale,
 )
 
@@ -478,6 +479,19 @@ class TestNonnegHess3:
             result = nonneg_hess_3(A)
             assert_good_cert(A, result, Mode.NONNEG)
 
+    def test_obstructed_partition_passes_to_the_next(self):
+        """Off the family and with no permutation, partition k = 2 obstructs
+        (its block ``[[0, 1], [1, 0]]`` has lam_2 = -1 and input (1, 1), its
+        Perron vector), so k = 0 serves."""
+        A = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 2.0, 0.5]])
+        Au, _, t = _unit_scale(A, None)
+        assert rank_one_shift_detect(Au, t) is None
+        assert permutation_to_hessenberg(Au, t) is None
+        assert _leading_partition(Au, 2, t) is None
+        cert = nonneg_hess_3(A)
+        assert_good_cert(A, cert, Mode.NONNEG)
+        np.testing.assert_array_equal(cert.T[:, 0], [1.0, 0.0, 0.0])
+
     def test_family_obstructs_every_leading_partition(self):
         """On the family no leading partition serves: each 2x2 block's input
         is its Perron vector and its second eigenvalue is negative."""
@@ -768,6 +782,38 @@ class TestReducibleControllerFrames:
         assert_ct_cert(A, np.array(b), ct_hess_3(A, b))
 
 
+def _two_pattern_alpha(A2, b2):
+    """The state feedback written per support pattern of ``b2``, (+, 0, 0) and
+    (+, +, 0): the reference for the one-rule feedback."""
+    alpha = np.zeros(3)
+    if np.count_nonzero(b2) == 1:
+        alpha[1] = A2[0, 1] / b2[0]
+        alpha[2] = A2[0, 2] / b2[0]
+    else:
+        alpha[0] = A2[1, 0] / b2[1]
+        alpha[1] = A2[0, 1] / b2[0]
+        alpha[2] = min(A2[0, 2] / b2[0], A2[1, 2] / b2[1])
+    return alpha
+
+
+@pytest.mark.parametrize("support", [1, 2])
+def test_state_feedback_matches_the_pattern_formulas(support):
+    """One rule, min over the support less j, gives the floats of both
+    pattern formulas, so the subtracted matrix is bit for bit the same."""
+    t = 1e-12
+    for i in range(200):
+        rng = np.random.default_rng([31, support, i])
+        A2 = rng.uniform(0.0, 1.0, (3, 3)) * (rng.uniform(size=(3, 3)) < 0.8)
+        A2 += np.diag(rng.uniform(0.25, 1.0, 3))
+        b2 = np.r_[rng.uniform(0.1, 1.0, support), np.zeros(3 - support)]
+        base = A2 - np.outer(b2, _two_pattern_alpha(A2, b2))
+        base[np.abs(base) <= 100 * t * inf_norm(A2)] = 0.0
+        sigma = max(0.0, -float(np.min(np.diag(base))),
+                    -float(np.min(np.linalg.eigvals(base).real))) + 0.125 * inf_norm(A2)
+        expected = np.maximum(base + sigma * np.eye(3), 0.0)
+        np.testing.assert_array_equal(_reducible_after_subtraction(A2, b2, t), expected)
+
+
 def test_stress_recipe_never_raises_and_always_verifies():
     """Seeds 1-2 of the stress recipe: 1 000 ct_hess_3 and 1 000
     metzler_hess_4 calls."""
@@ -799,6 +845,18 @@ class TestMetzlerHess4:
                       [0.02 * np.ones((2, 2)), base]])
         cert = metzler_hess_4(A)
         assert_good_cert(A, cert, Mode.METZLER)
+
+    def test_obstructed_lead_passes_to_the_next(self):
+        """Lead 0 leaves the 3-cycle with ``b = (1, 1, 1)``, its Perron vector
+        beside a complex pair, so ``ct_hess_3`` obstructs and lead 1 serves."""
+        A = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0],
+                      [1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
+        sub = ct_hess_3(A[1:, 1:], A[1:, 0], A[0, 1:])
+        assert isinstance(sub, Obstruction)
+        assert sub.kind is ObstructionKind.PERRON_EIGVEC_COINCIDENCE
+        cert = metzler_hess_4(A)
+        assert_good_cert(A, cert, Mode.METZLER)
+        np.testing.assert_array_equal(cert.T[:, 0], [0.0, 1.0, 0.0, 0.0])
 
     def test_totality_random(self, rng):
         for _ in range(120):
