@@ -875,7 +875,7 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
                   "complex_pair": [s * complex(z) for z in vals if abs(z.imag) > t]},
         )
 
-    T = _ct_frame(A1, b, coincident, t)
+    T = _ct_frame(A1, b, rep.is_irreducible, coincident, t)
     if T is None:
         raise ConstructionDefect(
             "no controller frame although the input passed the obstruction "
@@ -885,14 +885,16 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
     return _checked(cert, A, "ct_hess_3", s)
 
 
-def _ct_frame(A1: np.ndarray, b: np.ndarray, coincident: bool,
+def _ct_frame(A1: np.ndarray, b: np.ndarray, irreducible: bool, coincident: bool,
               t: float) -> np.ndarray | None:
     """The frame for the shifted pair (A1 nonnegative with spectrum in the
-    open right half-plane), or None.  A reducible ``A1`` takes its frame
-    directly and a Perron ``b`` the deflation frame.  Otherwise, as in the
-    paper, ``T0`` places ``b`` on the orthant boundary, the state feedback
-    ``b alpha^T`` leaves a reducible matrix, and its frame completes ``T``."""
-    if not classify(A1, t).is_irreducible:
+    open right half-plane), or None.  ``irreducible`` is that of the
+    unshifted matrix, whose off-diagonal zero pattern ``A1`` keeps.  A
+    reducible ``A1`` takes its frame directly and a Perron ``b`` the deflation
+    frame.  Otherwise, as in the paper, ``T0`` places ``b`` on the orthant
+    boundary, the state feedback ``b alpha^T`` leaves a reducible matrix, and
+    its frame completes ``T``."""
+    if not irreducible:
         return _controller_frame_reducible(A1, b)
     if coincident:
         return eigvec_b_transform(A1, b, t)

@@ -182,14 +182,33 @@ class TestCli:
         assert out["obstruction"] == "perron_eigenvector_coincidence"
 
     def test_hessenberg_unknown_exit(self, tmp_path, capsys):
-        """A 5x5 Metzler draw that the heuristic search leaves unsolved: exit 3."""
+        """A 5x5 Metzler draw that the heuristic search leaves unsolved: exit 3.
+        It is instance 292 of the heuristic benchmark (seed 1), and not
+        permutable."""
         A = sample_matrix(5, Mode.METZLER, Generator.DENSE_UNIFORM,
-                          np.random.default_rng(0))
+                          np.random.default_rng([1, 3, 292]))
         amat = tmp_path / "m5.mat"
         write_matrix(amat, A)
         assert run(["hessenberg", str(amat), "--mode", "metzler", "--seed", "1"]) == 3
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "unknown"
+
+    def test_hessenberg_search_certificate_verifies(self, tmp_path, capsys):
+        """A non-permutable 5x5 Metzler draw that the search certifies: exit 0,
+        and the printed certificate verifies."""
+        A = sample_matrix(5, Mode.METZLER, Generator.DENSE_UNIFORM,
+                          np.random.default_rng(0))
+        assert hessform.permutation_to_hessenberg(A) is None
+        amat = tmp_path / "m5.mat"
+        write_matrix(amat, A)
+        assert run(["hessenberg", str(amat), "--mode", "metzler", "--seed", "1"]) == 0
+        cert_path = tmp_path / "cert.json"
+        text = capsys.readouterr().out
+        cert_path.write_text(text)
+        cert = certificate_from_json(text)
+        assert hessform.verify_certificate(A, cert, tol=1e-8)
+        assert run(["verify", str(amat), str(cert_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
 
     def test_search_deterministic_bytes(self, tmp_path):
         out1 = tmp_path / "r1.json"
