@@ -58,7 +58,8 @@ class AltProjConfig:
     After the axes and the nonzero columns of ``A``, the search starts from
     ``restarts`` Dirichlet(0.5) points drawn from ``seed``, which is mandatory
     so that equal inputs give equal reports.  Each start visits at most
-    ``max_iters`` frames.
+    ``max_iters`` frames, and each frame solves at most ``max_iters`` active
+    sets for its children, so a call does bounded work at every n.
     """
 
     seed: int
@@ -97,24 +98,33 @@ class Generator(str, enum.Enum):
 # Krylov-frame search
 # ---------------------------------------------------------------------------
 
-def _next_columns(A1: np.ndarray, T: np.ndarray, mode: Mode, t: float) -> np.ndarray:
+def _next_columns(A1: np.ndarray, T: np.ndarray, mode: Mode, t: float,
+                  breadth: int) -> np.ndarray:
     """The candidate columns ``t_{k+1}`` after the frame ``T = T_k``, one per
     row, sparsest first.
 
     Each vertex ``h`` of ``{h : T_k h <= A1 t_k, h_j >= 0}`` (j < k, and
-    j = k in nonneg mode) solves k of those rows as equations, so all of them
-    are one batched solve.  The column is ``r = A1 t_k - T_k h`` with entries
-    within ``t`` snapped to 0, at unit sum: rounding of 1e-13 left in ``r``
-    would be a negative entry of ``T`` or a false constraint at the next
-    step.  ``r = 0`` makes span ``T_k`` invariant, so ``h_{k+1,k} = 0`` and
-    every axis is a candidate.  Columns that leave ``[T_k, t_{k+1}]``
-    numerically singular are dropped."""
+    j = k in nonneg mode) solves k of those rows as equations.  The active
+    sets are taken with the fewest bound rows ``h_j = 0`` first, since each
+    row of ``T_k`` in the set is a zero of ``r``; at most ``breadth`` of them,
+    which bounds the work of a node at any n, and rows where ``T_k`` vanishes
+    are left out because they make the set singular.  The sets are solved in
+    one batch, in lexicographic order.  The column is ``r = A1 t_k - T_k h``
+    with entries within ``t`` snapped to 0, at unit sum: rounding of 1e-13
+    left in ``r`` would be a negative entry of ``T`` or a false constraint at
+    the next step.  ``r = 0`` makes span ``T_k`` invariant, so
+    ``h_{k+1,k} = 0`` and every axis is a candidate.  Columns that leave
+    ``[T_k, t_{k+1}]`` numerically singular are dropped."""
     n, k = T.shape
     floor = k - (mode is Mode.METZLER)
     rows = np.vstack([T, -np.eye(k)[:floor]])
     b = A1 @ T[:, -1]
     rhs = np.concatenate([b, np.zeros(floor)])
-    active = np.array(list(itertools.combinations(range(n + floor), k)))
+    support = np.flatnonzero(T.any(axis=1)).tolist()
+    sets = (I + J for m in range(max(0, k - len(support)), floor + 1)
+            for J in itertools.combinations(range(n, n + floor), m)
+            for I in itertools.combinations(support, k - m))
+    active = np.array(sorted(itertools.islice(sets, breadth)))
     S = rows[active]
     regular = np.abs(np.linalg.det(S)) > 1e-12 * np.prod(np.linalg.norm(S, axis=2), axis=1)
     h = np.linalg.solve(S[regular], rhs[active[regular]][:, :, None])[:, :, 0]
@@ -149,7 +159,9 @@ def altproj_hess(A, mode: Mode, cfg: AltProjConfig) -> SearchReport:
     and a full frame passes when ``T^{-1} A1 t_n >= 0`` (off the diagonal in
     Metzler mode), the last column of ``H``.  ``attempts`` counts the starts
     tried; each log gives a start's nodes and its least violation of that
-    test, in the units of ``||A||_inf`` (inf if it built no full frame)."""
+    test, in the units of ``||A||_inf`` (inf if it built no full frame).
+    A call visits at most ``(2n + cfg.restarts) * cfg.max_iters`` nodes, each
+    one batched solve of at most ``cfg.max_iters`` k x k systems."""
     A = as_square(A)
     mode = Mode(mode)
     t = zero_tolerance(A)
@@ -172,8 +184,8 @@ def altproj_hess(A, mode: Mode, cfg: AltProjConfig) -> SearchReport:
             T = stack.pop()
             nodes += 1
             if T.shape[1] < n:
-                stack.extend(np.column_stack([T, c])
-                             for c in _next_columns(A1, T, mode, t / s)[::-1])
+                children = _next_columns(A1, T, mode, t / s, cfg.max_iters)
+                stack.extend(np.column_stack([T, c]) for c in children[::-1])
                 continue
             h = np.linalg.solve(T, A1 @ T[:, -1])
             v = max(0.0, -float(np.min(h[:n - (mode is Mode.METZLER)], initial=0.0)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from hessform import (
 )
 from hessform import search
 from hessform.formats import search_report_csv, search_report_to_json
-from hessform.linalg import permutation_to_hessenberg
+from hessform.linalg import MAX_DIM, permutation_to_hessenberg
 from hessform.search import sample_matrix
 
 from conftest import random_metzler, random_nonneg
@@ -51,7 +53,8 @@ class TestAltprojHess:
         assert report.best_certificate is None
 
     def test_determinism(self, rng):
-        # nonneg clips the diagonal of H as well
+        # the depth-first order is fixed and the draws are seeded, so two
+        # runs give bit-identical reports
         for A, mode in ((random_metzler(rng, 5), Mode.METZLER),
                         (random_nonneg(rng, 5), Mode.NONNEG)):
             r1 = altproj_hess(A, mode, small_cfg(9))
@@ -92,11 +95,14 @@ class TestAltprojHess:
         ([[-1.0, 2.0], [3.0, -4.0]], Mode.METZLER),
     ])
     def test_at_most_2x2_every_restart_succeeds(self, A, mode):
-        # already upper Hessenberg; at n = 1 the membership test has no
-        # off-diagonal entry in Metzler mode and must score 0, not raise
+        # already upper Hessenberg, so the first start, e_1, succeeds on its
+        # first full frame (n nodes deep) and ends the search; at n = 1 the
+        # membership test has no off-diagonal entry in Metzler mode and must
+        # score 0, not raise
         A = np.array(A)
         report = altproj_hess(A, mode, small_cfg(1))
-        assert report.successes == report.attempts
+        assert report.attempts == report.successes == 1
+        assert report.logs == (search.RestartLog(0, len(A), 0.0, True),)
         assert report.best_violation == 0.0
         assert verify_certificate(A, report.best_certificate, tol=1e-8)
 
@@ -212,6 +218,34 @@ class TestKrylovFrameSearch:
         assert [log.restart for log in report.logs] == list(range(report.attempts))
         assert all(log.iterations < BUDGET["max_iters"] for log in report.logs)
         assert 0.0 < report.best_violation == min(log.final_violation for log in report.logs)
+
+    @pytest.mark.parametrize("mode", [Mode.METZLER, Mode.NONNEG])
+    def test_largest_dimension_does_bounded_work(self, mode, monkeypatch):
+        # at n = MAX_DIM a frame has up to C(31, 15) = 3e8 active sets; each
+        # node solves at most max_iters of them, so a call at the CLI's
+        # default budget ends with a report and little memory
+        solve, batches = np.linalg.solve, []
+
+        def spy(a, b):
+            batches.append(a.shape[0] if a.ndim == 3 else 1)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        n, cfg = MAX_DIM, AltProjConfig(seed=1)
+        A = sample_matrix(n, mode, Generator.DENSE_UNIFORM, np.random.default_rng([5, n]))
+        tracemalloc.start()
+        try:
+            report = altproj_hess(A, mode, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert batches and max(batches) <= cfg.max_iters
+        assert report.attempts <= 2 * n + cfg.restarts
+        assert all(log.iterations <= cfg.max_iters for log in report.logs)
+        if report.successes:
+            assert verify_certificate(A, report.best_certificate, tol=1e-8)
+
 
 class TestSampleMatrix:
     def test_dense_uniform_metzler(self, rng):
