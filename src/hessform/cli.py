@@ -6,7 +6,9 @@ accepts only the flags it reads, so any other flag is a usage error.
 ``--tol`` overrides a command's tolerance; for ``classify``, ``hessenberg``
 and ``ctpos`` it is the zero threshold, absolute in the units of the input
 matrix.  The ``HESSFORM_TOL`` environment variable supplies a default; the
-flag wins.  Search commands require an explicit ``--seed``.
+flag wins.  ``search`` requires an explicit ``--seed``; ``hessenberg``
+takes ``--seed`` (default 0) for the Krylov-frame search it runs where no
+exact construction applies.
 """
 from __future__ import annotations
 

@@ -17,6 +17,7 @@ tracer and acceptance criterion 7 call them.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -98,6 +99,29 @@ class Generator(str, enum.Enum):
 # Krylov-frame search
 # ---------------------------------------------------------------------------
 
+# Index tables kept by _active_sets.  Sparse frames at n = MAX_DIM have
+# thousands of supports, so an unbounded memo would grow with every call; the
+# heuristic budgets at n <= 5 need a few hundred tables.
+_ACTIVE_SET_MEMO = 512
+
+
+@functools.lru_cache(maxsize=_ACTIVE_SET_MEMO)
+def _active_sets(n: int, k: int, floor: int, support: tuple[int, ...],
+                 breadth: int) -> np.ndarray:
+    """The active sets a frame of ``k`` columns on ``support`` solves, one
+    row of ``k`` indices into ``[T_k; -I[:floor]]`` each: at most
+    ``breadth`` of them, fewest bound rows first, in lexicographic order.
+    The table is read-only, since every caller shares it, and in the
+    narrowest integer type, so that a kept one costs little."""
+    sets = (I + J for m in range(max(0, k - len(support)), floor + 1)
+            for J in itertools.combinations(range(n, n + floor), m)
+            for I in itertools.combinations(support, k - m))
+    active = np.array(sorted(itertools.islice(sets, breadth)),
+                      dtype=np.min_scalar_type(n + floor))
+    active.flags.writeable = False
+    return active
+
+
 def _next_columns(A1: np.ndarray, T: np.ndarray, mode: Mode, t: float,
                   breadth: int) -> np.ndarray:
     """The candidate columns ``t_{k+1}`` after the frame ``T = T_k``, one per
@@ -109,7 +133,11 @@ def _next_columns(A1: np.ndarray, T: np.ndarray, mode: Mode, t: float,
     row of ``T_k`` in the set is a zero of ``r``; at most ``breadth`` of them,
     which bounds the work of a node at any n, and rows where ``T_k`` vanishes
     are left out because they make the set singular.  The sets are solved in
-    one batch, in lexicographic order.  The column is ``r = A1 t_k - T_k h``
+    one batch, in lexicographic order; they depend only on the shape, the
+    mode, the support of ``T_k`` and ``breadth``, so :func:`_active_sets`
+    builds each table once and a bounded memo keeps the
+    ``_ACTIVE_SET_MEMO`` most recently used, and the arithmetic on a table is the same
+    whether it is new or kept.  The column is ``r = A1 t_k - T_k h``
     with entries within ``t`` snapped to 0, at unit sum: rounding of 1e-13
     left in ``r`` would be a negative entry of ``T`` or a false constraint at
     the next step.  ``r = 0`` makes span ``T_k`` invariant, so
@@ -120,18 +148,20 @@ def _next_columns(A1: np.ndarray, T: np.ndarray, mode: Mode, t: float,
     rows = np.vstack([T, -np.eye(k)[:floor]])
     b = A1 @ T[:, -1]
     rhs = np.concatenate([b, np.zeros(floor)])
-    support = np.flatnonzero(T.any(axis=1)).tolist()
-    sets = (I + J for m in range(max(0, k - len(support)), floor + 1)
-            for J in itertools.combinations(range(n, n + floor), m)
-            for I in itertools.combinations(support, k - m))
-    active = np.array(sorted(itertools.islice(sets, breadth)))
+    support = tuple(np.flatnonzero(T.any(axis=1)).tolist())
+    active = _active_sets(n, k, floor, support, breadth)
     S = rows[active]
     regular = np.abs(np.linalg.det(S)) > 1e-12 * np.prod(np.linalg.norm(S, axis=2), axis=1)
     h = np.linalg.solve(S[regular], rhs[active[regular]][:, :, None])[:, :, 0]
     h = h[np.all(h @ rows.T <= rhs + t, axis=1)]
     r = b - h @ T.T
     r[r <= t] = 0.0
-    r = r[np.sort(np.unique(r, axis=0, return_index=True)[1])]
+    # first occurrences by row bytes, which is equality here: after the snap
+    # r holds no -0.0 and no NaN
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(r):
+        first.setdefault(row.tobytes(), i)
+    r = r[list(first.values())]
     r = r[np.argsort(np.count_nonzero(r, axis=1), kind="stable")]
     if len(r) and not r[0].any():
         r = np.vstack([np.eye(n), r[1:]])
@@ -139,6 +169,16 @@ def _next_columns(A1: np.ndarray, T: np.ndarray, mode: Mode, t: float,
     Q = np.linalg.qr(T)[0]
     off_span = np.linalg.norm(C - C @ Q @ Q.T, axis=1)
     return C[off_span > 1e-8 * np.linalg.norm(C, axis=1)]
+
+
+def _starts(A1: np.ndarray, cfg: AltProjConfig):
+    """The first columns tried, in order: the axes, the nonzero columns of
+    ``A1`` at unit sum, then ``cfg.restarts`` Dirichlet(0.5) draws, whose
+    generator is built only once the others are spent."""
+    n = A1.shape[0]
+    yield from np.eye(n)
+    yield from (c / c.sum() for c in A1.T if c.sum() > 0)
+    yield from np.random.default_rng(cfg.seed).dirichlet(np.full(n, 0.5), cfg.restarts)
 
 
 def _certified(A: np.ndarray, T: np.ndarray, mode: Mode) -> SimilarityCertificate | None:
@@ -161,7 +201,12 @@ def altproj_hess(A, mode: Mode, cfg: AltProjConfig) -> SearchReport:
     tried; each log gives a start's nodes and its least violation of that
     test, in the units of ``||A||_inf`` (inf if it built no full frame).
     A call visits at most ``(2n + cfg.restarts) * cfg.max_iters`` nodes, each
-    one batched solve of at most ``cfg.max_iters`` k x k systems."""
+    one batched solve of at most ``cfg.max_iters`` k x k systems.
+
+    The bookkeeping changes no candidate: a child frame is stacked only when
+    it is popped, the Dirichlet generator is built only once the axes and the
+    columns are spent, and the active-set tables come from a memo bounded at
+    ``_ACTIVE_SET_MEMO`` entries."""
     A = as_square(A)
     mode = Mode(mode)
     t = zero_tolerance(A)
@@ -174,18 +219,16 @@ def altproj_hess(A, mode: Mode, cfg: AltProjConfig) -> SearchReport:
     n, s = A.shape[0], inf_norm(A) or 1.0
     # the shift moves only the diagonal of H, which is free in Metzler mode
     A1 = metzler_shift(A / s, t / s)[0] if mode is Mode.METZLER else A / s
-    columns = [c / c.sum() for c in A1.T if c.sum() > 0]
-    draws = np.random.default_rng(cfg.seed).dirichlet(np.full(n, 0.5), cfg.restarts)
     logs: list[RestartLog] = []
     cert = None
-    for start, t1 in enumerate([*np.eye(n), *columns, *draws]):
-        stack, nodes, least = [t1[:, None]], 0, np.inf
+    for start, t1 in enumerate(_starts(A1, cfg)):
+        stack, nodes, least = [(np.empty((n, 0)), t1)], 0, np.inf
         while stack and nodes < cfg.max_iters and cert is None:
-            T = stack.pop()
+            T = np.column_stack(stack.pop())
             nodes += 1
             if T.shape[1] < n:
                 children = _next_columns(A1, T, mode, t / s, cfg.max_iters)
-                stack.extend(np.column_stack([T, c]) for c in children[::-1])
+                stack.extend((T, c) for c in children[::-1])
                 continue
             h = np.linalg.solve(T, A1 @ T[:, -1])
             v = max(0.0, -float(np.min(h[:n - (mode is Mode.METZLER)], initial=0.0)))

@@ -210,6 +210,21 @@ class TestCli:
         assert run(["verify", str(amat), str(cert_path)]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
+    def test_hessenberg_seed_defaults_to_zero(self, tmp_path, capsys):
+        """A non-permutable 5x5 Metzler draw that the search certifies from
+        its first Dirichlet start: no ``--seed`` prints the bytes of
+        ``--seed 0``, and another seed prints another certificate."""
+        A = sample_matrix(5, Mode.METZLER, Generator.DENSE_UNIFORM,
+                          np.random.default_rng([81, 749]))
+        assert hessform.permutation_to_hessenberg(A) is None
+        amat = tmp_path / "m5.mat"
+        write_matrix(amat, A)
+        printed = []
+        for seed in ([], ["--seed", "0"], ["--seed", "1"]):
+            assert run(["hessenberg", str(amat), "--mode", "metzler", *seed]) == 0
+            printed.append(capsys.readouterr().out.encode())
+        assert printed[0] == printed[1] != printed[2]
+
     def test_search_deterministic_bytes(self, tmp_path):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"

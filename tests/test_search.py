@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,7 +20,13 @@ from hessform import (
 )
 from hessform import search
 from hessform.formats import search_report_csv, search_report_to_json
-from hessform.linalg import MAX_DIM, permutation_to_hessenberg
+from hessform.linalg import (
+    MAX_DIM,
+    inf_norm,
+    metzler_shift,
+    permutation_to_hessenberg,
+    zero_tolerance,
+)
 from hessform.search import sample_matrix
 
 from conftest import random_metzler, random_nonneg
@@ -245,6 +254,166 @@ class TestKrylovFrameSearch:
         assert all(log.iterations <= cfg.max_iters for log in report.logs)
         if report.successes:
             assert verify_certificate(A, report.best_certificate, tol=1e-8)
+
+
+def _reference_next_columns(A1, T, mode, t, breadth):
+    """``search._next_columns`` with its index sets rebuilt in Python on every
+    call and its rows deduplicated by ``np.unique``: the reference the kept
+    tables and the one-pass dedupe must match bit for bit."""
+    n, k = T.shape
+    floor = k - (mode is Mode.METZLER)
+    rows = np.vstack([T, -np.eye(k)[:floor]])
+    b = A1 @ T[:, -1]
+    rhs = np.concatenate([b, np.zeros(floor)])
+    support = np.flatnonzero(T.any(axis=1)).tolist()
+    sets = (I + J for m in range(max(0, k - len(support)), floor + 1)
+            for J in itertools.combinations(range(n, n + floor), m)
+            for I in itertools.combinations(support, k - m))
+    active = np.array(sorted(itertools.islice(sets, breadth)))
+    S = rows[active]
+    regular = np.abs(np.linalg.det(S)) > 1e-12 * np.prod(np.linalg.norm(S, axis=2), axis=1)
+    h = np.linalg.solve(S[regular], rhs[active[regular]][:, :, None])[:, :, 0]
+    h = h[np.all(h @ rows.T <= rhs + t, axis=1)]
+    r = b - h @ T.T
+    r[r <= t] = 0.0
+    r = r[np.sort(np.unique(r, axis=0, return_index=True)[1])]
+    r = r[np.argsort(np.count_nonzero(r, axis=1), kind="stable")]
+    if len(r) and not r[0].any():
+        r = np.vstack([np.eye(n), r[1:]])
+    C = r / r.sum(axis=1, keepdims=True)
+    Q = np.linalg.qr(T)[0]
+    off_span = np.linalg.norm(C - C @ Q @ Q.T, axis=1)
+    return C[off_span > 1e-8 * np.linalg.norm(C, axis=1)]
+
+
+def _unit_scale(A, mode):
+    """``(A1, t)`` as ``altproj_hess`` builds them."""
+    s, t = inf_norm(A) or 1.0, zero_tolerance(A)
+    A1 = metzler_shift(A / s, t / s)[0] if mode is Mode.METZLER else A / s
+    return A1, t / s
+
+
+def _heuristic_instance(seed, i):
+    """Instance ``i`` of the ``heuristic`` benchmark, rebuilt here: n = 4
+    Metzler, n = 5 Metzler and n = 5 nonneg in turn, at random_experiment's
+    budget."""
+    rng = np.random.default_rng([seed, 3, i])
+    n, mode = ((4, Mode.METZLER), (5, Mode.METZLER), (5, Mode.NONNEG))[i % 3]
+    A = sample_matrix(n, mode, Generator.DENSE_UNIFORM, rng)
+    return A, mode, AltProjConfig(seed=int(rng.integers(2**31)), restarts=4, max_iters=200)
+
+
+def _digest(reports):
+    h = hashlib.sha256()
+    for report in reports:
+        h.update(repr(_report_bits(report)).encode())
+    return h.hexdigest()
+
+
+class TestFrameBookkeeping:
+    """The kept index tables, the one-pass dedupe and the lazy frames and
+    starts change no arithmetic: every candidate and report is bit-identical
+    to the uncached search."""
+
+    @staticmethod
+    def _assert_same(A1, T, mode, t, breadth):
+        want = _reference_next_columns(A1, T, mode, t, breadth)
+        for _ in range(2):  # a new table, then the kept one
+            got = search._next_columns(A1, T, mode, t, breadth)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        return want
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("mode", [Mode.NONNEG, Mode.METZLER])
+    @pytest.mark.parametrize("breadth", [10, 126, 400])
+    def test_candidates_match_the_uncached_enumeration(self, n, mode, breadth):
+        # random walks down the search tree, from an axis and from a
+        # Dirichlet column, on a dense and a sparse draw; the sparse one
+        # gives frames whose support misses rows
+        rng = np.random.default_rng([71, n, breadth])
+        frames = partial = 0
+        for generator in (Generator.DENSE_UNIFORM, Generator.SPARSE_PATTERN):
+            A1, t = _unit_scale(sample_matrix(n, mode, generator, rng), mode)
+            for t1 in (np.eye(n)[rng.integers(n)], rng.dirichlet(np.full(n, 0.5))):
+                T = t1[:, None]
+                while T.shape[1] < n:
+                    children = self._assert_same(A1, T, mode, t, breadth)
+                    frames += 1
+                    partial += not T.any(axis=1).all()
+                    if not len(children):
+                        break
+                    T = np.column_stack([T, children[rng.integers(len(children))]])
+        assert frames >= 4 and partial >= 1
+
+    @pytest.mark.parametrize("mode", [Mode.NONNEG, Mode.METZLER])
+    def test_invariant_frame_offers_every_axis(self, mode):
+        # span(e0, e1) is invariant, so r = 0 and the children are the axes
+        # off the span, then the other vertices
+        n = 6
+        A = sample_matrix(n, mode, Generator.DENSE_UNIFORM, np.random.default_rng(72))
+        A[2:, :2] = 0.0
+        A1, t = _unit_scale(A, mode)
+        children = self._assert_same(A1, np.eye(n)[:, :2], mode, t, 400)
+        np.testing.assert_array_equal(children[:n - 2], np.eye(n)[2:])
+
+    @pytest.mark.parametrize("mode", [Mode.NONNEG, Mode.METZLER])
+    def test_breadth_below_the_number_of_sets(self, mode):
+        # at n = 8, k = 4 the fewest-bound-rows level alone has C(8, 4) = 70
+        # sets, so a breadth of 10 keeps its lexicographically first ten
+        n, k, breadth = 8, 4, 10
+        rng = np.random.default_rng(73)
+        A1, t = _unit_scale(sample_matrix(n, mode, Generator.DENSE_UNIFORM, rng), mode)
+        T = rng.dirichlet(np.full(n, 0.5), k).T
+        floor = k - (mode is Mode.METZLER)
+        active = search._active_sets(n, k, floor, tuple(range(n)), breadth)
+        assert math.comb(n, k) > len(active) == breadth
+        assert not active.flags.writeable
+        np.testing.assert_array_equal(active, list(itertools.combinations(range(n), k))[:breadth])
+        self._assert_same(A1, T, mode, t, breadth)
+
+    def test_memo_stays_within_its_bound(self):
+        # sparse frames at n = MAX_DIM have many supports; the memo evicts
+        # instead of growing with them
+        search._active_sets.cache_clear()
+        for i in range(6):
+            for mode in (Mode.METZLER, Mode.NONNEG):
+                A = sample_matrix(MAX_DIM, mode, Generator.SPARSE_PATTERN,
+                                  np.random.default_rng([74, i]))
+                altproj_hess(A, mode, AltProjConfig(seed=i, restarts=1, max_iters=40))
+        info = search._active_sets.cache_info()
+        assert info.maxsize == search._ACTIVE_SET_MEMO
+        assert info.misses > info.maxsize >= info.currsize
+
+    def test_heuristic_reports_are_pinned(self):
+        # _report_bits of the heuristic benchmark's first 300 seed-1 instances,
+        # as the uncached search gives them
+        reports = (altproj_hess(*_heuristic_instance(1, i)) for i in range(300))
+        assert _digest(reports) == \
+            "c093deacddc06207b1783d417d4ede307fe7e322ac09a50a28a5c21a79685c85"
+
+    def test_dirichlet_generator_is_built_only_when_needed(self, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+
+        def spy(*args, **kw):
+            built.append(args)
+            return default_rng(*args, **kw)
+
+        # 1726 is certified from an axis start, 292 tries every start; both
+        # are instances of the heuristic benchmark (seed 1)
+        axis_draw = sample_matrix(5, Mode.METZLER, Generator.DENSE_UNIFORM,
+                                  np.random.default_rng([1, 3, 1726]))
+        A, mode, cfg = _heuristic_instance(1, 292)
+        monkeypatch.setattr(search.np.random, "default_rng", spy)
+        report = altproj_hess(axis_draw, Mode.METZLER, AltProjConfig(seed=0, **BUDGET))
+        assert report.successes == 1 and report.logs[-1].restart < 5
+        assert built == []
+        # one generator for 292, and the report of the uncached search
+        report = altproj_hess(A, mode, cfg)
+        assert report.successes == 0 and report.attempts == 5 + 5 + cfg.restarts
+        assert built == [(cfg.seed,)]
+        assert _digest([report]) == \
+            "a288898c0caf2b1220973c0c412ef1c6147e7c0ea34e5bea142371584afaf1a7"
 
 
 class TestSampleMatrix:
