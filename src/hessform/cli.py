@@ -30,6 +30,7 @@ from .formats import (
     iterate_trace_csv,
     obstruction_to_json,
     read_matrix,
+    read_text,
     read_vector,
     search_report_csv,
     search_report_to_json,
@@ -178,7 +179,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify(args) -> int:
     A = read_matrix(args.matrix)
-    cert = certificate_from_json(Path(args.certificate).read_text())
+    cert = certificate_from_json(read_text(args.certificate, "certificate"))
     tol = _tolerance(args)
     ok = verify_certificate(A, cert, tol=tol if tol is not None else 1e-8)
     _emit(dumps({"verified": ok}), args.json)

@@ -38,6 +38,7 @@ __all__ = [
     "parse_matrix_text",
     "parse_vector_text",
     "read_matrix",
+    "read_text",
     "read_vector",
     "search_report_csv",
     "search_report_to_json",
@@ -122,23 +123,20 @@ def parse_matrix_text(text: str) -> np.ndarray:
             data = [float(v) for v in obj["data"]]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed JSON matrix: {exc}") from exc
-        if len(data) != rows * cols:
-            raise InputError(
-                f"JSON matrix data has {len(data)} entries, expected {rows * cols}")
-        return as_matrix(np.array(data).reshape(rows, cols))
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise InputError("matrix text must start with 'rows cols'")
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-        data = [float(v) for v in tokens[2:]]
-    except ValueError as exc:
-        raise InputError(f"malformed matrix text: {exc}") from exc
+    else:
+        tokens = text.split()
+        if len(tokens) < 2:
+            raise InputError("matrix text must start with 'rows cols'")
+        try:
+            rows, cols = int(tokens[0]), int(tokens[1])
+            data = [float(v) for v in tokens[2:]]
+        except ValueError as exc:
+            raise InputError(f"malformed matrix text: {exc}") from exc
     if rows < 1 or cols < 1:
         raise InputError("matrix dimensions must be positive")
     if len(data) != rows * cols:
         raise InputError(
-            f"matrix text has {len(data)} entries, expected {rows * cols}")
+            f"matrix input has {len(data)} entries, expected {rows * cols}")
     return as_matrix(np.array(data).reshape(rows, cols))
 
 
@@ -169,20 +167,20 @@ def parse_vector_text(text: str) -> np.ndarray:
     return as_vector(np.array(data))
 
 
-def read_matrix(path) -> np.ndarray:
+def read_text(path, what: str) -> str:
+    """A file's UTF-8 text; an unreadable or undecodable file is an InputError."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read matrix file {path}: {exc}") from exc
-    return parse_matrix_text(text)
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def read_matrix(path) -> np.ndarray:
+    return parse_matrix_text(read_text(path, "matrix"))
 
 
 def read_vector(path) -> np.ndarray:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read vector file {path}: {exc}") from exc
-    return parse_vector_text(text)
+    return parse_vector_text(read_text(path, "vector"))
 
 
 def write_matrix(path, A) -> None:
@@ -225,6 +223,8 @@ def certificate_from_json(text: str) -> SimilarityCertificate:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed certificate JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InputError("malformed certificate JSON: not an object")
     if obj.get("schema") != SCHEMA_VERSION:
         raise InputError(f"unsupported certificate schema {obj.get('schema')!r}")
     try:

@@ -162,8 +162,10 @@ def _next_columns(A1: np.ndarray, T: np.ndarray, mode: Mode, t: float,
     for i, row in enumerate(r):
         first.setdefault(row.tobytes(), i)
     r = r[list(first.values())]
+    if not len(r):  # no feasible vertex: spare the QR below
+        return np.zeros((0, n))
     r = r[np.argsort(np.count_nonzero(r, axis=1), kind="stable")]
-    if len(r) and not r[0].any():
+    if not r[0].any():
         r = np.vstack([np.eye(n), r[1:]])
     C = r / r.sum(axis=1, keepdims=True)
     Q = np.linalg.qr(T)[0]

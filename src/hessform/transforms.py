@@ -1,10 +1,12 @@
 """Constructive similarity transforms to nonnegative/Metzler Hessenberg form.
 
-Every constructor either returns a :class:`SimilarityCertificate` whose
-residuals were verified before returning, or a structured
-:class:`Obstruction` explaining why no transformation exists.  Contracts are
-postcondition-based: the particular ``T`` returned is one valid choice, never
-a canonical one.
+Every constructor checks its input, answers each question about it (zero
+pattern, spectrum, Perron coincidence) once, and returns either a
+:class:`SimilarityCertificate`, built once and verified before returning, or a
+structured :class:`Obstruction` explaining why no transformation exists.  The
+private frame functions take those answers and build ``T`` without checks of
+their own.  Contracts are postcondition-based: the particular ``T`` returned
+is one valid choice, never a canonical one.
 
 No randomness is used anywhere in this module.  One search remains, over a
 fixed list: ``metzler_hess_4`` sweeps its lead indices.
@@ -21,6 +23,7 @@ tests, and a certificate is accepted by the one predicate of
 from __future__ import annotations
 
 import enum
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -32,7 +35,6 @@ from .linalg import (
     as_square,
     as_vector,
     classify,
-    geometric_multiplicity,
     inf_norm,
     permutation_to_hessenberg,
     zero_tolerance,
@@ -253,8 +255,8 @@ def rank_one_shift_detect(A, tol: float | None = None) -> RankOneShiftForm | Non
     """Detect membership in the family ``A = c (u v^T - s I)`` with u, v > 0.
 
     Equivalent characterisation: the second eigenvalue is real negative with
-    geometric multiplicity n - 1.  Both characterisations are cross-checked;
-    anything short of full agreement returns ``None``.
+    geometric multiplicity n - 1.  Both are cross-checked on one SVD of
+    ``A - lam_2 I``; anything short of full agreement returns ``None``.
     """
     A = as_square(A)
     t = zero_tolerance(A, tol)
@@ -276,11 +278,9 @@ def rank_one_shift_detect(A, tol: float | None = None) -> RankOneShiftForm | Non
     if abs(lam2c.imag) > screen or lam2c.real >= -t:
         return None
     lam2 = float(lam2c.real)
-    if geometric_multiplicity(A, lam2) != n - 1:
-        return None
-    M = A - lam2 * np.eye(n)
-    U, s, Vt = np.linalg.svd(M)
-    if s[0] <= 0 or (len(s) > 1 and s[1] > 1e-7 * s[0]):
+    # geometric multiplicity n - 1 is rank one; s[0] >= ||A||_2 / 2 > 0 here
+    U, s, Vt = np.linalg.svd(A - lam2 * np.eye(n))
+    if s[1] > 1e-8 * s[0]:
         return None
     u = U[:, 0]
     v = Vt[0]
@@ -305,60 +305,57 @@ def _perron_coincident(A: np.ndarray, b: np.ndarray, lam1: float) -> tuple[bool,
     resid = inf_norm(A @ b - lam1 * b)
     threshold = 1e-8 * inf_norm(A) * inf_norm(b)
     if threshold < resid <= 10 * threshold:
+        level = 2  # the first caller outside this module, however deep the call
+        while sys._getframe(level - 1).f_globals["__name__"] == __name__:
+            level += 1
         warnings.warn("input vector is within 10x of the Perron-coincidence "
                       "threshold; the verdict may be sensitive to noise",
-                      stacklevel=3)
+                      stacklevel=level)
     return resid <= threshold, resid
 
 
-def fix_b_boundary(A, b, tol: float | None = None) -> np.ndarray:
-    """Nonnegative ``T`` commuting with ``A`` that moves ``b`` onto the
-    boundary of the nonnegative orthant.
+def _perron_pair_input(A, b, tol: float | None, name: str) -> tuple:
+    """The checks :func:`fix_b_boundary` and :func:`eigvec_b_transform` share;
+    ``A``, ``b``, the zero threshold, the canonical spectrum, the Perron test."""
+    A, b = as_square(A), as_vector(b)
+    if b.size != A.shape[0]:
+        raise InputError("dimension mismatch between matrix and vector")
+    t = zero_tolerance(A, tol)
+    if np.min(A) < -t:
+        raise InputError(f"{name} requires a nonnegative matrix")
+    if np.min(b) < -zero_tolerance(b) or not b.any():
+        raise InputError(f"{name} requires a nonnegative nonzero vector")
+    if not classify(A, t).is_irreducible:
+        raise InputError(f"{name} requires an irreducible matrix")
+    vals = _eigenvalues(A)
+    return A, b, t, vals, *_perron_coincident(A, b, float(vals[0].real))
 
-    For ``b > 0``, ``T = (sigma I - A)^{-1}`` with ``sigma = max_i (A b)_i / b_i``.
+
+def fix_b_boundary(A, b, tol: float | None = None) -> np.ndarray:
+    """Nonnegative ``T`` commuting with ``A`` that moves ``b`` onto the orthant
+    boundary, :func:`_resolvent_frame` behind its checks; PerronVectorError
+    when ``A b = lam_1 b`` within tolerance (no such T exists)."""
+    A, b, _, _, coincident, _ = _perron_pair_input(A, b, tol, "fix_b_boundary")
+    if coincident:
+        raise PerronVectorError(
+            "b is the Perron eigenvector; no commuting transform can move it "
+            "to the orthant boundary")
+    return _resolvent_frame(A, b)
+
+
+def _resolvent_frame(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For ``b > 0``, ``T = (sigma I - A)^{-1}`` with ``sigma = max_i (A b)_i / b_i``.
     By Collatz-Wielandt, ``sigma > rho(A)`` for an irreducible nonnegative
     ``A`` and a positive ``b`` that is not the Perron eigenvector, so
     ``T = sum_k A^k / sigma^{k+1}`` is a positive polynomial in ``A`` and
     ``T^{-1} A T = A``.  ``T^{-1} b = sigma b - A b >= 0`` vanishes where the
     ratio is largest.  A ``b`` with a zero entry is already on the boundary
-    and gets ``T = I``.
-
-    Raises
-    ------
-    PerronVectorError
-        When ``A b = lam_1 b`` within tolerance (no such T exists).
-    """
-    A = as_square(A)
-    b = as_vector(b)
+    and gets ``T = I``."""
     n = A.shape[0]
-    if b.size != n:
-        raise InputError("dimension mismatch between matrix and vector")
-    t = zero_tolerance(A, tol)
-    if np.min(A) < -t:
-        raise InputError("fix_b_boundary requires a nonnegative matrix")
-    if np.min(b) < -zero_tolerance(b):
-        raise InputError("fix_b_boundary requires a nonnegative vector")
-    if not b.any():
-        raise InputError("vector must be nonzero")
-    report = classify(A, t)
-    if not report.is_irreducible:
-        raise InputError("fix_b_boundary requires an irreducible matrix")
-
-    # eigenvalues in canonical order: the Perron root of a nonnegative matrix
-    # comes first
-    vals = _eigenvalues(A)
-    coincident, _ = _perron_coincident(A, b, float(vals[0].real))
-    if coincident:
-        raise PerronVectorError(
-            "b is the Perron eigenvector; no commuting transform can move it "
-            "to the orthant boundary")
-
     if np.min(b) <= zero_tolerance(b):
         return np.eye(n)
-
     sigma = float(np.max(A @ b / b))
-    T = np.linalg.inv(sigma * np.eye(n) - A)
-    return np.maximum(T, 0.0)  # a positive series; clears round-off below zero
+    return np.maximum(np.linalg.inv(sigma * np.eye(n) - A), 0.0)  # a positive series
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +366,8 @@ def dt_hess_2(A, b, tol: float | None = None) -> SimilarityCertificate | Obstruc
     """Nonnegative frame ``T = (b | p)`` with ``T^{-1} A T >= 0`` and
     ``T^{-1} b ~ e_1`` for a 2x2 nonnegative pair, or the obstruction, which
     occurs exactly when ``lam_2 < 0`` and ``b`` is the Perron eigenvector.
-
-    ``p = A b - m b``, with ``m`` the least of ``tr A`` and the ratios
-    ``(A b)_i / b_i`` on the support of ``b``, gives by Cayley-Hamilton
-    ``H = [[m, (tr A - m) m - det A], [1, tr A - m]] >= 0``: ``m <= lam_1``
-    (Collatz-Wielandt), the least ratio is at least its ``a_kk >= lam_2``,
-    and ``0 <= m <= tr A``.  At the ratio ``p`` is on the axis ``e_{1-k}``,
-    which the frame takes, also for a ratio within the zero threshold of
-    ``tr A`` (so ``p`` stays off ``b`` at ``lam_2 ~ 0``); at ``tr A``,
-    ``p = -det(A) A^{-1} b``.  ``T[:, 0]`` is ``b / ||b||_inf``.
+    The frame is that of :func:`_dt_frame` for the unit-scale pair, and this
+    function certifies it.  ``T[:, 0]`` is ``b / ||b||_inf``.
     """
     A = as_square(A)
     b_in = as_vector(b)
@@ -386,28 +376,48 @@ def dt_hess_2(A, b, tol: float | None = None) -> SimilarityCertificate | Obstruc
     A, s, t = _unit_scale(A, tol)
     if np.min(A) < -t:
         raise InputError("dt_hess_2 requires a nonnegative matrix")
-    if np.min(b_in) < -zero_tolerance(b_in):
-        raise InputError("dt_hess_2 requires a nonnegative vector")
-    sb = inf_norm(b_in)
-    if sb == 0:
-        raise InputError("b must be nonzero")
-    b = np.maximum(b_in, 0.0) / sb
+    if np.min(b_in) < -zero_tolerance(b_in) or not b_in.any():
+        raise InputError("dt_hess_2 requires a nonnegative nonzero vector")
 
+    frame = _dt_frame(A, b_in, t)
+    if isinstance(frame, tuple):
+        lam1, lam2, resid = frame
+        return Obstruction(ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
+                           data={"lambda1": s * lam1, "lambda2": s * lam2,
+                                 "residual": s * inf_norm(b_in) * resid, "b": b_in.copy()})
+    cert = make_certificate(A, frame, Mode.NONNEG)
+    return _checked(cert, A, "dt_hess_2", s)
+
+
+def _dt_frame(A: np.ndarray, b: np.ndarray, t: float
+              ) -> np.ndarray | tuple[float, float, float]:
+    """The 2x2 controller step, the one place that decides its obstruction:
+    ``T = (b / ||b||_inf | p) >= 0`` with ``T^{-1} A T >= 0`` for a nonnegative
+    ``A`` (zero threshold ``t``, any scale) and a nonzero ``b`` clamped at 0,
+    or the obstruction's ``(lam_1, lam_2, residual)`` at ``||b||_inf = 1``.
+
+    ``p = A b - m b``, with ``m`` the least of ``tr A`` and the ratios
+    ``(A b)_i / b_i`` on the support of ``b``, gives by Cayley-Hamilton
+    ``H = [[m, (tr A - m) m - det A], [1, tr A - m]] >= 0``: ``m <= lam_1``
+    (Collatz-Wielandt), the least ratio is at least its ``a_kk >= lam_2``,
+    and ``0 <= m <= tr A``.  At the ratio ``p`` is on the axis ``e_{1-k}``,
+    which the frame takes, also for a ratio within ``t`` of ``tr A`` (so
+    ``p`` stays off ``b`` at ``lam_2 ~ 0``); at ``tr A``,
+    ``p = -det(A) A^{-1} b``.  The caller certifies the frame."""
+    b = np.maximum(b, 0.0)
+    b = b / inf_norm(b)
     R, lam2 = _shift_to_rank_one(A)
     if lam2 < -t:
         lam1 = lam2 + R[0, 0] + R[1, 1]
         coincident, resid = _perron_coincident(A, b, lam1)
         if coincident:
-            return Obstruction(ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
-                               data={"lambda1": s * lam1, "lambda2": s * lam2,
-                                     "residual": s * sb * resid, "b": b_in.copy()})
+            return lam1, lam2, resid
 
     Ab, trace = A @ b, np.trace(A)
     ratios = np.where(b > zero_tolerance(b), Ab / np.maximum(b, 1e-300), np.inf)
     k = int(np.argmin(ratios))
     p = np.eye(2)[:, 1 - k] if ratios[k] <= trace + t else np.maximum(Ab - trace * b, 0.0)
-    cert = make_certificate(A, np.column_stack([b, p]), Mode.NONNEG)
-    return _checked(cert, A, "dt_hess_2", s)
+    return np.column_stack([b, p])
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +427,27 @@ def dt_hess_2(A, b, tol: float | None = None) -> SimilarityCertificate | Obstruc
 def eigvec_b_transform(A, b, tol: float | None = None) -> np.ndarray:
     """Nonnegative ``T`` with ``T^{-1} b = e_1`` and ``T^{-1} A T >= 0`` upper
     triangular when ``b`` is the positive Perron eigenvector of an irreducible
-    nonnegative matrix with real nonnegative spectrum (n <= 4).
+    nonnegative matrix with real nonnegative spectrum (n <= 4):
+    :func:`_deflation_frame` behind its checks."""
+    A, b, t, vals, coincident, resid = _perron_pair_input(A, b, tol, "eigvec_b_transform")
+    if A.shape[0] > 4:
+        raise InputError("eigvec_b_transform supports n <= 4")
+    if np.min(b) <= zero_tolerance(b):
+        raise InputError("eigvec_b_transform requires a strictly positive vector")
+    if np.max(np.abs(vals.imag)) > t or np.min(vals.real) < -t:
+        raise InputError("spectrum must be real and nonnegative")
+    if not coincident:
+        raise InputError(f"b is not the Perron eigenvector (residual {resid:.3e})")
+    T = _deflation_frame(A, b, vals.real, t)
+    if np.min(np.linalg.solve(T, A @ T)) < -1e-7 * inf_norm(A):
+        raise ConstructionDefect("conjugated matrix failed to stay nonnegative")
+    return T
+
+
+def _deflation_frame(A: np.ndarray, b: np.ndarray, lam: np.ndarray, t: float
+                     ) -> np.ndarray:
+    """The frame of :func:`eigvec_b_transform` for ``A``'s real spectrum
+    ``lam`` in descending order and its zero threshold ``t``.
 
     Deflation: an orthonormal basis ``V`` of the complement of ``b`` turns one
     real eigenvector at a time (an SVD null vector of the trailing block less
@@ -433,29 +463,9 @@ def eigvec_b_transform(A, b, tol: float | None = None) -> np.ndarray:
     the least value such that ``alpha_j >= max_i(-V_ij / b_i)`` (``T >= 0``) and
     ``alpha_j (lam_1 - R_jj) >= sum_{i<j} alpha_i R_ij - g_j``.
     """
-    A = as_square(A)
-    b = as_vector(b)
     n = A.shape[0]
-    if b.size != n:
-        raise InputError("dimension mismatch between matrix and vector")
-    if n > 4:
-        raise InputError("eigvec_b_transform supports n <= 4")
-    t = zero_tolerance(A, tol)
-    if np.min(A) < -t:
-        raise InputError("eigvec_b_transform requires a nonnegative matrix")
-    if np.min(b) <= zero_tolerance(b):
-        raise InputError("eigvec_b_transform requires a strictly positive vector")
-    if not classify(A, t).is_irreducible:
-        raise InputError("eigvec_b_transform requires an irreducible matrix")
-    vals = _eigenvalues(A)
-    if np.max(np.abs(vals.imag)) > t or np.min(vals.real) < -t:
-        raise InputError("spectrum must be real and nonnegative")
-    coincident, resid = _perron_coincident(A, b, float(vals[0].real))
-    if not coincident:
-        raise InputError(f"b is not the Perron eigenvector (residual {resid:.3e})")
-
     V = np.linalg.qr(np.column_stack([b, np.eye(n)]))[0][:, 1:]
-    for j, mu in enumerate(vals.real[1:n - 1]):
+    for j, mu in enumerate(lam[1:n - 1]):
         w = np.linalg.svd(V[:, j:].T @ A @ V[:, j:] - mu * np.eye(n - 1 - j))[2][-1]
         V[:, j:] = V[:, j:] @ np.linalg.qr(np.column_stack([w, np.eye(n - 1 - j)]))[0]
     for j in range(n - 1):
@@ -484,11 +494,7 @@ def eigvec_b_transform(A, b, tol: float | None = None) -> np.ndarray:
     for j in range(n - 1):
         alpha[j] = max(np.max(-V[:, j] / b), (alpha[:j] @ R[:j, j] - g[j]) / gaps[j])
 
-    T = np.maximum(np.column_stack([b, V + np.outer(b, alpha)]), 0.0)
-    H = np.linalg.solve(T, A @ T)
-    if np.min(H) < -1e-7 * inf_norm(A):
-        raise ConstructionDefect("conjugated matrix failed to stay nonnegative")
-    return T
+    return np.maximum(np.column_stack([b, V + np.outer(b, alpha)]), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -551,18 +557,18 @@ def _leading_partition(A: np.ndarray, k: int, t: float) -> np.ndarray | None:
     block ``B`` that leaves out the scalar index ``k``, or None when that
     block's controller step obstructs.
 
-    :func:`dt_hess_2` on ``(A[B, B], v = A[B, k])`` gives its shifted Krylov
+    :func:`_dt_frame` on ``(A[B, B], v = A[B, k])`` gives its shifted Krylov
     frame ``T2 = (v / ||v||_inf | p) >= 0`` with ``T2^{-1} A[B, B] T2 >= 0``.  In the
     order ``(B, k)``, the conjugate by ``diag(T2, 1)`` is nonnegative with a
     zero at (1, 2); ``T = (e_k | T2 on the rows B)`` takes its columns in the
     order ``[2, 0, 1]``, which moves that zero to (2, 0)."""
     B = [i for i in range(3) if i != k]
-    sub = dt_hess_2(A[np.ix_(B, B)], A[B, k], t)
-    if isinstance(sub, Obstruction):
+    T2 = _dt_frame(A[np.ix_(B, B)], A[B, k], t)
+    if isinstance(T2, tuple):
         return None
     T = np.zeros((3, 3))
     T[k, 0] = 1.0
-    T[np.ix_(B, [1, 2])] = sub.T
+    T[np.ix_(B, [1, 2])] = T2
     return T
 
 
@@ -643,7 +649,7 @@ def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
     Off upper Hessenberg input, ``A[2, 0] > 0``, so ``b = A[1:, 0]`` is
     nonzero.  The 2x2 Metzler block ``A2 = A[1:, 1:]`` has a real spectrum;
     with ``lam`` its smaller eigenvalue, ``A2 - lam I >= 0`` has rank at most
-    one and no negative eigenvalue, so :func:`dt_hess_2` cannot obstruct and
+    one and no negative eigenvalue, so :func:`_dt_frame` cannot obstruct and
     returns ``T2 = (b | p) >= 0``.  Then ``T = diag(1, T2)`` gives
     ``H[2, 0] = 0``, a nonnegative first row ``A[0, 1:] T2`` and the Metzler
     trailing block ``T2^{-1} A2 T2``.
@@ -659,8 +665,9 @@ def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
         return identity_certificate(A_in, Mode.METZLER)
 
     # exact to the rounding of its own entries, so tested at its own scale
-    sub = dt_hess_2(_shift_to_rank_one(A[1:, 1:])[0], np.maximum(A[1:, 0], 0.0))
-    cert = make_certificate(A, _embed_trailing(sub.T), Mode.METZLER)
+    R = _shift_to_rank_one(A[1:, 1:])[0]
+    T2 = _dt_frame(R, A[1:, 0], zero_tolerance(R))
+    cert = make_certificate(A, _embed_trailing(T2), Mode.METZLER)
     return _checked(cert, A, "metzler_hess_3", s)
 
 
@@ -695,32 +702,31 @@ def _plane_orthant_rays(U2: np.ndarray, slack: float = 1e-12
     return g1 / np.linalg.norm(g1), g2 / np.linalg.norm(g2)
 
 
-def _finish_controller(A1: np.ndarray, T1: np.ndarray) -> np.ndarray | None:
+def _finish_controller(A1: np.ndarray, T1: np.ndarray) -> np.ndarray:
     """``T1`` with the trailing 2x2 controller step appended where the first
-    column of ``T1^{-1} A1 T1`` leaks below the diagonal; None when that step
-    obstructs.  The caller's certificate check decides the result."""
+    column of ``T1^{-1} A1 T1`` leaks below the diagonal; the step cannot
+    obstruct (that block is A1 on a plane, whose spectrum is positive)."""
     H1 = np.linalg.solve(T1, A1 @ T1)
-    b_sub = H1[1:, 0]
+    b_sub = np.maximum(H1[1:, 0], 0.0)
     if inf_norm(b_sub) > 1e-12 * inf_norm(A1):
         # run the trailing reduction even for small subdiagonal leakage; it
         # actively zeroes the corner entry instead of trusting loose bounds
-        sub = dt_hess_2(np.maximum(H1[1:, 1:], 0.0), np.maximum(b_sub, 0.0))
-        if isinstance(sub, Obstruction):
-            return None
-        T1 = T1 @ _embed_trailing(sub.T)
+        block = np.maximum(H1[1:, 1:], 0.0)
+        T1 = T1 @ _embed_trailing(_dt_frame(block, b_sub, zero_tolerance(block)))
     return T1
 
 
-def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray, lam3: float
+                                ) -> np.ndarray | None:
     """Frame ``T = (b | p | q) >= 0``, trailing step included, for a reducible
     nonnegative 3x3 matrix with positive real spectrum, or None where a step
     cannot be formed.  ``T^{-1} A1 T`` is nonnegative upper Hessenberg in exact
     arithmetic; the caller's certificate check decides it in floating point.
 
-    Such a matrix has a real spectrum whose smallest member ``lam3`` is at most
-    every diagonal entry, so ``Ahat = A1 - lam3 I >= 0``, and its range ``Pi``
-    is A1-invariant.  When ``Ahat`` has rank 2, with ``g1, g2`` the extreme
-    rays of ``Pi`` cut with the orthant, one frame serves each case:
+    The caller passes the smallest eigenvalue ``lam3``, which is at most every
+    diagonal entry, so ``Ahat = A1 - lam3 I >= 0``, and its range ``Pi`` is
+    A1-invariant.  When ``Ahat`` has rank 2, with ``g1, g2`` the extreme rays
+    of ``Pi`` cut with the orthant, one frame serves each case:
 
     - ``b`` off ``Pi``: ``T1 = (b | g1 | g2)``.  Every column of ``Ahat`` lies
       in ``cone(g1, g2)``, so ``T1^{-1} Ahat >= 0`` and
@@ -736,7 +742,6 @@ def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray) -> np.ndarray | N
     ``b`` on it or ``Ahat = 0``, where only row 1 changes (a triangular one).
     The axes maximise ``|det T|``; neither frame needs a trailing step."""
     n = 3
-    lam3 = float(_eigenvalues(A1)[-1].real)
     Ahat = np.maximum(A1 - lam3 * np.eye(n), 0.0)
     U, s, _ = np.linalg.svd(Ahat)
     rank = int(np.count_nonzero(s > 1e-9 * inf_norm(A1)))
@@ -804,11 +809,12 @@ def _invariant_plane_frame(Ahat: np.ndarray, lam3: float, b: np.ndarray,
     return np.column_stack([b, p, q / inf_norm(q)])
 
 
-def _reducible_after_subtraction(A2: np.ndarray, b2: np.ndarray, t: float) -> np.ndarray:
+def _reducible_after_subtraction(A2: np.ndarray, b2: np.ndarray, t: float
+                                 ) -> tuple[np.ndarray, float]:
     """``A2 + sigma I - b2 alpha^T``, nonnegative and reducible with positive
-    real spectrum, for ``b2`` with a zero entry: the state feedback ``alpha_j =
-    min a_ij / b_i`` over ``i != j`` in the support of ``b2`` (0 on none) clears
-    the least such entry of column ``j``, and ``sigma`` lifts the spectrum."""
+    real spectrum, and its least eigenvalue, for ``b2`` with a zero entry: the
+    state feedback ``alpha_j = min a_ij / b_i`` over ``i != j`` in the support
+    of ``b2`` (0 on none) clears the least such entry of column ``j``."""
     on = b2 > 0
     ratios = np.where(on[:, None] & ~np.eye(3, dtype=bool),
                       A2 / np.where(on, b2, 1.0)[:, None], np.inf)
@@ -820,7 +826,7 @@ def _reducible_after_subtraction(A2: np.ndarray, b2: np.ndarray, t: float) -> np
     vals = np.linalg.eigvals(base)
     sigma = max(0.0, -float(np.min(np.diag(base))),
                 -float(np.min(vals.real))) + 0.125 * inf_norm(A2)
-    return np.maximum(base + sigma * np.eye(3), 0.0)
+    return np.maximum(base + sigma * np.eye(3), 0.0), float(np.min(vals.real)) + sigma
 
 
 def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate | Obstruction:
@@ -829,10 +835,11 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
     Returns a nonnegative ``T`` with first column ``b``, so ``T^{-1} b = e_1``
     (and ``c T >= 0`` for every nonnegative output vector), and ``T^{-1} A T``
     Metzler upper Hessenberg, or the Perron-coincidence obstruction when
-    ``A b = lam_1 b`` with a complex pair in the spectrum.  The frame of
-    :func:`_ct_frame` for the shifted unit-scale pair is judged by the one
-    certificate check alone; a missing or failing frame on admissible input
-    is a defect and raises, never silently obstructs.
+    ``A b = lam_1 b`` with a complex pair in the spectrum.  The pattern, the
+    spectrum and the Perron test are computed here, once; from them
+    :func:`_ct_frame` builds the frame for the shifted unit-scale pair, which
+    the one certificate check judges.  A missing or failing frame on
+    admissible input is a defect and raises, never silently obstructs.
     """
     A = as_square(A)
     b_in = as_vector(b)
@@ -850,32 +857,24 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
     if np.min(c) < -zero_tolerance(c):
         raise InputError("ct_hess_3 requires a nonnegative output vector")
     b_in = np.maximum(b_in, 0.0)
-    sb = inf_norm(b_in)
-    b = b_in / sb
+    b = b_in / inf_norm(b_in)
 
     vals = _eigenvalues(A)
-    has_complex = np.max(np.abs(vals.imag)) > t
-
     # shift to nonnegative entries and a spectrum in the open right
     # half-plane (the transform is shift-invariant); ||A|| = 1 here
-    mu_sign = max(0.0, -float(np.min(np.diag(A))))
-    mu_spec = max(0.0, -float(np.min(vals.real)))
-    mu = max(mu_sign, mu_spec) + 0.25
-    A1 = A + mu * np.eye(3)
-    off = ~np.eye(3, dtype=bool)
-    A1[off] = np.maximum(A1[off], 0.0)
-    # eig(A + mu I) = eig(A) + mu, and a Metzler matrix's dominant eigenvalue
-    # is real
-    lam1 = float(np.max(vals.real)) + mu
-    coincident, resid = _perron_coincident(A1, b, lam1)
-    if coincident and has_complex:
+    mu = max(0.0, -float(np.min(np.diag(A))), -float(np.min(vals.real))) + 0.25
+    A1 = np.maximum(A + mu * np.eye(3), 0.0)  # its diagonal is at least 0.25
+    # eig(A1) = eig(A) + mu, and a Metzler matrix's dominant eigenvalue is real
+    lam = np.sort(vals.real)[::-1] + mu
+    coincident, resid = _perron_coincident(A1, b, float(lam[0]))
+    if coincident and np.max(np.abs(vals.imag)) > t:
         return Obstruction(
             ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
-            data={"lambda1": s * (lam1 - mu), "residual": s * sb * resid,
+            data={"lambda1": s * (lam[0] - mu), "residual": s * inf_norm(b_in) * resid,
                   "complex_pair": [s * complex(z) for z in vals if abs(z.imag) > t]},
         )
 
-    T = _ct_frame(A1, b, rep.is_irreducible, coincident, t)
+    T = _ct_frame(A1, b, lam, rep.is_irreducible, coincident, t)
     if T is None:
         raise ConstructionDefect(
             "no controller frame although the input passed the obstruction "
@@ -885,30 +884,30 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
     return _checked(cert, A, "ct_hess_3", s)
 
 
-def _ct_frame(A1: np.ndarray, b: np.ndarray, irreducible: bool, coincident: bool,
-              t: float) -> np.ndarray | None:
+def _ct_frame(A1: np.ndarray, b: np.ndarray, lam: np.ndarray, irreducible: bool,
+              coincident: bool, t: float) -> np.ndarray | None:
     """The frame for the shifted pair (A1 nonnegative with spectrum in the
-    open right half-plane), or None.  ``irreducible`` is that of the
-    unshifted matrix, whose off-diagonal zero pattern ``A1`` keeps.  A
-    reducible ``A1`` takes its frame directly and a Perron ``b`` the deflation
-    frame.  Otherwise, as in the paper, ``T0`` places ``b`` on the orthant
-    boundary, the state feedback ``b alpha^T`` leaves a reducible matrix, and
-    its frame completes ``T``."""
+    open right half-plane), or None.  ``lam`` (the real parts of A1's
+    spectrum, descending), ``irreducible`` (that of the unshifted matrix,
+    whose off-diagonal zero pattern ``A1`` keeps) and ``coincident`` are
+    :func:`ct_hess_3`'s answers, not asked again.  A reducible ``A1`` takes
+    its frame directly and a positive Perron ``b`` the deflation frame.
+    Otherwise, as in the paper, ``T0`` places ``b`` on the orthant boundary
+    (a ``b`` with a zero entry is there), the state feedback ``b alpha^T``
+    leaves a reducible matrix, and its frame completes ``T``."""
     if not irreducible:
-        return _controller_frame_reducible(A1, b)
-    if coincident:
-        return eigvec_b_transform(A1, b, t)
-    T0 = fix_b_boundary(A1, b, t)
+        return _controller_frame_reducible(A1, b, float(lam[-1]))
+    if coincident and np.min(b) > zero_tolerance(b):
+        return _deflation_frame(A1, b, lam, t)
+    T0 = _resolvent_frame(A1, b)
     b0 = np.maximum(np.linalg.solve(T0, b), 0.0)
     zero = b0 <= 10 * t * max(inf_norm(b0), 1e-300)
     order = np.argsort(zero, kind="stable")  # the support of b0 first
     b2 = np.where(zero, 0.0, b0)[order]
-    Ab = _reducible_after_subtraction(A1[np.ix_(order, order)], b2, t)
-    T2 = _controller_frame_reducible(Ab, b2)
-    if T2 is None:
-        return None
+    Ab, lam3 = _reducible_after_subtraction(A1[np.ix_(order, order)], b2, t)
+    T2 = _controller_frame_reducible(Ab, b2, lam3)
     # T2 conjugates Ab; adding back b2 alpha^T only touches the first row
-    return T0[:, order] @ T2
+    return None if T2 is None else T0[:, order] @ T2
 
 
 # ---------------------------------------------------------------------------
@@ -937,19 +936,17 @@ def metzler_hess_4(A, tol: float | None = None) -> SimilarityCertificate:
     failures = []
     for lead in range(4):
         order = [(lead + k) % 4 for k in range(4)]
-        P = np.zeros((4, 4))
-        P[order, np.arange(4)] = 1.0
+        P = np.eye(4)[:, order]
         Ap = P.T @ A @ P
         bb = np.maximum(Ap[1:, 0], 0.0)
-        cc = np.maximum(Ap[0, 1:], 0.0)
         A3 = Ap[1:, 1:]
         try:
             if inf_norm(bb) <= 10 * t:
                 # a zero column below the lead: any T3 >= 0 keeps the row
-                # cc T3 nonnegative
+                # Ap[0, 1:] T3 nonnegative
                 T3 = metzler_hess_3(A3, t).T
             else:
-                sub = ct_hess_3(A3, bb, cc, t)
+                sub = ct_hess_3(A3, bb, tol=t)
                 if isinstance(sub, Obstruction):
                     failures.append((lead, f"obstruction: {sub.data}"))
                     continue

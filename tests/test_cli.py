@@ -48,11 +48,15 @@ class TestFormats:
         v = parse_vector_text('{"dim": 3, "data": [1, 0, 2]}')
         np.testing.assert_array_equal(v, [1.0, 0.0, 2.0])
 
-    def test_malformed_matrix_rejected(self):
+    @pytest.mark.parametrize("text", [
+        "2 2\n1 2 3\n",
+        '{"rows": -1, "cols": -2, "data": [1, 2]}',
+    ])
+    def test_malformed_matrix_rejected(self, text):
         from hessform import InputError
 
         with pytest.raises(InputError):
-            parse_matrix_text("2 2\n1 2 3\n")
+            parse_matrix_text(text)
 
     def test_certificate_round_trip(self, rng):
         A = np.array([[-1.0, 2.0, 0.5], [1.0, 0.0, 1.0], [0.25, 3.0, -2.0]])
@@ -245,6 +249,28 @@ class TestCli:
         assert run(["classify", "/nonexistent/path.mat"]) == 1
         err = capsys.readouterr().err
         assert "error:" in err
+
+    @pytest.mark.parametrize("command, bad", [
+        (["classify", "{bad}"], "matrix"),
+        (["ctpos", "{A}", "{bad}"], "vector"),
+        (["verify", "{A}", "{bad}"], "certificate"),
+    ])
+    def test_non_utf8_file_is_usage_error(self, files, capsys, command, bad):
+        tmp, amat, _ = files
+        path = tmp / "bad.bin"
+        path.write_bytes(b"3 3\n\xff\xfe 1 2\n")
+        argv = [arg.format(A=amat, bad=path) for arg in command]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and bad in err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3"])
+    def test_certificate_that_is_not_an_object_is_usage_error(self, files, capsys, text):
+        tmp, amat, _ = files
+        cert_path = tmp / "cert.json"
+        cert_path.write_text(text)
+        assert run(["verify", amat, str(cert_path)]) == 1
+        assert "error: malformed certificate JSON" in capsys.readouterr().err
 
     def test_tol_env_override(self, files, monkeypatch, capsys):
         _, amat, _ = files

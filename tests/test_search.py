@@ -323,6 +323,20 @@ class TestFrameBookkeeping:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         return want
 
+    def test_frame_without_a_candidate_runs_no_qr(self, monkeypatch):
+        """At a budget of one active set its vertex is infeasible, so the frame
+        has no candidate and neither the QR nor the off-span norms run; at
+        three sets one candidate needs one QR."""
+        A1 = np.array([[0.75, 0.25, 0.75], [0.0, 0.625, 0.8125], [0.0, 0.0, 0.0]])
+        T = np.array([[0.0, 0.5], [0.0, 0.5], [1.0, 0.0]])
+        self._assert_same(A1, T, Mode.METZLER, 1e-9, 1)
+        qr, calls = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        assert search._next_columns(A1, T, Mode.METZLER, 1e-9, 1).shape == (0, 3)
+        assert not calls
+        assert search._next_columns(A1, T, Mode.METZLER, 1e-9, 3).shape == (1, 3)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("mode", [Mode.NONNEG, Mode.METZLER])
     @pytest.mark.parametrize("breadth", [10, 126, 400])

@@ -492,6 +492,15 @@ class TestNonnegHess3:
         assert_good_cert(A, cert, Mode.NONNEG)
         np.testing.assert_array_equal(cert.T[:, 0], [1.0, 0.0, 0.0])
 
+    def test_near_perron_warning_points_at_the_caller(self):
+        """Partition k = 2 sees its input (1, 1 + 3e-8) within 10x of its
+        block's Perron threshold; the warning names this line, not the
+        construction's own code."""
+        A = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0 + 3e-8], [1.0, 2.0, 0.5]])
+        with pytest.warns(UserWarning, match="within 10x") as record:
+            assert_good_cert(A, nonneg_hess_3(A), Mode.NONNEG)
+        assert {w.filename for w in record} == {__file__}
+
     def test_family_obstructs_every_leading_partition(self):
         """On the family no leading partition serves: each 2x2 block's input
         is its Perron vector and its second eigenvalue is negative."""
@@ -610,6 +619,83 @@ class TestCtHess3:
             result = ct_hess_3(A, b)
             assert_good_cert(A, result, Mode.METZLER)
 
+    def test_perron_input_with_a_zero_entry(self):
+        """``b`` is the Perron vector with its 3e-9 entry zeroed, so it passes
+        the coincidence test; it is on the orthant boundary already, and the
+        deflation frame, which divides by ``b``, is not the route."""
+        A = np.array([[1.0, 0.0, 1.0], [1.0, 0.5, 0.0], [0.0, 3e-9, 0.2]])
+        vals, V = np.linalg.eig(A)
+        b = np.abs(V[:, np.argmax(vals.real)].real)
+        assert 0 < b[2] < 1e-8
+        b[2] = 0.0
+        assert_ct_cert(A, b, ct_hess_3(A, b))
+
+
+def _count_calls(monkeypatch, module, names):
+    """Counts of the calls to ``module.<name>`` for each name, wrapped in place."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return counts
+
+
+class TestOneAnswerPerQuestion:
+    """Each question on the exact-construction path is answered once per call,
+    and a certificate is built only for the answer returned."""
+
+    QUESTIONS = ("classify", "_eigenvalues", "_perron_coincident")
+    ROUTES = ("_resolvent_frame", "_deflation_frame", "_controller_frame_reducible")
+
+    @pytest.mark.parametrize("A, b, routes", [
+        # irreducible, b off the Perron vector: resolvent, then a reducible frame
+        ([[-1.0, 1.0, 0.5], [0.5, -2.0, 1.0], [1.0, 0.5, -1.5]], [1.0, 0.2, 0.5],
+         (1, 0, 1)),
+        # irreducible path graph, b its Perron vector: the deflation frame
+        ([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], [1.0, 2.0 ** 0.5, 1.0],
+         (0, 1, 0)),
+        # reducible
+        ([[-1.0, 2.0, 0.0], [0.0, -2.0, 0.0], [1.0, 1.0, -3.0]], [1.0, 0.0, 1.0],
+         (0, 0, 1)),
+    ])
+    def test_ct_hess_3_classifies_solves_and_tests_once(self, monkeypatch, A, b, routes):
+        counts = _count_calls(monkeypatch, hessform.transforms, self.QUESTIONS + self.ROUTES)
+        A, b = np.array(A), np.array(b)
+        assert_ct_cert(A, b, ct_hess_3(A, b))
+        assert counts == dict(zip(self.QUESTIONS + self.ROUTES, (1, 1, 1) + routes))
+
+    def test_rank_one_shift_detect_makes_one_svd(self, monkeypatch, rng):
+        counts = _count_calls(monkeypatch, np.linalg, ["svd"])
+        for n in (3, 4, 5):
+            for _ in range(20):
+                counts["svd"] = 0
+                assert rank_one_shift_detect(random_rank_one_shift(rng, n)) is not None
+                assert counts["svd"] == 1
+
+    @pytest.mark.parametrize("construct, draw", [
+        (dt_hess_2, lambda rng: (rng.uniform(0.0, 1.0, (2, 2)), rng.uniform(0.0, 1.0, 2))),
+        (nonneg_hess_3, lambda rng: (rng.uniform(0.1, 1.0, (3, 3)),)),
+        (metzler_hess_3, lambda rng: (random_metzler(rng, 3),)),
+        (ct_hess_3, lambda rng: (rng.uniform(0.0, 1.0, (3, 3))
+                                 - 2.0 * np.diag(rng.uniform(0.0, 1.0, 3)),
+                                 rng.uniform(0.0, 1.0, 3))),
+    ])
+    def test_one_certificate_per_certificate_returned(self, monkeypatch, construct, draw):
+        counts = _count_calls(monkeypatch, hessform.transforms, ["make_certificate"])
+        answers = set()
+        for i in range(100):
+            counts["make_certificate"] = 0
+            result = construct(*draw(np.random.default_rng([43, i])))
+            answers.add(type(result))
+            assert counts["make_certificate"] == isinstance(result, SimilarityCertificate)
+        assert SimilarityCertificate in answers
+
 
 class TestPlaneOrthantRays:
     @pytest.mark.parametrize("plane", [
@@ -682,7 +768,7 @@ class TestReducibleControllerFrames:
     @staticmethod
     def frame(A1, b):
         A1, b = np.array(A1), np.array(b)
-        T = _controller_frame_reducible(A1, b)
+        T = _controller_frame_reducible(A1, b, float(np.min(np.linalg.eigvals(A1).real)))
         assert T is not None
         H = np.linalg.solve(T, A1 @ T)
         assert np.min(T) >= 0.0
@@ -808,10 +894,12 @@ def test_state_feedback_matches_the_pattern_formulas(support):
         b2 = np.r_[rng.uniform(0.1, 1.0, support), np.zeros(3 - support)]
         base = A2 - np.outer(b2, _two_pattern_alpha(A2, b2))
         base[np.abs(base) <= 100 * t * inf_norm(A2)] = 0.0
-        sigma = max(0.0, -float(np.min(np.diag(base))),
-                    -float(np.min(np.linalg.eigvals(base).real))) + 0.125 * inf_norm(A2)
+        lam3 = float(np.min(np.linalg.eigvals(base).real))
+        sigma = max(0.0, -float(np.min(np.diag(base))), -lam3) + 0.125 * inf_norm(A2)
         expected = np.maximum(base + sigma * np.eye(3), 0.0)
-        np.testing.assert_array_equal(_reducible_after_subtraction(A2, b2, t), expected)
+        Ab, lam3_Ab = _reducible_after_subtraction(A2, b2, t)
+        np.testing.assert_array_equal(Ab, expected)
+        assert lam3_Ab == lam3 + sigma
 
 
 def test_stress_recipe_never_raises_and_always_verifies():
