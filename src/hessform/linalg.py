@@ -8,7 +8,6 @@ pure; nothing is mutated or cached.
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -41,8 +40,6 @@ __all__ = [
 
 #: Hard cap on matrix dimension accepted anywhere in the package.
 MAX_DIM = 16
-#: Exhaustive permutation search limit (8! = 40320 candidates).
-PERMUTATION_SEARCH_LIMIT = 8
 #: Dimension limit for the real Jordan-like form.
 JORDAN_DIM_LIMIT = 4
 
@@ -432,27 +429,50 @@ def metzler_shift(A, tol: float | None = None) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 def permutation_to_hessenberg(A, tol: float | None = None) -> np.ndarray | None:
-    """Exhaustively search for a permutation similarity to upper Hessenberg form.
-
-    Returns the lexicographically first permutation matrix ``P`` such that
+    """The lexicographically first permutation matrix ``P`` such that
     ``P.T @ A @ P`` is upper Hessenberg on the thresholded zero pattern, or
-    ``None`` when no permutation works.  Restricted to n <= 8.
+    ``None`` when no permutation works.
+
+    A depth-first search places the indices in lexicographic order.  A placed
+    index may have off-diagonal nonzeros only in the columns of indices placed
+    after it or of the one placed just before it, so once an index follows
+    ``last``, the column of ``last`` is forbidden to every index still
+    unplaced.  The rows with a nonzero there must therefore come next: two or
+    more of them end the branch, one is the only child, and none leaves every
+    unplaced index free.  Whether a state (placed set, last placed) completes
+    depends on nothing else, so failed states are remembered, and a call
+    visits at most ``2**n * n`` of them, which reaches ``MAX_DIM``.
     """
     A = as_square(A)
     n = A.shape[0]
-    if n > PERMUTATION_SEARCH_LIMIT:
-        raise InputError(
-            f"permutation search is exhaustive and limited to n <= {PERMUTATION_SEARCH_LIMIT}")
-    t = zero_tolerance(A, tol)
-    below = np.tril(np.ones((n, n), dtype=bool), k=-2)
-    for perm in itertools.permutations(range(n)):
-        p = np.array(perm)
-        B = A[np.ix_(p, p)]
-        if np.all(np.abs(B[below]) <= t):
-            P = np.zeros((n, n))
-            P[p, np.arange(n)] = 1.0
-            return P
-    return None
+    nonzero = np.abs(A) > zero_tolerance(A, tol)
+    np.fill_diagonal(nonzero, False)
+    # rows_in[c]: bit mask of the rows with a nonzero in column c; the root's
+    # "last placed" is the sentinel n, whose column is empty
+    rows_in = ((1 << np.arange(n)) @ nonzero).tolist() + [0]
+    full, order = (1 << n) - 1, []
+    dead = bytearray((n + 1) << n)  # indexed by last << n | placed
+
+    def complete(placed: int, last: int) -> bool:
+        if placed == full:
+            return True
+        pending = rows_in[last] & ~placed
+        if pending & (pending - 1) or dead[last << n | placed]:
+            return False
+        for x in [pending.bit_length() - 1] if pending else range(n):
+            if not placed >> x & 1:
+                order.append(x)
+                if complete(placed | 1 << x, x):
+                    return True
+                order.pop()
+        dead[last << n | placed] = 1
+        return False
+
+    if not complete(0, n):
+        return None
+    P = np.zeros((n, n))
+    P[order, np.arange(n)] = 1.0
+    return P
 
 
 # ---------------------------------------------------------------------------

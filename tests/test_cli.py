@@ -214,6 +214,26 @@ class TestCli:
         assert run(["verify", str(amat), str(cert_path)]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
+    def test_hessenberg_permutable_5x5_runs_no_vertex_search(self, tmp_path, capsys,
+                                                             monkeypatch):
+        """A permutable 5x5 Metzler draw gets its permutation before the
+        vertex search: exit 0, a verified permutation certificate, and no
+        call of the search's step."""
+        A = sample_matrix(5, Mode.METZLER, Generator.DENSE_UNIFORM,
+                          np.random.default_rng([1, 3, 1726]))
+        P = hessform.permutation_to_hessenberg(A)
+        assert P is not None
+        calls = []
+        monkeypatch.setattr(hessform.search, "_next_columns",
+                            lambda *args: calls.append(args) or [])
+        amat = tmp_path / "m5.mat"
+        write_matrix(amat, A)
+        assert run(["hessenberg", str(amat), "--mode", "metzler"]) == 0
+        cert = certificate_from_json(capsys.readouterr().out)
+        assert calls == []
+        np.testing.assert_array_equal(cert.T, P)
+        assert hessform.verify_certificate(A, cert, tol=1e-8)
+
     def test_hessenberg_seed_defaults_to_zero(self, tmp_path, capsys):
         """A non-permutable 5x5 Metzler draw that the search certifies from
         its first Dirichlet start: no ``--seed`` prints the bytes of

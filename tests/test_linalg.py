@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from hessform import (
     perron_pair,
     sorted_spectrum,
 )
-from hessform.linalg import inf_norm
+from hessform.linalg import MAX_DIM, inf_norm, zero_tolerance
 
 from conftest import INFEASIBLE_DT_A, random_irreducible_nonneg, random_nonneg
 
@@ -99,8 +101,6 @@ class TestClassify:
 
 
 def _permutation_reducible(A, zero_pattern):
-    import itertools
-
     n = A.shape[0]
     for perm in itertools.permutations(range(n)):
         p = np.array(perm)
@@ -254,9 +254,70 @@ class TestPermutationToHessenberg:
     def test_no_zero_to_move(self):
         assert permutation_to_hessenberg(np.ones((3, 3)) - np.eye(3)) is None
 
-    def test_dimension_cap(self):
-        with pytest.raises(InputError):
-            permutation_to_hessenberg(np.ones((9, 9)))
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "near-threshold"])
+    def test_subset_search_equals_enumeration(self, kind):
+        # the same lexicographically first P, bit for bit, or None with it
+        rng = np.random.default_rng([91, len(kind)])
+        found = 0
+        for n in range(1, 8):
+            for _ in range(12):
+                A = rng.uniform(0.0, 1.0, (n, n))
+                tol = None
+                if kind == "sparse":
+                    A[rng.uniform(size=(n, n)) < rng.uniform(0.4, 0.9)] = 0.0
+                elif kind == "near-threshold":
+                    # entries just below, at and just above an explicit tolerance
+                    tol = 1e-6
+                    near = rng.uniform(size=(n, n)) < 0.6
+                    A[near] = rng.choice([-1.001e-6, -1e-6, 0.0, 0.999e-6, 1e-6, 1.001e-6],
+                                         size=int(near.sum()))
+                want = _enumerated_permutation(A, tol)
+                got = permutation_to_hessenberg(A, tol)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    found += 1
+                    assert got.tobytes() == want.tobytes()
+        assert found >= 12
+
+    @pytest.mark.parametrize("n", range(9, MAX_DIM + 1))
+    def test_permuted_hessenberg_pattern_is_found(self, n):
+        rng = np.random.default_rng([92, n])
+        for _ in range(5):
+            H = np.triu(rng.uniform(0.1, 1.0, (n, n)), -1)
+            H[rng.uniform(size=(n, n)) < rng.uniform(0.0, 0.7)] = 0.0
+            q = rng.permutation(n)
+            A = H[np.ix_(q, q)]
+            P = permutation_to_hessenberg(A)
+            assert P is not None
+            np.testing.assert_array_equal(P.sum(axis=0), 1.0)
+            np.testing.assert_array_equal(P.sum(axis=1), 1.0)
+            assert not np.tril(P.T @ A @ P, -2).any()
+
+    def test_dense_max_dim_has_no_permutation(self):
+        assert permutation_to_hessenberg(np.ones((MAX_DIM, MAX_DIM))) is None
+
+    def test_max_dim_is_accepted(self):
+        np.testing.assert_array_equal(
+            permutation_to_hessenberg(np.eye(MAX_DIM)), np.eye(MAX_DIM))
+
+    def test_above_max_dim_raises(self):
+        with pytest.raises(InputError, match="supported dimension"):
+            permutation_to_hessenberg(np.eye(MAX_DIM + 1))
+
+
+def _enumerated_permutation(A, tol=None):
+    """The first of ``itertools.permutations`` that makes ``P.T @ A @ P``
+    upper Hessenberg on the zero pattern at ``zero_tolerance(A, tol)``."""
+    n = A.shape[0]
+    t = zero_tolerance(A, tol)
+    below = np.tril(np.ones((n, n), dtype=bool), k=-2)
+    for perm in itertools.permutations(range(n)):
+        p = np.array(perm)
+        if np.all(np.abs(A[np.ix_(p, p)][below]) <= t):
+            P = np.zeros((n, n))
+            P[p, np.arange(n)] = 1.0
+            return P
+    return None
 
 
 class TestJordanLikeForm:

@@ -28,6 +28,7 @@ from hessform.linalg import (
     zero_tolerance,
 )
 from hessform.search import sample_matrix
+from hessform.transforms import RESIDUAL_BOUND
 
 from conftest import random_metzler, random_nonneg
 
@@ -137,28 +138,40 @@ class TestAltprojHess:
 BUDGET = dict(restarts=4, max_iters=200)  # random_experiment's
 
 
+@pytest.fixture
+def frame_calls(monkeypatch):
+    """The calls of ``search._next_columns``, the vertex search's step."""
+    calls = []
+    next_columns = search._next_columns
+    monkeypatch.setattr(search, "_next_columns",
+                        lambda *args: calls.append(args) or next_columns(*args))
+    return calls
+
+
 class TestKrylovFrameSearch:
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("mode", [Mode.NONNEG, Mode.METZLER])
     @pytest.mark.parametrize("generator", [Generator.DENSE_UNIFORM,
                                            Generator.SPARSE_PATTERN])
-    def test_every_permutable_draw_is_certified(self, n, mode, generator):
-        # a permutation frame is the search from an axis, each column of H
-        # the sparsest vertex of its step
+    def test_every_permutable_draw_is_certified(self, n, mode, generator, frame_calls):
+        # the permutation step answers these before any vertex search, as one
+        # successful start of n nodes: the axis-only frame
         draws = [sample_matrix(n, mode, generator, np.random.default_rng([61, n, i]))
                  for i in range(30)]
         permutable = [A for A in draws if permutation_to_hessenberg(A) is not None]
         assert len(permutable) >= 8
         for i, A in enumerate(permutable):
             report = altproj_hess(A, mode, AltProjConfig(seed=i, **BUDGET))
-            assert report.successes == 1
+            assert report.attempts == report.successes == 1
+            assert report.logs == (search.RestartLog(0, n, report.best_violation, True),)
             cert = report.best_certificate
-            assert verify_certificate(A, cert, tol=1e-8) and np.min(cert.T) >= 0.0
+            assert cert.T.tobytes() == permutation_to_hessenberg(*_unit_scale(A, mode)).tobytes()
+            assert verify_certificate(A, cert, tol=RESIDUAL_BOUND) and np.min(cert.T) >= 0.0
+        assert frame_calls == []
 
     def test_permutable_benchmark_draw_gets_its_permutation(self):
-        # instance 1726 of the heuristic benchmark (seed 1) is permutable; the
-        # frame found from an axis start is the permutation itself, every
-        # entry an exact 0 or 1 since r is snapped at the zero threshold
+        # instance 1726 of the heuristic benchmark (seed 1) is permutable, and
+        # its certificate's T is the permutation itself, every entry 0 or 1
         A = sample_matrix(5, Mode.METZLER, Generator.DENSE_UNIFORM,
                           np.random.default_rng([1, 3, 1726]))
         assert permutation_to_hessenberg(A) is not None
@@ -254,6 +267,51 @@ class TestKrylovFrameSearch:
         assert all(log.iterations <= cfg.max_iters for log in report.logs)
         if report.successes:
             assert verify_certificate(A, report.best_certificate, tol=1e-8)
+
+
+
+class TestPermutationFirst:
+    """A permutation is decided exactly before the vertex search."""
+
+    @pytest.mark.parametrize("n, mode", [(5, Mode.METZLER), (4, Mode.NONNEG)])
+    @pytest.mark.parametrize("generator", [Generator.DENSE_UNIFORM,
+                                           Generator.SPARSE_PATTERN])
+    def test_experiment_runs_no_vertex_search_on_permutable_draws(
+            self, n, mode, generator, frame_calls):
+        # random_experiment draws trial 0 of a seed from [seed, 0]
+        draws = {seed: sample_matrix(n, mode, generator, np.random.default_rng([seed, 0]))
+                 for seed in range(60)}
+        permutable = [seed for seed, A in draws.items()
+                      if permutation_to_hessenberg(A) is not None]
+        assert len(permutable) >= 5
+        for seed in permutable[:5]:
+            report = random_experiment(n, 1, seed, mode, generator)
+            assert report.successes == 1
+            assert verify_certificate(draws[seed], report.best_certificate, tol=RESIDUAL_BOUND)
+        assert frame_calls == []
+        # a dense draw with no permutation reaches the vertex search, so the
+        # spy sees it
+        seed = next(seed for seed in range(60) if permutation_to_hessenberg(sample_matrix(
+            n, mode, Generator.DENSE_UNIFORM, np.random.default_rng([seed, 0]))) is None)
+        random_experiment(n, 1, seed, mode, Generator.DENSE_UNIFORM)
+        assert frame_calls
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("mode", [Mode.NONNEG, Mode.METZLER])
+    def test_invariant_under_permutation_similarity(self, n, mode):
+        rng = np.random.default_rng([65, n])
+        draws = [sample_matrix(n, mode, Generator.DENSE_UNIFORM, rng) for _ in range(20)]
+        permutable = [A for A in draws if permutation_to_hessenberg(A) is not None]
+        assert len(permutable) >= 4
+        for i, A in enumerate(permutable):
+            for _ in range(4):
+                q = rng.permutation(n)
+                B = A[np.ix_(q, q)]  # Q^T A Q for the permutation matrix Q of q
+                report = altproj_hess(B, mode, AltProjConfig(seed=i, **BUDGET))
+                assert report.successes == 1
+                cert = report.best_certificate
+                assert verify_certificate(B, cert, tol=RESIDUAL_BOUND)
+                assert np.min(cert.T) >= 0.0
 
 
 def _reference_next_columns(A1, T, mode, t, breadth):
@@ -399,11 +457,18 @@ class TestFrameBookkeeping:
         assert info.misses > info.maxsize >= info.currsize
 
     def test_heuristic_reports_are_pinned(self):
-        # _report_bits of the heuristic benchmark's first 300 seed-1 instances,
-        # as the uncached search gives them
-        reports = (altproj_hess(*_heuristic_instance(1, i)) for i in range(300))
+        # _report_bits of the heuristic benchmark's first 300 seed-1 instances.
+        # The 144 with no permutation get the reports of the search before the
+        # permutation step, bit for bit; the other 156 get the permutation.
+        instances = [_heuristic_instance(1, i) for i in range(300)]
+        reports = [altproj_hess(*instance) for instance in instances]
         assert _digest(reports) == \
-            "c093deacddc06207b1783d417d4ede307fe7e322ac09a50a28a5c21a79685c85"
+            "3e058e50e70c1fd11eff6dbd8f96508502b8b81c1b7b9d0ef3f7e4a00188981c"
+        searched = [report for (A, _, _), report in zip(instances, reports)
+                    if permutation_to_hessenberg(A) is None]
+        assert len(searched) == 144
+        assert _digest(searched) == \
+            "adb70ad733a7df3ebcbf6153ed275f4db8b4058ad46b9d73c1199c5d52825b13"
 
     def test_dirichlet_generator_is_built_only_when_needed(self, monkeypatch):
         built = []
@@ -413,7 +478,7 @@ class TestFrameBookkeeping:
             built.append(args)
             return default_rng(*args, **kw)
 
-        # 1726 is certified from an axis start, 292 tries every start; both
+        # 1726 is certified by its permutation, 292 tries every start; both
         # are instances of the heuristic benchmark (seed 1)
         axis_draw = sample_matrix(5, Mode.METZLER, Generator.DENSE_UNIFORM,
                                   np.random.default_rng([1, 3, 1726]))
