@@ -286,6 +286,7 @@ def sample_matrix(n: int, mode: Mode, generator: Generator,
     zeroes off-diagonal entries with probability 2/3.  rank-one-shift draws
     from the family c (u v^T - s I) with positive u, v.
     """
+    mode = Mode(mode)
     generator = Generator(generator)
     if generator is Generator.PROP1_FAMILY:
         u = rng.uniform(0.1, 2.0, size=n)
@@ -312,6 +313,7 @@ def exact_hessenberg(A: np.ndarray, mode: Mode, tol: float | None = None
     """The exact construction for ``mode`` at this dimension: a certificate or
     an obstruction, or None where only the heuristic search applies (Metzler
     n >= 5, nonneg n >= 4 outside the rank-one-minus-shift family)."""
+    mode = Mode(mode)
     n = A.shape[0]
     if n <= 2:  # already upper Hessenberg; the sign structure is the question
         cert = identity_certificate(A, mode)

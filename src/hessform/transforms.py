@@ -8,8 +8,10 @@ private frame functions take those answers and build ``T`` without checks of
 their own.  Contracts are postcondition-based: the particular ``T`` returned
 is one valid choice, never a canonical one.
 
-No randomness is used anywhere in this module.  One search remains, over a
-fixed list: ``metzler_hess_4`` sweeps its lead indices.
+No randomness is used anywhere in this module.  The n = 3 and n = 4 Hessenberg
+constructions share one reduction, :func:`_lead_loop`: a permutation where one
+exists, else for each lead index ``k`` in a fixed list a controller form of
+the trailing pair ``(A[B, B], A[B, k])``, embedded as ``(e_k | T_B)``.
 
 The problem is invariant under ``A -> cA``, and one scale policy follows it.
 The five constructors (``nonneg_hess_3``, ``metzler_hess_3``,
@@ -159,6 +161,7 @@ def make_certificate(A, T, mode: Mode) -> SimilarityCertificate:
     """Certificate for ``H = T^{-1} A T`` that keeps the caller's ``T``, with
     every metric recomputed at unit column sums."""
     A = as_square(A)
+    mode = Mode(mode)
     T = as_square(np.array(T, dtype=float, copy=True), "T")
     if T.shape != A.shape:
         raise InputError("T must match the shape of A")
@@ -241,7 +244,7 @@ def verify_certificate(A, cert: SimilarityCertificate, tol: float = 1e-8) -> boo
     H = H * d[:, None] / d
     norm_A = inf_norm(A)
     if not _holds(norm_A, inf_norm(A @ T - T @ H), _hessenberg_violation(H),
-                  _sign_violation(H, cert.mode), float(np.min(T)), tol):
+                  _sign_violation(H, Mode(cert.mode)), float(np.min(T)), tol):
         return False
     T_inv = np.linalg.solve(T, np.eye(T.shape[0]))
     return inf_norm(T_inv @ A @ T - H) <= tol * norm_A * inf_norm(T_inv) * inf_norm(T)
@@ -542,34 +545,42 @@ def diag_commuting_transform(A, b, tol: float | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 3x3 nonnegative Hessenberg decision
+# the lead loop and the 3x3 Hessenberg constructions
 # ---------------------------------------------------------------------------
 
-def _embed_trailing(T2: np.ndarray) -> np.ndarray:
-    n = T2.shape[0] + 1
-    out = np.eye(n)
-    out[1:, 1:] = T2
-    return out
-
-
-def _leading_partition(A: np.ndarray, k: int, t: float) -> np.ndarray | None:
-    """``T >= 0`` with ``T^{-1} A T`` nonnegative upper Hessenberg from the 2x2
-    block ``B`` that leaves out the scalar index ``k``, or None when that
-    block's controller step obstructs.
-
-    :func:`_dt_frame` on ``(A[B, B], v = A[B, k])`` gives its shifted Krylov
-    frame ``T2 = (v / ||v||_inf | p) >= 0`` with ``T2^{-1} A[B, B] T2 >= 0``.  In the
-    order ``(B, k)``, the conjugate by ``diag(T2, 1)`` is nonnegative with a
-    zero at (1, 2); ``T = (e_k | T2 on the rows B)`` takes its columns in the
-    order ``[2, 0, 1]``, which moves that zero to (2, 0)."""
-    B = [i for i in range(3) if i != k]
-    T2 = _dt_frame(A[np.ix_(B, B)], A[B, k], t)
-    if isinstance(T2, tuple):
-        return None
-    T = np.zeros((3, 3))
-    T[k, 0] = 1.0
-    T[np.ix_(B, [1, 2])] = T2
-    return T
+def _lead_loop(A: np.ndarray, s: float, t: float, mode: Mode, leads, step,
+               name: str) -> SimilarityCertificate:
+    """The one reduction of the exact Hessenberg constructions, on a
+    unit-scale ``A`` (scale ``s``, zero threshold ``t``): the certificate of a
+    permutation to upper Hessenberg form where one exists, else of the first
+    lead frame ``T = (e_k | T_B on the rows B)`` that certifies, ``B`` the
+    indices after ``k`` in cyclic order.  ``step(A[B, B], A[B, k])`` gives
+    ``T_B >= 0`` with ``T_B^{-1} A[B, k]`` on ``e_1`` and ``T_B^{-1} A[B, B] T_B``
+    upper Hessenberg in the signs of ``mode``, so ``T^{-1} A T`` is too, its
+    first row ``(a_kk, A[k, B] T_B)``; or no array where that pair obstructs.
+    A frame failing in floating point passes to the next lead; none serving
+    raises, with the reason of each."""
+    n = A.shape[0]
+    P = permutation_to_hessenberg(A, t)
+    if P is not None:
+        return _checked(make_certificate(A, P, mode), A, f"{name} (permutation)", s)
+    failures = []
+    for k in leads:
+        B = [(k + j) % n for j in range(1, n)]
+        try:
+            TB = step(A[np.ix_(B, B)], A[B, k])
+            if not isinstance(TB, np.ndarray):
+                failures.append((k, "obstructed"))
+                continue
+            T = np.zeros((n, n))
+            T[k, 0] = 1.0
+            T[B, 1:] = TB
+            return _checked(make_certificate(A, T, mode), A, f"{name} (lead {k})", s)
+        except (InputError, ConstructionDefect) as exc:
+            failures.append((k, str(exc)))
+    raise ConstructionDefect(
+        f"{name}: no lead served although the construction is total off its "
+        f"obstruction; A = {(s * A).tolist()}; per lead: {failures}")
 
 
 def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstruction:
@@ -577,12 +588,11 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
     the rank-one-minus-shift obstruction.
 
     A 3x3 nonnegative matrix has a nonnegative Hessenberg form unless it is
-    ``c (u v^T - s I)``.  Off that family, a permutation serves when one moves
-    an off-diagonal zero to (2, 0); otherwise every off-diagonal entry is
-    positive and a leading partition (:func:`_leading_partition`) serves for
-    some scalar index, tried in the order (2, 0, 1); one whose certificate
-    fails in floating point passes to the next.  All three failing off the
-    family contradicts the characterisation and raises.
+    ``c (u v^T - s I)``.  Off that family, :func:`_lead_loop` serves: a
+    permutation when one moves an off-diagonal zero to (2, 0), otherwise
+    (every off-diagonal entry positive) the 2x2 step :func:`_dt_frame` of
+    some trailing pair, its leads tried in the order (2, 0, 1).  All three
+    failing off the family contradicts the characterisation and raises.
     """
     A = as_square(A)
     if A.shape[0] != 3:
@@ -604,27 +614,8 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
                 "reconstruction_residual": inf_norm(form.reconstruct() - A),
             },
         )
-
-    P = permutation_to_hessenberg(A, t)
-    if P is not None:
-        cert = make_certificate(A, P, Mode.NONNEG)
-        return _checked(cert, A, "nonneg_hess_3 (permutation)", s)
-
-    failures = []
-    for k in (2, 0, 1):
-        try:
-            T = _leading_partition(A, k, t)
-            if T is not None:
-                cert = make_certificate(A, T, Mode.NONNEG)
-                return _checked(cert, A, "nonneg_hess_3 (leading partition)", s)
-            failures.append((k, "obstruction"))
-        except (InputError, ConstructionDefect) as exc:
-            failures.append((k, str(exc)))
-
-    raise ConstructionDefect(
-        "no leading partition certified although the rank-one-minus-shift "
-        "test is negative; this contradicts the 3x3 characterisation. "
-        f"A = {(s * A).tolist()}; per scalar index: {failures}")
+    return _lead_loop(A, s, t, Mode.NONNEG, (2, 0, 1),
+                      lambda A2, v: _dt_frame(A2, v, t), "nonneg_hess_3")
 
 
 def _shift_to_rank_one(A2: np.ndarray) -> tuple[np.ndarray, float]:
@@ -642,33 +633,28 @@ def _shift_to_rank_one(A2: np.ndarray) -> tuple[np.ndarray, float]:
     return shifted, min(a, d) - small
 
 
+def _rank_one_step(A2: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The 2x2 Metzler step: :func:`_dt_frame` for the rank-one shift
+    ``A2 - lam I``, which has no negative eigenvalue, so it cannot obstruct;
+    the shift moves only the diagonal, so ``T2^{-1} A2 T2`` is Metzler."""
+    R = _shift_to_rank_one(A2)[0]  # exact to its rounding: tested at its own scale
+    return _dt_frame(R, v, zero_tolerance(R))
+
+
 def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
     """Metzler Hessenberg form for any 3x3 Metzler matrix (always succeeds),
     with ``T >= 0``.
 
-    Off upper Hessenberg input, ``A[2, 0] > 0``, so ``b = A[1:, 0]`` is
-    nonzero.  The 2x2 Metzler block ``A2 = A[1:, 1:]`` has a real spectrum;
-    with ``lam`` its smaller eigenvalue, ``A2 - lam I >= 0`` has rank at most
-    one and no negative eigenvalue, so :func:`_dt_frame` cannot obstruct and
-    returns ``T2 = (b | p) >= 0``.  Then ``T = diag(1, T2)`` gives
-    ``H[2, 0] = 0``, a nonnegative first row ``A[0, 1:] T2`` and the Metzler
-    trailing block ``T2^{-1} A2 T2``.
+    :func:`_lead_loop` with the lead 0 and :func:`_rank_one_step`: without a
+    permutation ``A[2, 0] > 0``, so the step's ``b = A[1:, 0]`` is nonzero.
     """
-    A_in = as_square(A)
-    if A_in.shape[0] != 3:
+    A = as_square(A)
+    if A.shape[0] != 3:
         raise InputError("metzler_hess_3 expects a 3x3 matrix")
-    A, s, t = _unit_scale(A_in, tol)
-    rep = classify(A, t)
-    if not rep.is_metzler:
+    A, s, t = _unit_scale(A, tol)
+    if not classify(A, t).is_metzler:
         raise InputError("metzler_hess_3 requires a Metzler matrix")
-    if rep.is_upper_hessenberg:
-        return identity_certificate(A_in, Mode.METZLER)
-
-    # exact to the rounding of its own entries, so tested at its own scale
-    R = _shift_to_rank_one(A[1:, 1:])[0]
-    T2 = _dt_frame(R, A[1:, 0], zero_tolerance(R))
-    cert = make_certificate(A, _embed_trailing(T2), Mode.METZLER)
-    return _checked(cert, A, "metzler_hess_3", s)
+    return _lead_loop(A, s, t, Mode.METZLER, (0,), _rank_one_step, "metzler_hess_3")
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +698,7 @@ def _finish_controller(A1: np.ndarray, T1: np.ndarray) -> np.ndarray:
         # run the trailing reduction even for small subdiagonal leakage; it
         # actively zeroes the corner entry instead of trusting loose bounds
         block = np.maximum(H1[1:, 1:], 0.0)
-        T1 = T1 @ _embed_trailing(_dt_frame(block, b_sub, zero_tolerance(block)))
+        T1[:, 1:] = T1[:, 1:] @ _dt_frame(block, b_sub, zero_tolerance(block))
     return T1
 
 
@@ -835,11 +821,11 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
     Returns a nonnegative ``T`` with first column ``b``, so ``T^{-1} b = e_1``
     (and ``c T >= 0`` for every nonnegative output vector), and ``T^{-1} A T``
     Metzler upper Hessenberg, or the Perron-coincidence obstruction when
-    ``A b = lam_1 b`` with a complex pair in the spectrum.  The pattern, the
-    spectrum and the Perron test are computed here, once; from them
-    :func:`_ct_frame` builds the frame for the shifted unit-scale pair, which
-    the one certificate check judges.  A missing or failing frame on
-    admissible input is a defect and raises, never silently obstructs.
+    ``A b = lam_1 b`` with a complex pair in the spectrum.  The input checks
+    and the pattern are answered here, the rest by :func:`_ct_step` on the
+    unit-scale pair, and the one certificate check judges its frame.  A
+    missing or failing frame on admissible input is a defect and raises,
+    never silently obstructs.
     """
     A = as_square(A)
     b_in = as_vector(b)
@@ -857,8 +843,29 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
     if np.min(c) < -zero_tolerance(c):
         raise InputError("ct_hess_3 requires a nonnegative output vector")
     b_in = np.maximum(b_in, 0.0)
-    b = b_in / inf_norm(b_in)
 
+    T = _ct_step(A, b_in, rep.is_irreducible, t)
+    if isinstance(T, tuple):
+        lam1, resid, pair = T
+        return Obstruction(ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
+                           data={"lambda1": s * lam1, "residual": s * inf_norm(b_in) * resid,
+                                 "complex_pair": [s * z for z in pair]})
+    if T is None:
+        raise ConstructionDefect(
+            "no controller frame although the input passed the obstruction "
+            f"test; A = {(s * A).tolist()}, b = {b_in.tolist()}")
+    cert = make_certificate(A, T, Mode.METZLER)
+    return _checked(cert, A, "ct_hess_3", s)
+
+
+def _ct_step(A: np.ndarray, b: np.ndarray, irreducible: bool, t: float
+             ) -> np.ndarray | tuple[float, float, list] | None:
+    """The 3x3 controller step for a unit-scale Metzler ``A`` (zero threshold
+    ``t``, ``irreducible`` its pattern's answer) and ``b >= 0``, ``b != 0``:
+    :func:`_ct_frame` of the shifted pair with ``T[:, 0] = b``, None where no
+    frame forms, or the Perron obstruction's ``(lam_1, residual at
+    ||b||_inf = 1, complex pair)``.  The caller certifies the frame."""
+    bn = b / inf_norm(b)
     vals = _eigenvalues(A)
     # shift to nonnegative entries and a spectrum in the open right
     # half-plane (the transform is shift-invariant); ||A|| = 1 here
@@ -866,22 +873,13 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
     A1 = np.maximum(A + mu * np.eye(3), 0.0)  # its diagonal is at least 0.25
     # eig(A1) = eig(A) + mu, and a Metzler matrix's dominant eigenvalue is real
     lam = np.sort(vals.real)[::-1] + mu
-    coincident, resid = _perron_coincident(A1, b, float(lam[0]))
+    coincident, resid = _perron_coincident(A1, bn, float(lam[0]))
     if coincident and np.max(np.abs(vals.imag)) > t:
-        return Obstruction(
-            ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
-            data={"lambda1": s * (lam[0] - mu), "residual": s * inf_norm(b_in) * resid,
-                  "complex_pair": [s * complex(z) for z in vals if abs(z.imag) > t]},
-        )
-
-    T = _ct_frame(A1, b, lam, rep.is_irreducible, coincident, t)
-    if T is None:
-        raise ConstructionDefect(
-            "no controller frame although the input passed the obstruction "
-            f"test; A = {(s * A).tolist()}, b = {b_in.tolist()}")
-    T[:, 0] = b_in  # so T^{-1} b = e_1 exactly
-    cert = make_certificate(A, T, Mode.METZLER)
-    return _checked(cert, A, "ct_hess_3", s)
+        return float(lam[0] - mu), resid, [complex(z) for z in vals if abs(z.imag) > t]
+    T = _ct_frame(A1, bn, lam, irreducible, coincident, t)
+    if T is not None:
+        T[:, 0] = b  # so T^{-1} b = e_1 exactly
+    return T
 
 
 def _ct_frame(A1: np.ndarray, b: np.ndarray, lam: np.ndarray, irreducible: bool,
@@ -890,7 +888,7 @@ def _ct_frame(A1: np.ndarray, b: np.ndarray, lam: np.ndarray, irreducible: bool,
     open right half-plane), or None.  ``lam`` (the real parts of A1's
     spectrum, descending), ``irreducible`` (that of the unshifted matrix,
     whose off-diagonal zero pattern ``A1`` keeps) and ``coincident`` are
-    :func:`ct_hess_3`'s answers, not asked again.  A reducible ``A1`` takes
+    :func:`_ct_step`'s answers, not asked again.  A reducible ``A1`` takes
     its frame directly and a positive Perron ``b`` the deflation frame.
     Otherwise, as in the paper, ``T0`` places ``b`` on the orthant boundary
     (a ``b`` with a zero entry is there), the state feedback ``b alpha^T``
@@ -917,45 +915,28 @@ def _ct_frame(A1: np.ndarray, b: np.ndarray, lam: np.ndarray, irreducible: bool,
 def metzler_hess_4(A, tol: float | None = None) -> SimilarityCertificate:
     """Metzler Hessenberg form for any 4x4 Metzler matrix (always succeeds).
 
-    Tries each of the four cyclic repositionings that make one index the
-    leading scalar and solves the trailing 3x3 continuous-time
-    controller-Hessenberg problem, or, under a zero column below the lead,
-    takes the ``T3 >= 0`` of :func:`metzler_hess_3`; some choice is guaranteed
-    to work, so an all-fail outcome raises with per-choice diagnostics.
+    :func:`_lead_loop` with the leads 0 to 3.  The trailing step is
+    :func:`_ct_step` for the pair ``(A[B, B], A[B, k])``, at that block's own
+    unit scale; under a zero column below the lead, where any ``T_B >= 0``
+    keeps the row ``A[k, B] T_B`` nonnegative, it is the lead-0 frame of
+    :func:`metzler_hess_3` instead.  Some lead is guaranteed to serve, so
+    none serving raises with the reason of each.
     """
-    A_in = as_square(A)
-    if A_in.shape[0] != 4:
+    A = as_square(A)
+    if A.shape[0] != 4:
         raise InputError("metzler_hess_4 expects a 4x4 matrix")
-    A, s, t = _unit_scale(A_in, tol)
-    rep = classify(A, t)
-    if not rep.is_metzler:
+    A, s, t = _unit_scale(A, tol)
+    if not classify(A, t).is_metzler:
         raise InputError("metzler_hess_4 requires a Metzler matrix")
-    if rep.is_upper_hessenberg:
-        return identity_certificate(A_in, Mode.METZLER)
 
-    failures = []
-    for lead in range(4):
-        order = [(lead + k) % 4 for k in range(4)]
-        P = np.eye(4)[:, order]
-        Ap = P.T @ A @ P
-        bb = np.maximum(Ap[1:, 0], 0.0)
-        A3 = Ap[1:, 1:]
-        try:
-            if inf_norm(bb) <= 10 * t:
-                # a zero column below the lead: any T3 >= 0 keeps the row
-                # Ap[0, 1:] T3 nonnegative
-                T3 = metzler_hess_3(A3, t).T
-            else:
-                sub = ct_hess_3(A3, bb, tol=t)
-                if isinstance(sub, Obstruction):
-                    failures.append((lead, f"obstruction: {sub.data}"))
-                    continue
-                T3 = sub.T
-            cert = make_certificate(A, P @ _embed_trailing(T3), Mode.METZLER)
-            return _checked(cert, A, "metzler_hess_4", s)
-        except (InputError, ConstructionDefect) as exc:
-            failures.append((lead, str(exc)))
+    def step(A3: np.ndarray, v: np.ndarray) -> np.ndarray | tuple | None:
+        A3, _, t3 = _unit_scale(A3, t)
+        v = np.maximum(v, 0.0)
+        if inf_norm(v) > 10 * t:
+            return _ct_step(A3, v, classify(A3, t3).is_irreducible, t3)
+        T3 = np.eye(3)
+        if A3[2, 0] > t3:  # else A3 is upper Hessenberg already
+            T3[1:, 1:] = _rank_one_step(A3[1:, 1:], A3[1:, 0])
+        return T3
 
-    raise ConstructionDefect(
-        "all leading-index choices failed although the 4x4 Metzler "
-        f"construction is total; diagnostics: {failures}")
+    return _lead_loop(A, s, t, Mode.METZLER, range(4), step, "metzler_hess_4")

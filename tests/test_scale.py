@@ -193,17 +193,19 @@ def test_tol_reaches_rank_one_shift_detect(monkeypatch):
 
 
 def test_tol_reaches_ct_hess_3_from_metzler_hess_4(monkeypatch):
+    """The controller step of lead 0 sees the caller's ``tol`` at the unit
+    scale of its own trailing block."""
     seen = []
-    construct = hessform.transforms.ct_hess_3
+    step = hessform.transforms._ct_step
 
-    def spy(A, b, c=None, tol=None):
-        seen.append(tol)
-        return construct(A, b, c, tol)
+    def spy(A, b, irreducible, t):
+        seen.append(t)
+        return step(A, b, irreducible, t)
 
-    monkeypatch.setattr(hessform.transforms, "ct_hess_3", spy)
+    monkeypatch.setattr(hessform.transforms, "_ct_step", spy)
     A = 1e3 * (np.ones((4, 4)) - np.eye(4))
     metzler_hess_4(A, tol=1e-4)
-    assert seen == [pytest.approx(1e-4 / inf_norm(A), rel=1e-15)]
+    assert seen == [pytest.approx(1e-4 / inf_norm(A[1:, 1:]), rel=1e-15)]
 
 
 def test_dt_iterates_of_the_counterexample_at_every_scale():

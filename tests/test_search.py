@@ -13,6 +13,7 @@ from hessform import (
     Mode,
     SimilarityCertificate,
     altproj_hess,
+    metzler_hess_3,
     nonneg_hess_3,
     random_experiment,
     rank_one_shift_detect,
@@ -493,6 +494,27 @@ class TestFrameBookkeeping:
         assert built == [(cfg.seed,)]
         assert _digest([report]) == \
             "a288898c0caf2b1220973c0c412ef1c6147e7c0ea34e5bea142371584afaf1a7"
+
+
+class TestModeStrings:
+    """A mode given as its string selects the same sign rule as the enum."""
+
+    @pytest.mark.parametrize("generator", list(Generator))
+    def test_sample_matrix(self, generator):
+        for i in range(20):
+            for mode in Mode:
+                want = sample_matrix(3, mode, generator, np.random.default_rng([45, i]))
+                got = sample_matrix(3, mode.value, generator, np.random.default_rng([45, i]))
+                np.testing.assert_array_equal(got, want)
+        assert np.min(sample_matrix(3, "nonneg", Generator.DENSE_UNIFORM,
+                                    np.random.default_rng([45, 0]))) >= 0.0
+
+    def test_exact_hessenberg(self):
+        for i in range(20):
+            A = random_metzler(np.random.default_rng([46, i]), 3)
+            cert = search.exact_hessenberg(A, "metzler")
+            assert cert.mode is Mode.METZLER
+            np.testing.assert_array_equal(cert.T, metzler_hess_3(A).T)
 
 
 class TestSampleMatrix:

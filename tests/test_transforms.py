@@ -31,9 +31,10 @@ from hessform import (
 from hessform.linalg import classify, inf_norm, permutation_to_hessenberg
 from hessform.search import Generator, sample_matrix
 from hessform.transforms import (
+    identity_certificate,
     _checked,
     _controller_frame_reducible,
-    _leading_partition,
+    _dt_frame,
     _plane_orthant_rays,
     _reducible_after_subtraction,
     _unit_scale,
@@ -480,14 +481,14 @@ class TestNonnegHess3:
             assert_good_cert(A, result, Mode.NONNEG)
 
     def test_obstructed_partition_passes_to_the_next(self):
-        """Off the family and with no permutation, partition k = 2 obstructs
+        """Off the family and with no permutation, lead k = 2 obstructs
         (its block ``[[0, 1], [1, 0]]`` has lam_2 = -1 and input (1, 1), its
         Perron vector), so k = 0 serves."""
         A = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 2.0, 0.5]])
         Au, _, t = _unit_scale(A, None)
         assert rank_one_shift_detect(Au, t) is None
         assert permutation_to_hessenberg(Au, t) is None
-        assert _leading_partition(Au, 2, t) is None
+        assert isinstance(_dt_frame(Au[:2, :2], Au[:2, 2], t), tuple)
         cert = nonneg_hess_3(A)
         assert_good_cert(A, cert, Mode.NONNEG)
         np.testing.assert_array_equal(cert.T[:, 0], [1.0, 0.0, 0.0])
@@ -502,14 +503,16 @@ class TestNonnegHess3:
         assert {w.filename for w in record} == {__file__}
 
     def test_family_obstructs_every_leading_partition(self):
-        """On the family no leading partition serves: each 2x2 block's input
-        is its Perron vector and its second eigenvalue is negative."""
+        """On the family no lead serves: each trailing 2x2 block's input is
+        its Perron vector and its second eigenvalue is negative, so the 2x2
+        step obstructs."""
         for i in range(300):
             A = sample_matrix(3, Mode.NONNEG, Generator.PROP1_FAMILY,
                               np.random.default_rng([23, i]))
             A, _, t = _unit_scale(A, None)
             for k in range(3):
-                assert _leading_partition(A, k, t) is None, (i, k)
+                B = [(k + 1) % 3, (k + 2) % 3]
+                assert isinstance(_dt_frame(A[np.ix_(B, B)], A[B, k], t), tuple), (i, k)
 
 
 #: Admissible inputs that raised before each 3x3 construction took one exact
@@ -559,6 +562,15 @@ class TestMetzlerHess3:
         A = np.array([[-1.0, 2.0, 3.0], [1.0, -2.0, 1.0], [0.0, 1.0, -3.0]])
         cert = metzler_hess_3(A)
         np.testing.assert_array_equal(cert.T, np.eye(3))
+
+    def test_permutable_input_gets_its_permutation(self):
+        # lower triangular, with its one zero below the diagonal at (2, 1):
+        # Hessenberg in the order (1, 0, 2)
+        A = np.array([[-1.0, 0.0, 0.0], [2.0, -2.0, 0.0], [1.0, 0.0, -3.0]])
+        assert not classify(A).is_upper_hessenberg
+        cert = metzler_hess_3(A)
+        assert_good_cert(A, cert, Mode.METZLER)
+        np.testing.assert_array_equal(cert.T, permutation_to_hessenberg(A))
 
     def test_strongly_negative_diagonal(self):
         A = np.array([[-5.0, 1.0, 1.0], [1.0, -5.0, 1.0], [1.0, 1.0, -5.0]])
@@ -682,6 +694,7 @@ class TestOneAnswerPerQuestion:
         (dt_hess_2, lambda rng: (rng.uniform(0.0, 1.0, (2, 2)), rng.uniform(0.0, 1.0, 2))),
         (nonneg_hess_3, lambda rng: (rng.uniform(0.1, 1.0, (3, 3)),)),
         (metzler_hess_3, lambda rng: (random_metzler(rng, 3),)),
+        (metzler_hess_4, lambda rng: (random_metzler(rng, 4),)),
         (ct_hess_3, lambda rng: (rng.uniform(0.0, 1.0, (3, 3))
                                  - 2.0 * np.diag(rng.uniform(0.0, 1.0, 3)),
                                  rng.uniform(0.0, 1.0, 3))),
@@ -695,6 +708,24 @@ class TestOneAnswerPerQuestion:
             answers.add(type(result))
             assert counts["make_certificate"] == isinstance(result, SimilarityCertificate)
         assert SimilarityCertificate in answers
+
+    def test_metzler_hess_4_calls_no_public_construction(self, monkeypatch):
+        """The trailing blocks take the private steps; no public construction
+        builds and discards a 3x3 certificate of its own."""
+        names = ["ct_hess_3", "metzler_hess_3", "make_certificate", "_ct_step",
+                 "_rank_one_step"]
+        counts = _count_calls(monkeypatch, hessform.transforms, names)
+        # no permutation, and a zero column below lead 0
+        zero_column = np.ones((4, 4)) - 2.0 * np.eye(4)
+        zero_column[1:, 0] = 0.0
+        inputs = [zero_column] + [
+            sample_matrix(4, Mode.METZLER, gen, np.random.default_rng([44, i]))
+            for i, gen in enumerate([Generator.DENSE_UNIFORM, Generator.SPARSE_PATTERN] * 50)]
+        for A in inputs:
+            assert_good_cert(A, metzler_hess_4(A), Mode.METZLER)
+        assert counts["ct_hess_3"] == counts["metzler_hess_3"] == 0
+        assert counts["make_certificate"] == len(inputs)
+        assert counts["_ct_step"] > 0 and counts["_rank_one_step"] > 0
 
 
 class TestPlaneOrthantRays:
@@ -921,6 +952,26 @@ class TestMetzlerHess4:
         cert = metzler_hess_4(A)
         np.testing.assert_array_equal(cert.T, np.eye(4))
 
+    def test_permutable_input_gets_its_permutation(self):
+        H = np.triu(np.full((4, 4), 2.0), -1) - 5.0 * np.eye(4)
+        q = [2, 0, 3, 1]
+        A = H[np.ix_(q, q)]
+        assert not classify(A).is_upper_hessenberg
+        cert = metzler_hess_4(A)
+        assert_good_cert(A, cert, Mode.METZLER)
+        np.testing.assert_array_equal(cert.T, permutation_to_hessenberg(A))
+
+    def test_near_zero_column_over_a_hessenberg_block(self):
+        """A column below lead 0 within 10x of the zero threshold over an
+        upper Hessenberg block: no permutation, and T = I serves."""
+        A = np.array([[-1.0, 1.0, 1.0, 1.0], [5e-9, -1.0, 1.0, 1.0],
+                      [5e-9, 1.0, -1.0, 1.0], [5e-9, 0.0, 1.0, -1.0]])
+        Au, _, t = _unit_scale(A, None)
+        assert permutation_to_hessenberg(Au, t) is None
+        cert = metzler_hess_4(A)
+        assert verify_certificate(A, cert)
+        np.testing.assert_array_equal(cert.T, np.eye(4))
+
     def test_dense_family(self):
         A = np.ones((4, 4)) - np.eye(4)
         cert = metzler_hess_4(A)
@@ -935,10 +986,12 @@ class TestMetzlerHess4:
         assert_good_cert(A, cert, Mode.METZLER)
 
     def test_obstructed_lead_passes_to_the_next(self):
-        """Lead 0 leaves the 3-cycle with ``b = (1, 1, 1)``, its Perron vector
-        beside a complex pair, so ``ct_hess_3`` obstructs and lead 1 serves."""
-        A = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0],
-                      [1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
+        """No permutation serves; lead 0 leaves the 3-cycle with
+        ``b = (1, 1, 1)``, its Perron vector beside a complex pair, so the
+        controller step obstructs and lead 1 serves."""
+        A = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 0.0],
+                      [1.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+        assert permutation_to_hessenberg(A) is None
         sub = ct_hess_3(A[1:, 1:], A[1:, 0], A[0, 1:])
         assert isinstance(sub, Obstruction)
         assert sub.kind is ObstructionKind.PERRON_EIGVEC_COINCIDENCE
@@ -973,6 +1026,32 @@ class TestVerifyCertificate:
             sign_violation=cert.sign_violation, mode=cert.mode,
             cond_T=cert.cond_T)
         assert not verify_certificate(A, bad)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mode_string_selects_the_same_rule(self, seed):
+        """``"nonneg"`` and ``"metzler"`` in place of the enum, at each entry
+        that takes a mode: the same metrics, mode and verdict."""
+        rng = np.random.default_rng([47, seed])
+        A = np.triu(random_metzler(rng, 3), -1)
+        A[0, 0] = -1.0  # so the two sign rules disagree
+        T = np.eye(3) + rng.uniform(0.0, 0.1, (3, 3))
+        for mode in Mode:
+            for build, args in ((make_certificate, (A, T)), (identity_certificate, (A,))):
+                want, got = build(*args, mode), build(*args, mode.value)
+                assert got.mode is mode
+                assert got.sign_violation == want.sign_violation
+                assert verify_certificate(A, replace(want, mode=mode.value)) == (
+                    verify_certificate(A, want))
+        assert verify_certificate(A, identity_certificate(A, Mode.METZLER))
+        assert not verify_certificate(A, identity_certificate(A, "nonneg"))
+
+    def test_mode_string_in_verify(self):
+        A = np.array([[-1.0, 2.0], [3.0, 4.0]])
+        cert = make_certificate(A, np.eye(2), Mode.NONNEG)
+        assert not verify_certificate(A, cert)
+        assert not verify_certificate(A, replace(cert, mode="nonneg"))
+        assert not verify_certificate(A, make_certificate(A, np.eye(2), "nonneg"))
+        assert verify_certificate(A, replace(cert, mode="metzler"))
 
     def test_identity_on_hessenberg(self):
         A = np.array([[1.0, 2.0], [3.0, 4.0]])
