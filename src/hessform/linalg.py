@@ -8,7 +8,6 @@ pure; nothing is mutated or cached.
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -442,10 +441,7 @@ def permutation_to_hessenberg(A, tol: float | None = None) -> np.ndarray | None:
     more of them end the branch, one is the only child, and none leaves every
     unplaced index free.  Whether a state (placed set, last placed) completes
     depends on nothing else, so failed states are remembered, and a call
-    visits at most ``2**n * n`` of them, which reaches ``MAX_DIM``.  Indices
-    with an empty row and column are interchangeable, so the memo counts them
-    instead of naming them: it keys a state on the other placed indices, the
-    number of free ones placed, and ``last``, a free one acting as the root's.
+    visits at most ``2**n * n`` of them, which reaches ``MAX_DIM``.
     """
     A = as_square(A)
     n = A.shape[0]
@@ -455,22 +451,13 @@ def permutation_to_hessenberg(A, tol: float | None = None) -> np.ndarray | None:
     # "last placed" is the sentinel n, whose column is empty
     rows_in = ((1 << np.arange(n)) @ nonzero).tolist() + [0]
     full, order = (1 << n) - 1, []
-    free = full
-    for c, rows in enumerate(rows_in):
-        if rows:
-            free &= ~(1 << c | rows)
-    # lowest_free[m]: the mask of the m lowest free indices
-    lowest_free = list(itertools.accumulate((1 << x for x in range(n) if free >> x & 1),
-                                            initial=0))
-    dead = bytearray((n + 1) << n)  # indexed by last << n | placed, canonical
+    dead = bytearray((n + 1) << n)  # indexed by last << n | placed
 
     def complete(placed: int, last: int) -> bool:
         if placed == full:
             return True
         pending = rows_in[last] & ~placed
-        state = ((n if free >> last & 1 else last) << n | placed & ~free
-                 | lowest_free[(placed & free).bit_count()])
-        if pending & (pending - 1) or dead[state]:
+        if pending & (pending - 1) or dead[last << n | placed]:
             return False
         for x in [pending.bit_length() - 1] if pending else range(n):
             if not placed >> x & 1:
@@ -478,7 +465,7 @@ def permutation_to_hessenberg(A, tol: float | None = None) -> np.ndarray | None:
                 if complete(placed | 1 << x, x):
                     return True
                 order.pop()
-        dead[state] = 1
+        dead[last << n | placed] = 1
         return False
 
     if not complete(0, n):

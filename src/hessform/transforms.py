@@ -557,30 +557,35 @@ def _lead_loop(A: np.ndarray, s: float, t: float, mode: Mode, leads, step,
     indices after ``k`` in cyclic order.  ``step(A[B, B], A[B, k])`` gives
     ``T_B >= 0`` with ``T_B^{-1} A[B, k]`` on ``e_1`` and ``T_B^{-1} A[B, B] T_B``
     upper Hessenberg in the signs of ``mode``, so ``T^{-1} A T`` is too, its
-    first row ``(a_kk, A[k, B] T_B)``; or no array where that pair obstructs.
-    A frame failing in floating point passes to the next lead; none serving
+    first row ``(a_kk, A[k, B] T_B)``; the obstruction's tuple where that pair
+    obstructs, or None where no frame forms.  A frame failing in floating
+    point, the permutation's too (its zeros are judged at ``t``, its
+    certificate at ``RESIDUAL_BOUND``), passes to the next lead; none serving
     raises, with the reason of each."""
     n = A.shape[0]
-    P = permutation_to_hessenberg(A, t)
-    if P is not None:
-        return _checked(make_certificate(A, P, mode), A, f"{name} (permutation)", s)
     failures = []
-    for k in leads:
-        B = [(k + j) % n for j in range(1, n)]
+    for k in ("permutation", *leads):
         try:
-            TB = step(A[np.ix_(B, B)], A[B, k])
-            if not isinstance(TB, np.ndarray):
-                failures.append((k, "obstructed"))
-                continue
-            T = np.zeros((n, n))
-            T[k, 0] = 1.0
-            T[B, 1:] = TB
-            return _checked(make_certificate(A, T, mode), A, f"{name} (lead {k})", s)
+            if k == "permutation":
+                T = permutation_to_hessenberg(A, t)
+                if T is None:
+                    continue
+            else:
+                B = [(k + j) % n for j in range(1, n)]
+                TB = step(A[np.ix_(B, B)], A[B, k])
+                if not isinstance(TB, np.ndarray):
+                    failures.append((k, "obstructed" if isinstance(TB, tuple) else "no frame"))
+                    continue
+                T = np.zeros((n, n))
+                T[k, 0] = 1.0
+                T[B, 1:] = TB
+            where = k if k == "permutation" else f"lead {k}"
+            return _checked(make_certificate(A, T, mode), A, f"{name} ({where})", s)
         except (InputError, ConstructionDefect) as exc:
             failures.append((k, str(exc)))
     raise ConstructionDefect(
-        f"{name}: no lead served although the construction is total off its "
-        f"obstruction; A = {(s * A).tolist()}; per lead: {failures}")
+        f"{name}: nothing served although the construction is total off its "
+        f"obstruction; A = {(s * A).tolist()}; per frame: {failures}")
 
 
 def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstruction:

@@ -493,6 +493,22 @@ class TestNonnegHess3:
         assert_good_cert(A, cert, Mode.NONNEG)
         np.testing.assert_array_equal(cert.T[:, 0], [1.0, 0.0, 0.0])
 
+    def test_lead_1_serves_when_leads_2_and_0_obstruct(self):
+        """Off the family and with no permutation, both earlier leads see
+        their block's Perron vector beside a negative eigenvalue, so lead 1
+        serves, on its trailing pair in cyclic order ``B = (2, 0)``."""
+        A = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [2.0, 3.0, 0.5]])
+        Au, _, t = _unit_scale(A, None)
+        assert rank_one_shift_detect(Au, t) is None
+        assert permutation_to_hessenberg(Au, t) is None
+        for k, B in ((2, [0, 1]), (0, [1, 2])):
+            assert isinstance(_dt_frame(Au[np.ix_(B, B)], Au[B, k], t), tuple)
+        cert = nonneg_hess_3(A)
+        assert_good_cert(A, cert, Mode.NONNEG)
+        np.testing.assert_allclose(cert.T, [[0.0, 1 / 3, 5 / 33],
+                                            [1.0, 0.0, 0.0],
+                                            [0.0, 1.0, 4 / 33]], rtol=1e-12)
+
     def test_near_perron_warning_points_at_the_caller(self):
         """Partition k = 2 sees its input (1, 1 + 3e-8) within 10x of its
         block's Perron threshold; the warning names this line, not the
@@ -571,6 +587,19 @@ class TestMetzlerHess3:
         cert = metzler_hess_3(A)
         assert_good_cert(A, cert, Mode.METZLER)
         np.testing.assert_array_equal(cert.T, permutation_to_hessenberg(A))
+
+    def test_permutation_failing_its_check_passes_to_the_lead(self):
+        """At ``tol = 1e-5`` the entry 5e-7 is a zero, so the order (1, 0, 2)
+        is found, but it leaves 5e-7 at H[2, 0], over the certificate's
+        1e-8 bound; the lead-0 frame, exact for any Metzler input, serves."""
+        A = np.array([[-1.0, 0.0, 0.0], [2.0, -2.0, 0.0], [1.0, 5e-7, -3.0]])
+        P = permutation_to_hessenberg(A, 1e-5)
+        assert P is not None
+        assert not verify_certificate(A, make_certificate(A, P, Mode.METZLER))
+        cert = metzler_hess_3(A, tol=1e-5)
+        assert verify_certificate(A, cert)
+        assert np.min(cert.T) >= 0.0
+        np.testing.assert_array_equal(cert.T[:, 0], [1.0, 0.0, 0.0])
 
     def test_strongly_negative_diagonal(self):
         A = np.array([[-5.0, 1.0, 1.0], [1.0, -5.0, 1.0], [1.0, 1.0, -5.0]])
@@ -961,6 +990,18 @@ class TestMetzlerHess4:
         assert_good_cert(A, cert, Mode.METZLER)
         np.testing.assert_array_equal(cert.T, permutation_to_hessenberg(A))
 
+    def test_permutation_failing_its_check_passes_to_the_leads(self):
+        """As for :func:`metzler_hess_3`: the order found with 5e-7 taken as
+        zero fails the certificate bound, and a lead serves."""
+        A = np.array([[-1.0, 0.0, 0.0, 0.0], [2.0, -2.0, 0.0, 0.0],
+                      [1.0, 5e-7, -3.0, 0.0], [0.0, 1.0, 1.0, -1.0]])
+        P = permutation_to_hessenberg(A, 1e-5)
+        assert P is not None
+        assert not verify_certificate(A, make_certificate(A, P, Mode.METZLER))
+        cert = metzler_hess_4(A, tol=1e-5)
+        assert verify_certificate(A, cert)
+        assert np.min(cert.T) >= 0.0
+
     def test_near_zero_column_over_a_hessenberg_block(self):
         """A column below lead 0 within 10x of the zero threshold over an
         upper Hessenberg block: no permutation, and T = I serves."""
@@ -998,6 +1039,17 @@ class TestMetzlerHess4:
         cert = metzler_hess_4(A)
         assert_good_cert(A, cert, Mode.METZLER)
         np.testing.assert_array_equal(cert.T[:, 0], [0.0, 1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("answer, reason", [
+        (None, "no frame"), ((0.0, 0.0, []), "obstructed")])
+    def test_no_frame_is_told_from_an_obstruction(self, monkeypatch, answer, reason):
+        """A controller step that forms no frame on admissible input is a
+        defect, reported apart from a trailing pair that obstructs."""
+        monkeypatch.setattr(hessform.transforms, "_ct_step", lambda *args: answer)
+        A = np.ones((4, 4)) - 2.0 * np.eye(4)
+        with pytest.raises(ConstructionDefect) as info:
+            metzler_hess_4(A)
+        assert all(f"({k}, '{reason}')" in str(info.value) for k in range(4))
 
     def test_totality_random(self, rng):
         for _ in range(120):
