@@ -651,7 +651,9 @@ def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
     with ``T >= 0``.
 
     :func:`_lead_loop` with the lead 0 and :func:`_rank_one_step`: without a
-    permutation ``A[2, 0] > 0``, so the step's ``b = A[1:, 0]`` is nonzero.
+    permutation ``A[2, 0] > t``, so the step's ``b = A[1:, 0]`` is nonzero.
+    Where the permutation ``I`` only failed its certificate, ``b`` can be
+    zero, and then no frame forms.
     """
     A = as_square(A)
     if A.shape[0] != 3:
@@ -659,7 +661,9 @@ def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
     A, s, t = _unit_scale(A, tol)
     if not classify(A, t).is_metzler:
         raise InputError("metzler_hess_3 requires a Metzler matrix")
-    return _lead_loop(A, s, t, Mode.METZLER, (0,), _rank_one_step, "metzler_hess_3")
+    return _lead_loop(A, s, t, Mode.METZLER, (0,),
+                      lambda A2, v: _rank_one_step(A2, v) if inf_norm(v) > t else None,
+                      "metzler_hess_3")
 
 
 # ---------------------------------------------------------------------------

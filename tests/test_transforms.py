@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -588,18 +589,16 @@ class TestMetzlerHess3:
         assert_good_cert(A, cert, Mode.METZLER)
         np.testing.assert_array_equal(cert.T, permutation_to_hessenberg(A))
 
-    def test_permutation_failing_its_check_passes_to_the_lead(self):
-        """At ``tol = 1e-5`` the entry 5e-7 is a zero, so the order (1, 0, 2)
-        is found, but it leaves 5e-7 at H[2, 0], over the certificate's
-        1e-8 bound; the lead-0 frame, exact for any Metzler input, serves."""
-        A = np.array([[-1.0, 0.0, 0.0], [2.0, -2.0, 0.0], [1.0, 5e-7, -3.0]])
-        P = permutation_to_hessenberg(A, 1e-5)
-        assert P is not None
-        assert not verify_certificate(A, make_certificate(A, P, Mode.METZLER))
-        cert = metzler_hess_3(A, tol=1e-5)
-        assert verify_certificate(A, cert)
-        assert np.min(cert.T) >= 0.0
-        np.testing.assert_array_equal(cert.T[:, 0], [1.0, 0.0, 0.0])
+    def test_zero_column_under_a_failing_identity_forms_no_frame(self):
+        """At ``tol = 1e-5`` the Hessenberg input's -1e-6 is a zero, so
+        ``I`` is its permutation, but the certificate sees a sign violation;
+        with ``A[1:, 0] = 0`` lead 0 forms no frame, and the call raises
+        without dividing by the zero column."""
+        A = np.array([[-1.0, 2.0, 3.0], [0.0, -2.0, -1e-6], [0.0, 1.0, -3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstructionDefect, match=r"\(0, 'no frame'\)"):
+                metzler_hess_3(A, tol=1e-5)
 
     def test_strongly_negative_diagonal(self):
         A = np.array([[-5.0, 1.0, 1.0], [1.0, -5.0, 1.0], [1.0, 1.0, -5.0]])
@@ -990,15 +989,20 @@ class TestMetzlerHess4:
         assert_good_cert(A, cert, Mode.METZLER)
         np.testing.assert_array_equal(cert.T, permutation_to_hessenberg(A))
 
-    def test_permutation_failing_its_check_passes_to_the_leads(self):
-        """As for :func:`metzler_hess_3`: the order found with 5e-7 taken as
-        zero fails the certificate bound, and a lead serves."""
-        A = np.array([[-1.0, 0.0, 0.0, 0.0], [2.0, -2.0, 0.0, 0.0],
-                      [1.0, 5e-7, -3.0, 0.0], [0.0, 1.0, 1.0, -1.0]])
+    @pytest.mark.parametrize("construct, A", [
+        (metzler_hess_3, [[-1.0, 0.0, 0.0], [2.0, -2.0, 0.0], [1.0, 5e-7, -3.0]]),
+        (metzler_hess_4, [[-1.0, 0.0, 0.0, 0.0], [2.0, -2.0, 0.0, 0.0],
+                          [1.0, 5e-7, -3.0, 0.0], [0.0, 1.0, 1.0, -1.0]]),
+    ])
+    def test_permutation_failing_its_check_passes_to_the_leads(self, construct, A):
+        """At ``tol = 1e-5`` the entry 5e-7 is a zero, so an order is found,
+        but it leaves 5e-7 below the subdiagonal, over the certificate's 1e-8
+        bound; a lead frame serves."""
+        A = np.array(A)
         P = permutation_to_hessenberg(A, 1e-5)
         assert P is not None
         assert not verify_certificate(A, make_certificate(A, P, Mode.METZLER))
-        cert = metzler_hess_4(A, tol=1e-5)
+        cert = construct(A, tol=1e-5)
         assert verify_certificate(A, cert)
         assert np.min(cert.T) >= 0.0
 
