@@ -5,10 +5,14 @@ infeasible, 3 honest unknown, 1 usage or runtime error.  Each subcommand
 accepts only the flags it reads, so any other flag is a usage error.
 ``--tol`` overrides a command's tolerance; for ``classify``, ``hessenberg``
 and ``ctpos`` it is the zero threshold, absolute in the units of the input
-matrix.  The ``HESSFORM_TOL`` environment variable supplies a default; the
-flag wins.  ``search`` requires an explicit ``--seed``; ``hessenberg``
-takes ``--seed`` (default 0) for the Krylov-frame search it runs where no
-exact construction applies.
+matrix: ``hessenberg`` and ``ctpos`` set the entries within it to 0 once,
+giving ``Â``, and every route, the Krylov-frame search included, answers for
+``Â``, so the certificate is for ``Â``.  They exit 0 only if ``verify`` at the
+same ``--tol`` (relative to ``||A||_inf`` there) accepts it for the input.
+The ``HESSFORM_TOL`` environment variable supplies a default; the flag wins.
+``search`` requires an explicit ``--seed``; ``hessenberg`` takes ``--seed``
+(default 0) for the Krylov-frame search it runs where no exact construction
+applies.
 """
 from __future__ import annotations
 
@@ -107,15 +111,27 @@ def _exact_dispatch(A, mode: Mode, tol):
     return exact_hessenberg(A, mode, tol)
 
 
+def _emit_certificate(A, cert: SimilarityCertificate, tol: float | None,
+                      path: str | None) -> int:
+    """Print a certificate for the snapped input once ``verify`` at the same
+    ``tol`` accepts it for ``A`` itself."""
+    if not verify_certificate(A, cert, tol=tol if tol is not None else 1e-8):
+        raise InputError("the certificate holds for the input with the entries "
+                         "within --tol set to 0, but verify rejects it for the "
+                         "input itself at the same --tol")
+    _emit(certificate_to_json(A, cert), path)
+    return EXIT_OK
+
+
 def _cmd_hessenberg(args) -> int:
     A = read_matrix(args.matrix)
     mode = Mode(args.mode)
-    result = _exact_dispatch(A, mode, _tolerance(args))
+    tol = _tolerance(args)
+    result = _exact_dispatch(A, mode, tol)
     if result is None:  # heuristic search; no certificate means unknown
-        result = altproj_hess(A, mode, AltProjConfig(seed=args.seed)).best_certificate
+        result = altproj_hess(A, mode, AltProjConfig(seed=args.seed), tol).best_certificate
     if isinstance(result, SimilarityCertificate):
-        _emit(certificate_to_json(A, result), args.json)
-        return EXIT_OK
+        return _emit_certificate(A, result, tol, args.json)
     if isinstance(result, Obstruction):
         _emit(obstruction_to_json(A, result), args.json)
         return EXIT_OBSTRUCTION
@@ -128,10 +144,10 @@ def _cmd_ctpos(args) -> int:
     A = read_matrix(args.matrix)
     b = read_vector(args.b)
     c = read_vector(args.c) if args.c else None
-    result = ct_hess_3(A, b, c, _tolerance(args))
+    tol = _tolerance(args)
+    result = ct_hess_3(A, b, c, tol)
     if isinstance(result, SimilarityCertificate):
-        _emit(certificate_to_json(A, result), args.json)
-        return EXIT_OK
+        return _emit_certificate(A, result, tol, args.json)
     _emit(obstruction_to_json(A, result), args.json)
     return EXIT_OBSTRUCTION
 
@@ -197,10 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", default=None, metavar="PATH",
                        help="write JSON output to PATH instead of stdout")
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the default numeric tolerance")
+    def common(p, tol_help="override the default numeric tolerance"):
+        p.add_argument("--tol", type=float, default=None, help=tol_help)
         json_flag(p)
+
+    snap_help = ("zero threshold in the input's units: entries within it are set "
+                 "to 0 once, on every route, and the certificate is for that matrix")
 
     p = sub.add_parser("classify", help="structural classification of a matrix")
     p.add_argument("matrix")
@@ -213,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[m.value for m in Mode], required=True)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the heuristic fallback above the exact dimensions")
-    common(p)
+    common(p, snap_help)
     p.set_defaults(func=_cmd_hessenberg)
 
     p = sub.add_parser("ctpos",
@@ -221,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("b")
     p.add_argument("c", nargs="?", default=None)
-    common(p)
+    common(p, snap_help)
     p.set_defaults(func=_cmd_ctpos)
 
     p = sub.add_parser("dt-iterates", help="planar projections of A^k b")

@@ -31,7 +31,6 @@ __all__ = [
     "geometric_multiplicity",
     "inf_norm",
     "jordan_like_form",
-    "metzler_shift",
     "permutation_to_hessenberg",
     "perron_pair",
     "sorted_spectrum",
@@ -398,30 +397,6 @@ def perron_pair(A, tol: float | None = None) -> PerronData:
     simple = geometric_multiplicity(A, lam1) == 1
     return PerronData(perron_root=lam1, right_vector=right, left_vector=left,
                       is_simple=simple)
-
-
-# ---------------------------------------------------------------------------
-# Metzler shift
-# ---------------------------------------------------------------------------
-
-def metzler_shift(A, tol: float | None = None) -> tuple[np.ndarray, float]:
-    """Smallest diagonal shift making a Metzler matrix nonnegative.
-
-    Returns ``(A + mu*I, mu)`` with ``mu = max(0, -min_i a_ii)``.  The result
-    is entrywise nonnegative exactly: off-diagonal entries that are negative
-    within the tolerance (admitted by the Metzler check) are clamped to zero.
-    """
-    A = as_square(A)
-    t = zero_tolerance(A, tol)
-    n = A.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    if n > 1 and np.min(A[off]) < -t:
-        raise InputError("metzler_shift requires a Metzler matrix")
-    mu = max(0.0, -float(np.min(np.diag(A))))
-    shifted = A + mu * np.eye(n)
-    if n > 1:
-        shifted[off] = np.maximum(shifted[off], 0.0)
-    return shifted, mu
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ An upper Hessenberg ``H = T^{-1} A T`` means ``A t_k = sum_{j <= k+1} h_jk t_j``
 for the columns of ``T``, so ``T`` is generated by ``t_1`` and the upper
 triangle of ``H``.  The search builds ``T >= 0`` one column at a time: each
 step picks a vertex of a small polyhedron in ``h >= 0``, and the last column
-is the cone-membership test ``T^{-1} A t_n >= 0``.  It works on ``A`` at unit
-scale, shifted to nonnegative in Metzler mode, where the shift moves only the
-diagonal of ``H``.  A frame counts only once its certificate re-verifies
-from scratch at ``RESIDUAL_BOUND``.
+is the cone-membership test ``T^{-1} A t_n >= 0``.  It works on ``Â``, the
+input at unit scale with the entries within the caller's ``tol`` set to exact
+zeros, as the exact constructions do, shifted to nonnegative in Metzler mode,
+where the shift moves only the diagonal of ``H``.  A frame counts only once
+its certificate for ``Â`` re-verifies from scratch at ``RESIDUAL_BOUND``.
 
 A permutation is the cheapest such frame, its columns all axes, and the exact
 subset search of :func:`~hessform.linalg.permutation_to_hessenberg` decides
@@ -28,20 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import (
-    as_square,
-    classify,
-    inf_norm,
-    metzler_shift,
-    permutation_to_hessenberg,
-    zero_tolerance,
-)
+from .linalg import as_square, permutation_to_hessenberg
 from .transforms import (
     RESIDUAL_BOUND,
     Mode,
     Obstruction,
     ObstructionKind,
     SimilarityCertificate,
+    _sign_violation,
+    _unit_scale,
     identity_certificate,
     make_certificate,
     metzler_hess_3,
@@ -210,15 +206,33 @@ def _certified(A: np.ndarray, T: np.ndarray, mode: Mode) -> SimilarityCertificat
     return cert if verify_certificate(A, cert, tol=RESIDUAL_BOUND) else None
 
 
-def altproj_hess(A, mode: Mode, cfg: AltProjConfig) -> SearchReport:
+def _snapped(A, mode: Mode, tol: float | None
+             ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``Â`` (``A`` with the entries that ``_unit_scale`` snaps at 0.0) and that
+    function's ``(Â / s, s, t)``, once the exact sign test of ``mode`` holds."""
+    A = as_square(A)
+    Ah, s, t = _unit_scale(A, tol)
+    if _sign_violation(Ah, mode) < 0:
+        kind = "nonnegative" if mode is Mode.NONNEG else "Metzler"
+        raise InputError(f"{mode.value} mode requires a {kind} matrix")
+    return np.where(Ah == 0.0, 0.0, A), Ah, s, t
+
+
+def altproj_hess(A, mode: Mode, cfg: AltProjConfig, tol: float | None = None
+                 ) -> SearchReport:
     """Seeded depth-first search over Krylov frames for a mode-feasible
     Hessenberg similarity.  Failure is data (zero successes), never an exception.
 
+    As in the exact constructions, the entries within ``tol`` (absolute in
+    the units of ``A``; default ``1e-9 ||A||_inf``) are set to 0 once, giving
+    ``Â``: the sign test is exact on it, every certificate is for it, and
+    nothing after that reads ``tol``.
+
     A permutation similarity comes first: :func:`permutation_to_hessenberg`
-    decides it exactly on the zero pattern of ``A1``, and a permutation whose
-    certificate verifies at RESIDUAL_BOUND is the answer, reported as one
-    successful attempt of ``n`` nodes, the axis-only frame.  Otherwise that
-    step adds no attempt and no log, and the search below runs unchanged.
+    decides it on the exact zeros of ``Â``, so it is an exact similarity,
+    reported as one successful attempt of ``n`` nodes, the axis-only frame.
+    Otherwise that step adds no attempt and no log, and the search below runs
+    unchanged.
 
     The starts are tried in turn, each for at most ``cfg.max_iters`` nodes, up
     to the first frame whose certificate verifies at RESIDUAL_BOUND.  A node
@@ -234,19 +248,12 @@ def altproj_hess(A, mode: Mode, cfg: AltProjConfig) -> SearchReport:
     it is popped, the Dirichlet generator is built only once the axes and the
     columns are spent, and the active-set tables come from a memo bounded at
     ``_ACTIVE_SET_MEMO`` entries."""
-    A = as_square(A)
     mode = Mode(mode)
-    t = zero_tolerance(A)
-    rep = classify(A, t)
-    if mode is Mode.NONNEG and not rep.is_nonnegative:
-        raise InputError("nonneg mode requires a nonnegative matrix")
-    if mode is Mode.METZLER and not rep.is_metzler:
-        raise InputError("metzler mode requires a Metzler matrix")
-
-    n, s = A.shape[0], inf_norm(A) or 1.0
-    # the shift moves only the diagonal of H, which is free in Metzler mode
-    A1 = metzler_shift(A / s, t / s)[0] if mode is Mode.METZLER else A / s
-    P = permutation_to_hessenberg(A1, t / s)
+    A, A1, s, t = _snapped(A, mode, tol)
+    n = A.shape[0]
+    if mode is Mode.METZLER:  # the shift moves only the diagonal of H, free here
+        A1 = A1 + max(0.0, -float(np.min(np.diag(A1)))) * np.eye(n)
+    P = permutation_to_hessenberg(A1, 0.0)
     cert = None if P is None else _certified(A, P, mode)
     if cert is not None:
         v = _violation(A1, P, mode)
@@ -258,7 +265,7 @@ def altproj_hess(A, mode: Mode, cfg: AltProjConfig) -> SearchReport:
             T = np.column_stack(stack.pop())
             nodes += 1
             if T.shape[1] < n:
-                children = _next_columns(A1, T, mode, t / s, cfg.max_iters)
+                children = _next_columns(A1, T, mode, t, cfg.max_iters)
                 stack.extend((T, c) for c in children[::-1])
                 continue
             v = _violation(A1, T, mode)
@@ -312,25 +319,24 @@ def exact_hessenberg(A: np.ndarray, mode: Mode, tol: float | None = None
                      ) -> SimilarityCertificate | Obstruction | None:
     """The exact construction for ``mode`` at this dimension: a certificate or
     an obstruction, or None where only the heuristic search applies (Metzler
-    n >= 5, nonneg n >= 4 outside the rank-one-minus-shift family)."""
+    n >= 5, nonneg n >= 4 outside the rank-one-minus-shift family), each for
+    the input with its zeros snapped at ``tol`` once."""
     mode = Mode(mode)
     n = A.shape[0]
     if n <= 2:  # already upper Hessenberg; the sign structure is the question
-        cert = identity_certificate(A, mode)
-        if cert.sign_violation < -zero_tolerance(A, tol):
-            raise InputError(f"{mode.value} mode requires a {mode.value} matrix")
-        return cert
+        return identity_certificate(_snapped(A, mode, tol)[0], mode)
     if mode is Mode.METZLER:
         if n == 3:
             return metzler_hess_3(A, tol)
         return metzler_hess_4(A, tol) if n == 4 else None
     if n == 3:
         return nonneg_hess_3(A, tol)
-    form = rank_one_shift_detect(A, tol)
+    _, Ah, s, t = _snapped(A, mode, tol)
+    form = rank_one_shift_detect(Ah, t)
     if form is None:
         return None
     return Obstruction(ObstructionKind.NEG_EIG_GEOM_MULT,
-                       data={"u": form.u, "v": form.v, "s": form.s, "c": form.c})
+                       data={"u": form.u, "v": form.v, "s": form.s, "c": s * form.c})
 
 
 def random_experiment(n: int, trials: int, seed: int, mode: Mode,

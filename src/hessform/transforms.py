@@ -13,14 +13,16 @@ constructions share one reduction, :func:`_lead_loop`: a permutation where one
 exists, else for each lead index ``k`` in a fixed list a controller form of
 the trailing pair ``(A[B, B], A[B, k])``, embedded as ``(e_k | T_B)``.
 
-The problem is invariant under ``A -> cA``, and one scale policy follows it.
-The five constructors (``nonneg_hess_3``, ``metzler_hess_3``,
-``metzler_hess_4``, ``ct_hess_3``, ``dt_hess_2``) divide ``A`` by
-``||A||_inf`` (and ``b`` by ``||b||_inf``) on entry, build at unit scale and
-multiply what they return back; a constant threshold inside them is relative
-to ``||A|| = 1``.  Every other threshold is relative to the norm of what it
-tests, and a certificate is accepted by the one predicate of
-:func:`verify_certificate`.
+The problem is invariant under ``A -> cA``, and one scale and tolerance
+policy follows it.  The five constructors (``nonneg_hess_3``,
+``metzler_hess_3``, ``metzler_hess_4``, ``ct_hess_3``, ``dt_hess_2``) divide
+``A`` by ``||A||_inf`` (and ``b`` by ``||b||_inf``) on entry and set the entries
+within the caller's ``tol`` (absolute, in the units of ``A``; by default
+``1e-9 ||A||_inf``) to 0, giving ``Â``; nothing else reads ``tol``.  Sign
+checks and zero patterns are exact tests on ``Â``, the steps round at
+thresholds relative to ``||Â|| = 1`` or to the norm of what they test, and the
+certificate is for ``Â``, accepted by the one predicate of
+:func:`verify_certificate`, its ``H`` multiplied back to the units of ``A``.
 """
 from __future__ import annotations
 
@@ -199,13 +201,17 @@ def _holds(norm_A: float, residual: float, hessenberg_violation: float,
 
 
 def _unit_scale(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, float, float]:
-    """A constructor's input at unit scale: ``A / s`` with ``s = ||A||_inf``,
-    ``s`` itself, and the zero threshold there, ``tol / s`` for a caller's
-    ``tol`` (absolute, in the units of ``A``) or the relative default.  A zero
-    matrix passes through unscaled (``s = 1``)."""
+    """A constructor's input at unit scale with its zeros snapped, ``Â``: ``A / s``
+    with ``s = ||A||_inf`` and every entry within the zero threshold, ``tol / s``
+    for a caller's ``tol`` (absolute, in the units of ``A``) or the relative
+    default, set to exact 0.0; ``s`` itself; and the rounding threshold of the
+    steps built on ``Â``, the default one whatever ``tol`` is.  A zero matrix
+    passes through unscaled (``s = 1``)."""
     s = inf_norm(A) or 1.0
     A = A / s
-    return A, s, zero_tolerance(A, None if tol is None else tol / s)
+    t = zero_tolerance(A)
+    A[np.abs(A) <= zero_tolerance(A, None if tol is None else tol / s)] = 0.0
+    return A, s, t
 
 
 def _checked(cert: SimilarityCertificate, A, context: str,
@@ -377,7 +383,7 @@ def dt_hess_2(A, b, tol: float | None = None) -> SimilarityCertificate | Obstruc
     if A.shape[0] != 2 or b_in.size != 2:
         raise InputError("dt_hess_2 expects a 2x2 matrix and a 2-vector")
     A, s, t = _unit_scale(A, tol)
-    if np.min(A) < -t:
+    if np.min(A) < 0:
         raise InputError("dt_hess_2 requires a nonnegative matrix")
     if np.min(b_in) < -zero_tolerance(b_in) or not b_in.any():
         raise InputError("dt_hess_2 requires a nonnegative nonzero vector")
@@ -396,7 +402,7 @@ def _dt_frame(A: np.ndarray, b: np.ndarray, t: float
               ) -> np.ndarray | tuple[float, float, float]:
     """The 2x2 controller step, the one place that decides its obstruction:
     ``T = (b / ||b||_inf | p) >= 0`` with ``T^{-1} A T >= 0`` for a nonnegative
-    ``A`` (zero threshold ``t``, any scale) and a nonzero ``b`` clamped at 0,
+    ``A`` (rounding threshold ``t``, any scale) and a nonzero ``b`` clamped at 0,
     or the obstruction's ``(lam_1, lam_2, residual)`` at ``||b||_inf = 1``.
 
     ``p = A b - m b``, with ``m`` the least of ``tr A`` and the ratios
@@ -450,7 +456,7 @@ def eigvec_b_transform(A, b, tol: float | None = None) -> np.ndarray:
 def _deflation_frame(A: np.ndarray, b: np.ndarray, lam: np.ndarray, t: float
                      ) -> np.ndarray:
     """The frame of :func:`eigvec_b_transform` for ``A``'s real spectrum
-    ``lam`` in descending order and its zero threshold ``t``.
+    ``lam`` in descending order and its rounding threshold ``t``.
 
     Deflation: an orthonormal basis ``V`` of the complement of ``b`` turns one
     real eigenvector at a time (an SVD null vector of the trailing block less
@@ -548,44 +554,41 @@ def diag_commuting_transform(A, b, tol: float | None = None) -> np.ndarray:
 # the lead loop and the 3x3 Hessenberg constructions
 # ---------------------------------------------------------------------------
 
-def _lead_loop(A: np.ndarray, s: float, t: float, mode: Mode, leads, step,
+def _lead_loop(A: np.ndarray, s: float, mode: Mode, leads, step,
                name: str) -> SimilarityCertificate:
-    """The one reduction of the exact Hessenberg constructions, on a
-    unit-scale ``A`` (scale ``s``, zero threshold ``t``): the certificate of a
-    permutation to upper Hessenberg form where one exists, else of the first
-    lead frame ``T = (e_k | T_B on the rows B)`` that certifies, ``B`` the
-    indices after ``k`` in cyclic order.  ``step(A[B, B], A[B, k])`` gives
-    ``T_B >= 0`` with ``T_B^{-1} A[B, k]`` on ``e_1`` and ``T_B^{-1} A[B, B] T_B``
-    upper Hessenberg in the signs of ``mode``, so ``T^{-1} A T`` is too, its
-    first row ``(a_kk, A[k, B] T_B)``; the obstruction's tuple where that pair
-    obstructs, or None where no frame forms.  A frame failing in floating
-    point, the permutation's too (its zeros are judged at ``t``, its
-    certificate at ``RESIDUAL_BOUND``), passes to the next lead; none serving
-    raises, with the reason of each."""
+    """The one reduction of the exact Hessenberg constructions, on a snapped
+    unit-scale ``Â`` (scale ``s``): the certificate of a permutation to upper
+    Hessenberg form where one exists, else of the first lead frame
+    ``T = (e_k | T_B on the rows B)`` that certifies, ``B`` the indices after
+    ``k`` in cyclic order.  The permutation is read off the exact zeros of
+    ``Â``, so it is an exact similarity and its certificate always holds.
+    ``step(A[B, B], A[B, k])`` gives ``T_B >= 0`` with ``T_B^{-1} A[B, k]`` on
+    ``e_1`` and ``T_B^{-1} A[B, B] T_B`` upper Hessenberg in the signs of
+    ``mode``, so ``T^{-1} A T`` is too, its first row ``(a_kk, A[k, B] T_B)``;
+    the obstruction's tuple where that pair obstructs, or None where no frame
+    forms.  A lead whose frame fails in floating point passes to the next;
+    none serving raises, with the reason of each."""
     n = A.shape[0]
+    P = permutation_to_hessenberg(A, 0.0)
+    if P is not None:
+        return _checked(make_certificate(A, P, mode), A, f"{name} (permutation)", s)
     failures = []
-    for k in ("permutation", *leads):
+    for k in leads:
+        B = [(k + j) % n for j in range(1, n)]
         try:
-            if k == "permutation":
-                T = permutation_to_hessenberg(A, t)
-                if T is None:
-                    continue
-            else:
-                B = [(k + j) % n for j in range(1, n)]
-                TB = step(A[np.ix_(B, B)], A[B, k])
-                if not isinstance(TB, np.ndarray):
-                    failures.append((k, "obstructed" if isinstance(TB, tuple) else "no frame"))
-                    continue
-                T = np.zeros((n, n))
-                T[k, 0] = 1.0
-                T[B, 1:] = TB
-            where = k if k == "permutation" else f"lead {k}"
-            return _checked(make_certificate(A, T, mode), A, f"{name} ({where})", s)
+            TB = step(A[np.ix_(B, B)], A[B, k])
+            if not isinstance(TB, np.ndarray):
+                failures.append((k, "obstructed" if isinstance(TB, tuple) else "no frame"))
+                continue
+            T = np.zeros((n, n))
+            T[k, 0] = 1.0
+            T[B, 1:] = TB
+            return _checked(make_certificate(A, T, mode), A, f"{name} (lead {k})", s)
         except (InputError, ConstructionDefect) as exc:
             failures.append((k, str(exc)))
     raise ConstructionDefect(
         f"{name}: nothing served although the construction is total off its "
-        f"obstruction; A = {(s * A).tolist()}; per frame: {failures}")
+        f"obstruction; A = {(s * A).tolist()}; per lead: {failures}")
 
 
 def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstruction:
@@ -603,7 +606,7 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
     if A.shape[0] != 3:
         raise InputError("nonneg_hess_3 expects a 3x3 matrix")
     A, s, t = _unit_scale(A, tol)
-    if np.min(A) < -t:
+    if np.min(A) < 0:
         raise InputError("nonneg_hess_3 requires a nonnegative matrix")
 
     form = rank_one_shift_detect(A, t)
@@ -619,7 +622,7 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
                 "reconstruction_residual": inf_norm(form.reconstruct() - A),
             },
         )
-    return _lead_loop(A, s, t, Mode.NONNEG, (2, 0, 1),
+    return _lead_loop(A, s, Mode.NONNEG, (2, 0, 1),
                       lambda A2, v: _dt_frame(A2, v, t), "nonneg_hess_3")
 
 
@@ -630,7 +633,6 @@ def _shift_to_rank_one(A2: np.ndarray) -> tuple[np.ndarray, float]:
     ``r = sqrt(h^2 + bc)``, and ``lam = min(a, d) - bc / (|h| + r)``, each
     free of cancellation, so the rank holds to rounding even near scalar."""
     (a, b), (c, d) = A2
-    b, c = max(b, 0.0), max(c, 0.0)
     h = 0.5 * (a - d)
     big = abs(h) + float(np.hypot(h, np.sqrt(b * c)))
     small = b * c / big if big > 0 else 0.0
@@ -651,19 +653,15 @@ def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
     with ``T >= 0``.
 
     :func:`_lead_loop` with the lead 0 and :func:`_rank_one_step`: without a
-    permutation ``A[2, 0] > t``, so the step's ``b = A[1:, 0]`` is nonzero.
-    Where the permutation ``I`` only failed its certificate, ``b`` can be
-    zero, and then no frame forms.
+    permutation ``A[2, 0] != 0``, so the step's ``b = A[1:, 0]`` is nonzero.
     """
     A = as_square(A)
     if A.shape[0] != 3:
         raise InputError("metzler_hess_3 expects a 3x3 matrix")
-    A, s, t = _unit_scale(A, tol)
-    if not classify(A, t).is_metzler:
+    A, s, _ = _unit_scale(A, tol)
+    if not classify(A, 0.0).is_metzler:
         raise InputError("metzler_hess_3 requires a Metzler matrix")
-    return _lead_loop(A, s, t, Mode.METZLER, (0,),
-                      lambda A2, v: _rank_one_step(A2, v) if inf_norm(v) > t else None,
-                      "metzler_hess_3")
+    return _lead_loop(A, s, Mode.METZLER, (0,), _rank_one_step, "metzler_hess_3")
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +842,7 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
     if c.size != 3:
         raise InputError("output vector must have dimension 3")
     A, s, t = _unit_scale(A, tol)
-    rep = classify(A, t)
+    rep = classify(A, 0.0)
     if not rep.is_metzler:
         raise InputError("ct_hess_3 requires a Metzler matrix")
     if np.min(b_in) < -zero_tolerance(b_in) or not b_in.any():
@@ -869,8 +867,9 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
 
 def _ct_step(A: np.ndarray, b: np.ndarray, irreducible: bool, t: float
              ) -> np.ndarray | tuple[float, float, list] | None:
-    """The 3x3 controller step for a unit-scale Metzler ``A`` (zero threshold
-    ``t``, ``irreducible`` its pattern's answer) and ``b >= 0``, ``b != 0``:
+    """The 3x3 controller step for a unit-scale, exactly Metzler ``A``
+    (rounding threshold ``t``, ``irreducible`` its pattern's answer) and
+    ``b >= 0``, ``b != 0``:
     :func:`_ct_frame` of the shifted pair with ``T[:, 0] = b``, None where no
     frame forms, or the Perron obstruction's ``(lam_1, residual at
     ||b||_inf = 1, complex pair)``.  The caller certifies the frame."""
@@ -879,7 +878,7 @@ def _ct_step(A: np.ndarray, b: np.ndarray, irreducible: bool, t: float
     # shift to nonnegative entries and a spectrum in the open right
     # half-plane (the transform is shift-invariant); ||A|| = 1 here
     mu = max(0.0, -float(np.min(np.diag(A))), -float(np.min(vals.real))) + 0.25
-    A1 = np.maximum(A + mu * np.eye(3), 0.0)  # its diagonal is at least 0.25
+    A1 = A + mu * np.eye(3)  # nonnegative, its diagonal at least 0.25
     # eig(A1) = eig(A) + mu, and a Metzler matrix's dominant eigenvalue is real
     lam = np.sort(vals.real)[::-1] + mu
     coincident, resid = _perron_coincident(A1, bn, float(lam[0]))
@@ -926,7 +925,8 @@ def metzler_hess_4(A, tol: float | None = None) -> SimilarityCertificate:
 
     :func:`_lead_loop` with the leads 0 to 3.  The trailing step is
     :func:`_ct_step` for the pair ``(A[B, B], A[B, k])``, at that block's own
-    unit scale; under a zero column below the lead, where any ``T_B >= 0``
+    unit scale (not snapped again, since ``Â``'s zeros are exact already);
+    under a zero column below the lead, where any ``T_B >= 0``
     keeps the row ``A[k, B] T_B`` nonnegative, it is the lead-0 frame of
     :func:`metzler_hess_3` instead.  Some lead is guaranteed to serve, so
     none serving raises with the reason of each.
@@ -935,17 +935,17 @@ def metzler_hess_4(A, tol: float | None = None) -> SimilarityCertificate:
     if A.shape[0] != 4:
         raise InputError("metzler_hess_4 expects a 4x4 matrix")
     A, s, t = _unit_scale(A, tol)
-    if not classify(A, t).is_metzler:
+    if not classify(A, 0.0).is_metzler:
         raise InputError("metzler_hess_4 requires a Metzler matrix")
 
     def step(A3: np.ndarray, v: np.ndarray) -> np.ndarray | tuple | None:
-        A3, _, t3 = _unit_scale(A3, t)
-        v = np.maximum(v, 0.0)
+        s3 = inf_norm(A3) or 1.0
+        A3, t3 = A3 / s3, t / s3
         if inf_norm(v) > 10 * t:
-            return _ct_step(A3, v, classify(A3, t3).is_irreducible, t3)
+            return _ct_step(A3, v, classify(A3, 0.0).is_irreducible, t3)
         T3 = np.eye(3)
         if A3[2, 0] > t3:  # else A3 is upper Hessenberg already
             T3[1:, 1:] = _rank_one_step(A3[1:, 1:], A3[1:, 0])
         return T3
 
-    return _lead_loop(A, s, t, Mode.METZLER, range(4), step, "metzler_hess_4")
+    return _lead_loop(A, s, Mode.METZLER, range(4), step, "metzler_hess_4")

@@ -316,3 +316,50 @@ class TestCli:
         assert run(["dt-feasibility", amat, bvec, "--tol", "1e-9",
                     "--json", str(tmp / "d.json")]) == 2
         assert json.loads((tmp / "d.json").read_text())["verdict"] == "infeasible"
+
+
+class TestHessenbergTol:
+    """``hessenberg --tol`` snaps the entries within it to exact zeros once,
+    on every route, and prints a certificate for that snapped input only if
+    ``verify`` at the same ``--tol`` accepts it for the input itself."""
+
+    def hessenberg(self, tmp_path, A, *flags):
+        amat, cert = tmp_path / "A.mat", tmp_path / "cert.json"
+        write_matrix(amat, A)
+        code = run(["hessenberg", str(amat), *flags, "--json", str(cert)])
+        return code, str(amat), cert
+
+    def test_2x2_entry_within_tol_is_an_exact_zero(self, tmp_path, capsys):
+        """The n <= 2 route printed ``H = A``, with its -1e-6 above the
+        diagonal, which is no Metzler form."""
+        A = np.array([[-1.0, -1e-6], [2.0, -3.0]])
+        code, amat, cert = self.hessenberg(tmp_path, A, "--mode", "metzler", "--tol", "1e-5")
+        assert code == 0
+        assert certificate_from_json(cert.read_text()).H[0, 1] == 0.0
+        assert run(["verify", amat, str(cert), "--tol", "1e-5"]) == 0
+
+    def test_tol_reaches_the_search(self, tmp_path, capsys):
+        """A 5x5 Metzler input whose -1e-6 at (2, 0) is a zero at
+        ``--tol 1e-5`` but not at the search's default threshold: it had exited 1
+        as not Metzler, while its 4x4 leading block certified."""
+        rng = np.random.default_rng(5)
+        A = rng.uniform(-5.0, 5.0, size=(5, 5))
+        off = ~np.eye(5, dtype=bool)
+        A[off] = np.maximum(A[off], 0.0) + 0.5
+        A[2, 0] = -1e-6
+        assert hessform.permutation_to_hessenberg(A, 1e-5) is None
+        code, amat, cert = self.hessenberg(tmp_path, A, "--mode", "metzler", "--tol", "1e-5")
+        assert code == 0
+        assert run(["verify", amat, str(cert), "--tol", "1e-5"]) == 0
+        assert self.hessenberg(tmp_path, A, "--mode", "metzler")[0] == 1
+        assert "requires a Metzler matrix" in capsys.readouterr().err
+
+    def test_tol_too_coarse_for_verify_exits_1(self, tmp_path, capsys):
+        """On an input of norm 5e-4 the snapped -5e-6 is a residual that
+        ``verify --tol 1e-5``, relative to the norm, cannot absorb: the
+        command prints no certificate and exits 1."""
+        A = np.array([[-1e-4, -5e-6], [2e-4, -3e-4]])
+        code, _, cert = self.hessenberg(tmp_path, A, "--mode", "metzler", "--tol", "1e-5")
+        assert code == 1
+        assert not cert.exists()
+        assert "verify rejects it" in capsys.readouterr().err

@@ -2,8 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hessform import (
     ClusterAmbiguityError,
@@ -11,7 +9,6 @@ from hessform import (
     classify,
     geometric_multiplicity,
     jordan_like_form,
-    metzler_shift,
     permutation_to_hessenberg,
     perron_pair,
     sorted_spectrum,
@@ -200,39 +197,6 @@ class TestPerronPair:
     def test_rejects_negative_entries(self):
         with pytest.raises(InputError):
             perron_pair(np.array([[1.0, -1.0], [0.0, 1.0]]))
-
-
-class TestMetzlerShift:
-    def test_basic(self):
-        shifted, mu = metzler_shift(np.array([[-1.0, 2.0], [3.0, -4.0]]))
-        assert mu == 4.0
-        np.testing.assert_array_equal(shifted, [[3.0, 2.0], [3.0, 0.0]])
-
-    def test_nonneg_unchanged(self):
-        A = np.array([[1.0, 2.0], [0.0, 3.0]])
-        shifted, mu = metzler_shift(A)
-        assert mu == 0.0
-        np.testing.assert_array_equal(shifted, A)
-
-    def test_negative_identity(self):
-        shifted, mu = metzler_shift(-np.eye(2))
-        assert mu == 1.0
-        np.testing.assert_array_equal(shifted, np.zeros((2, 2)))
-
-    def test_rejects_non_metzler(self):
-        with pytest.raises(InputError):
-            metzler_shift(np.array([[0.0, -1.0], [1.0, 0.0]]))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30)
-    def test_result_exactly_nonnegative(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 6))
-        A = rng.uniform(-5.0, 5.0, size=(n, n))
-        off = ~np.eye(n, dtype=bool)
-        A[off] = np.maximum(A[off], 0.0)
-        shifted, _ = metzler_shift(A)
-        assert np.min(shifted) >= 0.0  # exact, no tolerance
 
 
 class TestPermutationToHessenberg:

@@ -103,21 +103,35 @@ def small_integer_matrix(n, mode, rng):
 def test_outcome_invariant_under_scaling_and_permutation(name, gen, seed, log_c, perm):
     """A certificate that verifies, or an obstruction of one kind, the same for
     A, cA and P^T A P (with b -> P^T b for ct_hess_3), and for ct_hess_3 also
-    under b -> cb."""
+    under b -> cb.  With the zeros of A moved by up to tau / 2 either way
+    (tau half the least nonzero |a_ij|), ``tol = tau`` snaps them back: the
+    same outcome, a certificate that verifies on A, and for ``(dA, d tau)``
+    exactly the certificate's H times d, d the power of two nearest c, which
+    repeats every rounding at unit scale."""
     construct, n, mode = CONSTRUCTORS[name]
     rng = np.random.default_rng(seed)
     A = small_integer_matrix(n, mode, rng) if gen == "small-integer" \
         else sample_matrix(n, mode, gen, rng)
     b = rng.uniform(0.0, 1.0, n)
     P = np.eye(n)[:, [k for k in perm if k < n]]
-    outcomes = set()
-    for M, v in [(A, b), (10.0 ** log_c * A, b), (P.T @ A @ P, P.T @ b),
-                 (A, 10.0 ** log_c * b)]:
-        result = construct(M, v) if name == "ct_hess_3" else construct(M)
-        outcomes.add(outcome(M, result))
+    c = 10.0 ** log_c
+    tau = 0.5 * np.min(np.abs(A[A != 0.0]), initial=1.0)
+    noise = rng.choice([-1.0, 1.0], A.shape) * rng.uniform(0.0, 0.5 * tau, A.shape)
+    noisy = np.where(A == 0.0, noise, A)
+
+    def run(M, v, tol=None):
+        return construct(M, v, tol=tol) if name == "ct_hess_3" else construct(M, tol=tol)
+
+    outcomes = {outcome(M, run(M, v)) for M, v in
+                [(A, b), (c * A, b), (P.T @ A @ P, P.T @ b), (A, c * b)]}
+    d = 2.0 ** round(log_c / np.log10(2.0))
+    snapped, scaled = run(noisy, b, tau), run(d * noisy, b, d * tau)
+    outcomes |= {outcome(A, snapped), outcome(d * A, scaled)}
     assert len(outcomes) == 1
     assert outcomes <= {"certificate", ObstructionKind.NEG_EIG_GEOM_MULT,
                         ObstructionKind.PERRON_EIGVEC_COINCIDENCE}
+    if isinstance(snapped, SimilarityCertificate):
+        np.testing.assert_array_equal(scaled.H, d * snapped.H)
 
 
 def fuzz_constructors(seed, draw):
@@ -178,23 +192,32 @@ def test_scaled_rank_one_shift_family_has_no_certificate():
         assert inf_norm(recon - A) <= 1e-8 * inf_norm(A)
 
 
-def test_tol_reaches_rank_one_shift_detect(monkeypatch):
+def test_rank_one_shift_detect_sees_the_snapped_input(monkeypatch):
+    """``tol`` only snaps: the family test gets the input with its entries
+    within ``tol`` at exact zeros, at unit scale, and the default rounding
+    threshold, whatever ``tol`` is."""
     seen = []
     detect = hessform.transforms.rank_one_shift_detect
 
     def spy(A, tol=None):
-        seen.append(tol)
+        seen.append((A.copy(), tol))
         return detect(A, tol)
 
     monkeypatch.setattr(hessform.transforms, "rank_one_shift_detect", spy)
     A = 1e3 * INFEASIBLE_DT_A
-    nonneg_hess_3(A, tol=1e-4)
-    assert seen == [pytest.approx(1e-4 / inf_norm(A), rel=1e-15)]
+    noisy = A + np.where(A == 0.0, [[1.0, -1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]], 0.0)
+    nonneg_hess_3(A)
+    nonneg_hess_3(noisy, tol=10.0)
+    nonneg_hess_3(A, tol=0.0)
+    assert len(seen) == 3
+    for got, t in seen:
+        np.testing.assert_array_equal(got, A / inf_norm(A))
+        assert t == seen[0][1] == pytest.approx(1e-9, rel=1e-15)
 
 
-def test_tol_reaches_ct_hess_3_from_metzler_hess_4(monkeypatch):
-    """The controller step of lead 0 sees the caller's ``tol`` at the unit
-    scale of its own trailing block."""
+def test_metzler_hess_4_step_rounds_at_the_default_threshold(monkeypatch):
+    """The controller step of lead 0 rounds at the default threshold of its
+    own trailing block's unit scale, the same with or without ``tol``."""
     seen = []
     step = hessform.transforms._ct_step
 
@@ -204,8 +227,11 @@ def test_tol_reaches_ct_hess_3_from_metzler_hess_4(monkeypatch):
 
     monkeypatch.setattr(hessform.transforms, "_ct_step", spy)
     A = 1e3 * (np.ones((4, 4)) - np.eye(4))
+    metzler_hess_4(A)
     metzler_hess_4(A, tol=1e-4)
-    assert seen == [pytest.approx(1e-4 / inf_norm(A[1:, 1:]), rel=1e-15)]
+    assert seen[0] == seen[1] == pytest.approx(1e-9 * inf_norm(A) / inf_norm(A[1:, 1:]),
+                                                rel=1e-15)
+    assert len(seen) == 2
 
 
 def test_dt_iterates_of_the_counterexample_at_every_scale():

@@ -21,15 +21,9 @@ from hessform import (
 )
 from hessform import search
 from hessform.formats import search_report_csv, search_report_to_json
-from hessform.linalg import (
-    MAX_DIM,
-    inf_norm,
-    metzler_shift,
-    permutation_to_hessenberg,
-    zero_tolerance,
-)
+from hessform.linalg import MAX_DIM, permutation_to_hessenberg
 from hessform.search import sample_matrix
-from hessform.transforms import RESIDUAL_BOUND
+from hessform.transforms import RESIDUAL_BOUND, _unit_scale as _snap
 
 from conftest import random_metzler, random_nonneg
 
@@ -166,7 +160,8 @@ class TestKrylovFrameSearch:
             assert report.attempts == report.successes == 1
             assert report.logs == (search.RestartLog(0, n, report.best_violation, True),)
             cert = report.best_certificate
-            assert cert.T.tobytes() == permutation_to_hessenberg(*_unit_scale(A, mode)).tobytes()
+            P = permutation_to_hessenberg(_unit_scale(A, mode)[0], 0.0)
+            assert cert.T.tobytes() == P.tobytes()
             assert verify_certificate(A, cert, tol=RESIDUAL_BOUND) and np.min(cert.T) >= 0.0
         assert frame_calls == []
 
@@ -346,10 +341,14 @@ def _reference_next_columns(A1, T, mode, t, breadth):
 
 
 def _unit_scale(A, mode):
-    """``(A1, t)`` as ``altproj_hess`` builds them."""
-    s, t = inf_norm(A) or 1.0, zero_tolerance(A)
-    A1 = metzler_shift(A / s, t / s)[0] if mode is Mode.METZLER else A / s
-    return A1, t / s
+    """``(A1, t)`` as ``altproj_hess`` builds them: the snapped unit-scale
+    input, shifted to nonnegative in Metzler mode (exactly, since the snap
+    leaves no negative off-diagonal entry), and the rounding threshold."""
+    A1, _, t = _snap(A, None)
+    if mode is Mode.METZLER:
+        A1 = A1 + max(0.0, -float(np.min(np.diag(A1)))) * np.eye(len(A1))
+        assert np.min(A1) >= 0.0
+    return A1, t
 
 
 def _heuristic_instance(seed, i):

@@ -569,6 +569,31 @@ class TestPinned3x3:
             assert_good_cert(B, nonneg_hess_3(B), Mode.NONNEG)
 
 
+class TestCallerTolerance:
+    """The caller's ``tol`` snaps the entries within it to exact zeros once;
+    the certificate is for that snapped input ``Â``."""
+
+    @pytest.mark.parametrize("construct, A", [
+        (metzler_hess_3, [[-1.0, 2.0, 3.0], [1.0, -2.0, -1e-6], [0.0, 1.0, -3.0]]),
+        (nonneg_hess_3, [[1.0, 2.0, 3.0], [1.0, 2.0, -1e-6], [0.0, 1.0, 3.0]]),
+        (metzler_hess_3, [[-1.0, 2.0, 3.0], [0.0, -2.0, -1e-6], [0.0, 1.0, -3.0]]),
+    ])
+    def test_entry_within_tol_is_an_exact_zero(self, construct, A):
+        """At ``tol = 1e-5`` the -1e-6 is snapped, so ``I`` is an exact
+        similarity of the upper Hessenberg ``Â`` and its certificate holds.
+        Judged against the unsnapped input, the first two raised
+        ConstructionDefect, and the third, with a zero column below lead 0,
+        formed no lead frame either."""
+        A = np.array(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = construct(A, tol=1e-5)
+        np.testing.assert_array_equal(cert.T, np.eye(3))
+        assert cert.H[1, 2] == 0.0
+        assert verify_certificate(np.where(np.abs(A) <= 1e-5, 0.0, A), cert)
+        assert verify_certificate(A, cert, tol=1e-5)
+
+
 class TestMetzlerHess3:
     def test_obstruction_family_shifted_away(self):
         A = np.ones((3, 3)) - np.eye(3)
@@ -588,17 +613,6 @@ class TestMetzlerHess3:
         cert = metzler_hess_3(A)
         assert_good_cert(A, cert, Mode.METZLER)
         np.testing.assert_array_equal(cert.T, permutation_to_hessenberg(A))
-
-    def test_zero_column_under_a_failing_identity_forms_no_frame(self):
-        """At ``tol = 1e-5`` the Hessenberg input's -1e-6 is a zero, so
-        ``I`` is its permutation, but the certificate sees a sign violation;
-        with ``A[1:, 0] = 0`` lead 0 forms no frame, and the call raises
-        without dividing by the zero column."""
-        A = np.array([[-1.0, 2.0, 3.0], [0.0, -2.0, -1e-6], [0.0, 1.0, -3.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConstructionDefect, match=r"\(0, 'no frame'\)"):
-                metzler_hess_3(A, tol=1e-5)
 
     def test_strongly_negative_diagonal(self):
         A = np.array([[-5.0, 1.0, 1.0], [1.0, -5.0, 1.0], [1.0, 1.0, -5.0]])
@@ -994,17 +1008,18 @@ class TestMetzlerHess4:
         (metzler_hess_4, [[-1.0, 0.0, 0.0, 0.0], [2.0, -2.0, 0.0, 0.0],
                           [1.0, 5e-7, -3.0, 0.0], [0.0, 1.0, 1.0, -1.0]]),
     ])
-    def test_permutation_failing_its_check_passes_to_the_leads(self, construct, A):
-        """At ``tol = 1e-5`` the entry 5e-7 is a zero, so an order is found,
-        but it leaves 5e-7 below the subdiagonal, over the certificate's 1e-8
-        bound; a lead frame serves."""
+    def test_permutation_of_the_snapped_input_certifies(self, construct, A):
+        """At ``tol = 1e-5`` the entry 5e-7 is snapped to an exact zero, so
+        the order found is an exact similarity of the snapped input: its
+        certificate holds for that matrix, and for ``A`` only at ``1e-5``."""
         A = np.array(A)
         P = permutation_to_hessenberg(A, 1e-5)
         assert P is not None
-        assert not verify_certificate(A, make_certificate(A, P, Mode.METZLER))
         cert = construct(A, tol=1e-5)
-        assert verify_certificate(A, cert)
-        assert np.min(cert.T) >= 0.0
+        np.testing.assert_array_equal(cert.T, P)
+        assert verify_certificate(np.where(np.abs(A) <= 1e-5, 0.0, A), cert)
+        assert verify_certificate(A, cert, tol=1e-5)
+        assert not verify_certificate(A, cert)
 
     def test_near_zero_column_over_a_hessenberg_block(self):
         """A column below lead 0 within 10x of the zero threshold over an
