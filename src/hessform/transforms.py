@@ -29,16 +29,17 @@ from __future__ import annotations
 import enum
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConstructionDefect, InputError, PerronVectorError
 from .linalg import (
     _eigenvalues,
+    _masks,
+    _strongly_connected,
     as_square,
     as_vector,
-    classify,
     inf_norm,
     permutation_to_hessenberg,
     zero_tolerance,
@@ -134,34 +135,36 @@ def _hessenberg_violation(H: np.ndarray) -> float:
     n = H.shape[0]
     if n <= 2:
         return 0.0
-    below = np.tril(np.ones((n, n), dtype=bool), k=-2)
-    return float(np.max(np.abs(H[below])))
+    return float(np.max(np.abs(H[_masks(n)[0]])))
 
 
 def _sign_violation(H: np.ndarray, mode: Mode) -> float:
+    """The least entry of ``H`` (off the diagonal in Metzler mode), negative
+    exactly where ``H`` breaks the signs of ``mode``."""
     if mode is Mode.NONNEG:
         return float(np.min(H))
     n = H.shape[0]
     if n == 1:
         return 0.0
-    off = ~np.eye(n, dtype=bool)
-    return float(np.min(H[off]))
+    return float(np.min(H[_masks(n)[1]]))
 
 
 def _unit_columns(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """``T D^{-1}``, ``D`` (the column sums of ``|T|``) and ``cond(T D^{-1}) <= 1e14``."""
     d = np.sum(np.abs(T), axis=0)
-    if np.any(d <= 0):
+    if d.min() <= 0:
         raise InputError("T has a zero column")
-    svals = np.linalg.svd(T / d, compute_uv=False)
+    Tn = T / d
+    svals = np.linalg.svd(Tn, compute_uv=False)
     if svals[-1] <= 0 or svals[0] / svals[-1] > 1e14:
         raise InputError("T is singular beyond the conditioning bound")
-    return T / d, d, float(svals[0] / svals[-1])
+    return Tn, d, float(svals[0] / svals[-1])
 
 
 def make_certificate(A, T, mode: Mode) -> SimilarityCertificate:
     """Certificate for ``H = T^{-1} A T`` that keeps the caller's ``T``, with
-    every metric recomputed at unit column sums."""
+    every metric recomputed at unit column sums.  Every construction builds
+    its certificate here, once, and :func:`_checked` scales it once."""
     A = as_square(A)
     mode = Mode(mode)
     T = as_square(np.array(T, dtype=float, copy=True), "T")
@@ -210,15 +213,17 @@ def _unit_scale(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, float, fl
     s = inf_norm(A) or 1.0
     A = A / s
     t = zero_tolerance(A)
-    A[np.abs(A) <= zero_tolerance(A, None if tol is None else tol / s)] = 0.0
+    A[np.abs(A) <= (t if tol is None else zero_tolerance(A, tol / s))] = 0.0
     return A, s, t
 
 
 def _checked(cert: SimilarityCertificate, A, context: str,
              s: float) -> SimilarityCertificate:
-    """The certificate for ``s * A`` from one built for unit-scale ``A``: ``H``
-    and its entry violations multiplied by ``s``, once the predicate of
-    :func:`verify_certificate` holds.  Failing it is a bug, not an obstruction."""
+    """The certificate for ``s * A`` from the one :func:`make_certificate` built
+    for unit-scale ``A``: once the predicate of :func:`verify_certificate`
+    holds, ``H`` and its entry violations are multiplied by ``s``, once, into
+    the certificate returned.  Failing the predicate is a bug, not an
+    obstruction."""
     norm_A = inf_norm(A)
     if not _holds(norm_A, cert.residual_similarity * norm_A,
                   cert.hessenberg_violation, cert.sign_violation,
@@ -227,9 +232,11 @@ def _checked(cert: SimilarityCertificate, A, context: str,
             f"{context}: min(T) {cert.min_entry_T:.3e}, similarity residual "
             f"{cert.residual_similarity:.3e}, Hessenberg violation "
             f"{cert.hessenberg_violation:.3e}, sign violation {cert.sign_violation:.3e}")
-    return replace(cert, H=s * cert.H,
-                   hessenberg_violation=s * cert.hessenberg_violation,
-                   sign_violation=s * cert.sign_violation)
+    return SimilarityCertificate(
+        T=cert.T, T_inv=cert.T_inv, H=s * cert.H,
+        residual_similarity=cert.residual_similarity, min_entry_T=cert.min_entry_T,
+        hessenberg_violation=s * cert.hessenberg_violation,
+        sign_violation=s * cert.sign_violation, mode=cert.mode, cond_T=cert.cond_T)
 
 
 def verify_certificate(A, cert: SimilarityCertificate, tol: float = 1e-8) -> bool:
@@ -271,8 +278,8 @@ def rank_one_shift_detect(A, tol: float | None = None) -> RankOneShiftForm | Non
     t = zero_tolerance(A, tol)
     if np.min(A) < -t:
         raise InputError("rank_one_shift_detect requires a nonnegative matrix")
-    n = A.shape[0]
-    if n < 2 or inf_norm(A) <= t:
+    n, norm = A.shape[0], inf_norm(A)
+    if n < 2 or norm <= t:
         return None
     vals = _eigenvalues(A)
     # membership forces the trailing n-1 eigenvalues to coincide; a multiple
@@ -281,7 +288,7 @@ def rank_one_shift_detect(A, tol: float | None = None) -> RankOneShiftForm | Non
     # are the precise arbiters
     trailing = vals[1:]
     lam2c = complex(np.mean(trailing))
-    screen = 1e-4 * inf_norm(A)
+    screen = 1e-4 * norm
     if np.max(np.abs(trailing - lam2c)) > screen:
         return None
     if abs(lam2c.imag) > screen or lam2c.real >= -t:
@@ -301,7 +308,7 @@ def rank_one_shift_detect(A, tol: float | None = None) -> RankOneShiftForm | Non
     u = np.maximum(u, 0.0)
     v = np.maximum(v, 0.0)
     form = RankOneShiftForm(u=u, v=v, s=-lam2, c=1.0)
-    if inf_norm(form.reconstruct() - A) > 1e-8 * inf_norm(A):
+    if inf_norm(form.reconstruct() - A) > 1e-8 * norm:
         return None
     return form
 
@@ -334,7 +341,7 @@ def _perron_pair_input(A, b, tol: float | None, name: str) -> tuple:
         raise InputError(f"{name} requires a nonnegative matrix")
     if np.min(b) < -zero_tolerance(b) or not b.any():
         raise InputError(f"{name} requires a nonnegative nonzero vector")
-    if not classify(A, t).is_irreducible:
+    if not _strongly_connected((np.abs(A) > t) & _masks(A.shape[0])[1]):
         raise InputError(f"{name} requires an irreducible matrix")
     vals = _eigenvalues(A)
     return A, b, t, vals, *_perron_coincident(A, b, float(vals[0].real))
@@ -659,7 +666,7 @@ def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
     if A.shape[0] != 3:
         raise InputError("metzler_hess_3 expects a 3x3 matrix")
     A, s, _ = _unit_scale(A, tol)
-    if not classify(A, 0.0).is_metzler:
+    if _sign_violation(A, Mode.METZLER) < 0:
         raise InputError("metzler_hess_3 requires a Metzler matrix")
     return _lead_loop(A, s, Mode.METZLER, (0,), _rank_one_step, "metzler_hess_3")
 
@@ -842,8 +849,7 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
     if c.size != 3:
         raise InputError("output vector must have dimension 3")
     A, s, t = _unit_scale(A, tol)
-    rep = classify(A, 0.0)
-    if not rep.is_metzler:
+    if _sign_violation(A, Mode.METZLER) < 0:
         raise InputError("ct_hess_3 requires a Metzler matrix")
     if np.min(b_in) < -zero_tolerance(b_in) or not b_in.any():
         raise InputError("ct_hess_3 requires a nonnegative nonzero input vector")
@@ -851,7 +857,7 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
         raise InputError("ct_hess_3 requires a nonnegative output vector")
     b_in = np.maximum(b_in, 0.0)
 
-    T = _ct_step(A, b_in, rep.is_irreducible, t)
+    T = _ct_step(A, b_in, _strongly_connected((A != 0) & _masks(3)[1]), t)
     if isinstance(T, tuple):
         lam1, resid, pair = T
         return Obstruction(ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
@@ -935,14 +941,14 @@ def metzler_hess_4(A, tol: float | None = None) -> SimilarityCertificate:
     if A.shape[0] != 4:
         raise InputError("metzler_hess_4 expects a 4x4 matrix")
     A, s, t = _unit_scale(A, tol)
-    if not classify(A, 0.0).is_metzler:
+    if _sign_violation(A, Mode.METZLER) < 0:
         raise InputError("metzler_hess_4 requires a Metzler matrix")
 
     def step(A3: np.ndarray, v: np.ndarray) -> np.ndarray | tuple | None:
         s3 = inf_norm(A3) or 1.0
         A3, t3 = A3 / s3, t / s3
         if inf_norm(v) > 10 * t:
-            return _ct_step(A3, v, classify(A3, 0.0).is_irreducible, t3)
+            return _ct_step(A3, v, _strongly_connected((A3 != 0) & _masks(3)[1]), t3)
         T3 = np.eye(3)
         if A3[2, 0] > t3:  # else A3 is upper Hessenberg already
             T3[1:, 1:] = _rank_one_step(A3[1:, 1:], A3[1:, 0])

@@ -13,7 +13,8 @@ from hessform import (
     perron_pair,
     sorted_spectrum,
 )
-from hessform.linalg import MAX_DIM, inf_norm, zero_tolerance
+from hessform.linalg import MAX_DIM, _masks, _strongly_connected, inf_norm, zero_tolerance
+from hessform.transforms import Mode, _sign_violation
 
 from conftest import INFEASIBLE_DT_A, random_irreducible_nonneg, random_nonneg
 
@@ -95,6 +96,51 @@ class TestClassify:
     def test_rejects_nan(self):
         with pytest.raises(InputError):
             classify(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def _structured_draw(rng, n):
+    """A matrix with exact zeros, ``-0.0`` entries, a negative diagonal or a
+    one-sided pattern, as the exact constructions see after snapping."""
+    A = rng.choice([0.0, -0.0, 1.0, 0.5], size=(n, n)) * rng.uniform(0.5, 2.0, (n, n))
+    np.fill_diagonal(A, rng.choice([-1.0, -0.0, 0.0, 2.0], size=n))
+    shape = rng.integers(4)
+    if shape == 1:
+        A[np.tril_indices(n, -1)] = rng.choice([0.0, -0.0])  # one-sided: upper
+    elif shape == 2:
+        A[np.triu_indices(n, 1)] = rng.choice([0.0, -0.0])  # one-sided: lower
+    elif shape == 3 and n > 1:
+        i, j = rng.choice(n, size=2, replace=False)
+        A[i, j] = -rng.uniform(0.1, 1.0)  # one negative off-diagonal entry
+    return A
+
+
+class TestStructureKernels:
+    """The exact sign and pattern tests of the constructions give the answers
+    of ``classify`` at a zero threshold."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_sign_and_pattern_tests_agree_with_classify(self, n):
+        outcomes = set()
+        for i in range(300):
+            A = _structured_draw(np.random.default_rng([45, n, i]), n)
+            rep = classify(A, 0.0)
+            metzler = not _sign_violation(A, Mode.METZLER) < 0
+            irreducible = _strongly_connected((A != 0) & _masks(n)[1])
+            assert metzler == rep.is_metzler
+            assert irreducible == rep.is_irreducible
+            outcomes.add((metzler, irreducible))
+        # every pair of answers occurs; a 1x1 matrix is Metzler and irreducible
+        assert len(outcomes) == (1 if n == 1 else 4)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_masks_are_cached_and_read_only(self, n):
+        below, off = _masks(n)
+        assert _masks(n)[0] is below and _masks(n)[1] is off
+        assert np.array_equal(below, np.tril(np.ones((n, n), dtype=bool), k=-2))
+        assert np.array_equal(off, ~np.eye(n, dtype=bool))
+        for mask in (below, off):
+            with pytest.raises(ValueError):
+                mask[0, 0] = True
 
 
 def _permutation_reducible(A, zero_pattern):

@@ -704,7 +704,9 @@ class TestOneAnswerPerQuestion:
     """Each question on the exact-construction path is answered once per call,
     and a certificate is built only for the answer returned."""
 
-    QUESTIONS = ("classify", "_eigenvalues", "_perron_coincident")
+    #: the pattern (strong connectivity of Â's off-diagonal nonzeros), the
+    #: spectrum and the Perron test
+    QUESTIONS = ("_strongly_connected", "_eigenvalues", "_perron_coincident")
     ROUTES = ("_resolvent_frame", "_deflation_frame", "_controller_frame_reducible")
 
     @pytest.mark.parametrize("A, b, routes", [
