@@ -426,9 +426,12 @@ def permutation_to_hessenberg(A, tol: float | None = None) -> np.ndarray | None:
     ``last``, the column of ``last`` is forbidden to every index still
     unplaced.  The rows with a nonzero there must therefore come next: two or
     more of them end the branch, one is the only child, and none leaves every
-    unplaced index free.  Whether a state (placed set, last placed) completes
-    depends on nothing else, so failed states are remembered, and a call
-    visits at most ``2**n * n`` of them, which reaches ``MAX_DIM``.
+    unplaced index free.  Indices with no off-diagonal nonzero in their row
+    and column are interchangeable in any order, so a free branch tries only
+    the least unplaced one of them, which keeps the first order found the
+    lexicographically first.  Whether a state (placed set, last placed)
+    completes depends on nothing else, so failed states are remembered, and a
+    call visits at most ``2**n * n`` of them, which reaches ``MAX_DIM``.
     """
     A = as_square(A)
     n = A.shape[0]
@@ -436,7 +439,10 @@ def permutation_to_hessenberg(A, tol: float | None = None) -> np.ndarray | None:
     np.fill_diagonal(nonzero, False)
     # rows_in[c]: bit mask of the rows with a nonzero in column c; the root's
     # "last placed" is the sentinel n, whose column is empty
-    rows_in = ((1 << np.arange(n)) @ nonzero).tolist() + [0]
+    bits = 1 << np.arange(n)
+    rows_in = (bits @ nonzero).tolist() + [0]
+    # indices with an empty row and column, interchangeable in any order
+    isolated = int(bits @ ~(nonzero.any(axis=0) | nonzero.any(axis=1)))
     full, order = (1 << n) - 1, []
     dead = bytearray((n + 1) << n)  # indexed by last << n | placed
 
@@ -446,8 +452,10 @@ def permutation_to_hessenberg(A, tol: float | None = None) -> np.ndarray | None:
         pending = rows_in[last] & ~placed
         if pending & (pending - 1) or dead[last << n | placed]:
             return False
+        spare = isolated & ~placed
+        spare &= spare - 1  # every unplaced isolated index but the least
         for x in [pending.bit_length() - 1] if pending else range(n):
-            if not placed >> x & 1:
+            if not (placed | spare) >> x & 1:
                 order.append(x)
                 if complete(placed | 1 << x, x):
                     return True

@@ -11,6 +11,11 @@ zeros, as the exact constructions do, shifted to nonnegative in Metzler mode,
 where the shift moves only the diagonal of ``H``.  A frame counts only once
 its certificate for ``Â`` re-verifies from scratch at ``RESIDUAL_BOUND``.
 
+The search is depth first, and each node costs a few batched numpy calls:
+the vertices of a frame are one stacked solve, the full frames below a frame
+of ``n - 1`` columns are another, and the orthonormal basis that filters the
+candidates grows by one column per level instead of a QR per node.
+
 A permutation is the cheapest such frame, its columns all axes, and the exact
 subset search of :func:`~hessform.linalg.permutation_to_hessenberg` decides
 it, so ``altproj_hess`` tries it before any vertex search.
@@ -29,22 +34,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_square, permutation_to_hessenberg
+from .linalg import as_square, inf_norm, permutation_to_hessenberg
 from .transforms import (
     RESIDUAL_BOUND,
     Mode,
     Obstruction,
     ObstructionKind,
     SimilarityCertificate,
+    _certificate,
     _sign_violation,
     _unit_scale,
+    _verifies,
     identity_certificate,
-    make_certificate,
     metzler_hess_3,
     metzler_hess_4,
     nonneg_hess_3,
     rank_one_shift_detect,
-    verify_certificate,
 )
 
 __all__ = [
@@ -129,10 +134,10 @@ def _active_sets(n: int, k: int, floor: int, support: tuple[int, ...],
     return active
 
 
-def _next_columns(A1: np.ndarray, T: np.ndarray, mode: Mode, t: float,
-                  breadth: int) -> np.ndarray:
-    """The candidate columns ``t_{k+1}`` after the frame ``T = T_k``, one per
-    row, sparsest first.
+def _next_columns(A1: np.ndarray, T: np.ndarray, Q: np.ndarray, mode: Mode,
+                  t: float, breadth: int) -> np.ndarray:
+    """The candidate columns ``t_{k+1}`` after the frame ``T = T_k``, whose
+    span has the orthonormal basis ``Q``, one per row, sparsest first.
 
     Each vertex ``h`` of ``{h : T_k h <= A1 t_k, h_j >= 0}`` (j < k, and
     j = k in nonneg mode) solves k of those rows as equations.  The active
@@ -149,7 +154,9 @@ def _next_columns(A1: np.ndarray, T: np.ndarray, mode: Mode, t: float,
     left in ``r`` would be a negative entry of ``T`` or a false constraint at
     the next step.  ``r = 0`` makes span ``T_k`` invariant, so
     ``h_{k+1,k} = 0`` and every axis is a candidate.  Columns that leave
-    ``[T_k, t_{k+1}]`` numerically singular are dropped."""
+    ``[T_k, t_{k+1}]`` numerically singular, their part off ``span Q`` at
+    most ``1e-8`` of their norm, are dropped; the search carries ``Q`` down
+    the tree, so no node factors its frame."""
     n, k = T.shape
     floor = k - (mode is Mode.METZLER)
     rows = np.vstack([T, -np.eye(k)[:floor]])
@@ -158,7 +165,8 @@ def _next_columns(A1: np.ndarray, T: np.ndarray, mode: Mode, t: float,
     support = tuple(np.flatnonzero(T.any(axis=1)).tolist())
     active = _active_sets(n, k, floor, support, breadth)
     S = rows[active]
-    regular = np.abs(np.linalg.det(S)) > 1e-12 * np.prod(np.linalg.norm(S, axis=2), axis=1)
+    scale = np.prod(np.linalg.norm(rows, axis=1)[active], axis=1)
+    regular = np.abs(np.linalg.det(S)) > 1e-12 * scale
     h = np.linalg.solve(S[regular], rhs[active[regular]][:, :, None])[:, :, 0]
     h = h[np.all(h @ rows.T <= rhs + t, axis=1)]
     r = b - h @ T.T
@@ -169,15 +177,24 @@ def _next_columns(A1: np.ndarray, T: np.ndarray, mode: Mode, t: float,
     for i, row in enumerate(r):
         first.setdefault(row.tobytes(), i)
     r = r[list(first.values())]
-    if not len(r):  # no feasible vertex: spare the QR below
+    if not len(r):  # no feasible vertex: spare the off-span norms below
         return np.zeros((0, n))
     r = r[np.argsort(np.count_nonzero(r, axis=1), kind="stable")]
     if not r[0].any():
         r = np.vstack([np.eye(n), r[1:]])
     C = r / r.sum(axis=1, keepdims=True)
-    Q = np.linalg.qr(T)[0]
     off_span = np.linalg.norm(C - C @ Q @ Q.T, axis=1)
     return C[off_span > 1e-8 * np.linalg.norm(C, axis=1)]
+
+
+def _extended(Q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The orthonormal basis ``Q`` of a frame's span with the new column
+    ``c`` appended, its part off ``span Q`` orthogonalised twice, which keeps
+    the basis orthonormal to rounding; ``c`` is off the span by at least
+    ``1e-8`` of its norm, as :func:`_next_columns` leaves it."""
+    v = c - Q @ (Q.T @ c)
+    v -= Q @ (Q.T @ v)
+    return np.column_stack([Q, v / np.linalg.norm(v)])
 
 
 def _starts(A1: np.ndarray, cfg: AltProjConfig):
@@ -190,20 +207,31 @@ def _starts(A1: np.ndarray, cfg: AltProjConfig):
     yield from np.random.default_rng(cfg.seed).dirichlet(np.full(n, 0.5), cfg.restarts)
 
 
-def _violation(A1: np.ndarray, T: np.ndarray, mode: Mode) -> float:
-    """How far the last column of ``H = T^{-1} A1 T`` is from ``>= 0`` (off
-    the diagonal in Metzler mode), in the units of ``A1``."""
-    n = T.shape[0]
-    h = np.linalg.solve(T, A1 @ T[:, -1])
-    return max(0.0, -float(np.min(h[:n - (mode is Mode.METZLER)], initial=0.0)))
+def _violations(A1: np.ndarray, T: np.ndarray, C: np.ndarray, mode: Mode) -> list[float]:
+    """For each full frame ``[T, c]``, ``c`` a row of ``C``, how far the last
+    column of ``H = [T, c]^{-1} A1 [T, c]`` is from ``>= 0`` (off the diagonal
+    in Metzler mode), in the units of ``A1``: one stacked solve.  Each frame
+    is solved by itself, as ``np.linalg.solve`` would solve it alone, and the
+    stacked ``A1 c`` are matrix-vector products, so each value is bit for bit
+    that of its frame solved alone."""
+    m, n = C.shape
+    frames = np.empty((m, n, n))
+    frames[:, :, :-1] = T
+    frames[:, :, -1] = C
+    h = np.linalg.solve(frames, np.matmul(A1, C[:, :, None]))
+    least = h[:, :n - (mode is Mode.METZLER), 0].min(axis=1, initial=0.0)
+    return [max(0.0, -v) for v in least.tolist()]
 
 
-def _certified(A: np.ndarray, T: np.ndarray, mode: Mode) -> SimilarityCertificate | None:
+def _certified(A: np.ndarray, T: np.ndarray, mode: Mode,
+               norm_A: float) -> SimilarityCertificate | None:
+    """The certificate of ``T`` for ``A`` (of norm ``norm_A``) if it
+    re-verifies at RESIDUAL_BOUND, else None."""
     try:
-        cert = make_certificate(A, T, mode)
+        cert = _certificate(A, T, mode, norm_A)
     except InputError:  # T singular beyond the conditioning bound
         return None
-    return cert if verify_certificate(A, cert, tol=RESIDUAL_BOUND) else None
+    return cert if _verifies(A, T, cert.H, mode, RESIDUAL_BOUND, norm_A) else None
 
 
 def _snapped(A, mode: Mode, tol: float | None
@@ -241,37 +269,50 @@ def altproj_hess(A, mode: Mode, cfg: AltProjConfig, tol: float | None = None
     Metzler mode), the last column of ``H``.  ``attempts`` counts the starts
     tried; each log gives a start's nodes and its least violation of that
     test, in the units of ``||A||_inf`` (inf if it built no full frame).
-    A call visits at most ``(2n + cfg.restarts) * cfg.max_iters`` nodes, each
-    one batched solve of at most ``cfg.max_iters`` k x k systems.
+    A call visits at most ``(2n + cfg.restarts) * cfg.max_iters`` nodes.
+    Each frame ``T_k`` with ``k < n`` is one batched solve of at most
+    ``cfg.max_iters`` k x k systems; the full frames below a frame
+    ``T_{n-1}`` are solved together, those the budget leaves in one stacked
+    solve, and then taken in order, each a node, up to the first that
+    certifies, as a depth-first search would pop them.
 
     The bookkeeping changes no candidate: a child frame is stacked only when
-    it is popped, the Dirichlet generator is built only once the axes and the
-    columns are spent, and the active-set tables come from a memo bounded at
-    ``_ACTIVE_SET_MEMO`` entries."""
+    it is popped, and with it the orthonormal basis of its span, its parent's
+    extended by one column (:func:`_extended`); the Dirichlet generator is
+    built only once the axes and the columns are spent, and the active-set
+    tables come from a memo bounded at ``_ACTIVE_SET_MEMO`` entries."""
     mode = Mode(mode)
     A, A1, s, t = _snapped(A, mode, tol)
     n = A.shape[0]
     if mode is Mode.METZLER:  # the shift moves only the diagonal of H, free here
         A1 = A1 + max(0.0, -float(np.min(np.diag(A1)))) * np.eye(n)
+    norm_A = inf_norm(A)
     P = permutation_to_hessenberg(A1, 0.0)
-    cert = None if P is None else _certified(A, P, mode)
+    cert = None if P is None else _certified(A, P, mode, norm_A)
     if cert is not None:
-        v = _violation(A1, P, mode)
+        v = _violations(A1, P[:, :-1], P[None, :, -1], mode)[0]
         return SearchReport(1, 1, cert, v, (RestartLog(0, n, v, True),))
+    # n >= 2 here: at n = 1 the identity is the permutation, and it certifies
     logs: list[RestartLog] = []
+    empty = np.empty((n, 0))
     for start, t1 in enumerate(_starts(A1, cfg)):
-        stack, nodes, least = [(np.empty((n, 0)), t1)], 0, np.inf
+        stack, nodes, least = [(empty, empty, t1)], 0, np.inf
         while stack and nodes < cfg.max_iters and cert is None:
-            T = np.column_stack(stack.pop())
+            T, Q, c = stack.pop()
+            T, Q = np.column_stack([T, c]), _extended(Q, c)
             nodes += 1
-            if T.shape[1] < n:
-                children = _next_columns(A1, T, mode, t, cfg.max_iters)
-                stack.extend((T, c) for c in children[::-1])
+            children = _next_columns(A1, T, Q, mode, t, cfg.max_iters)
+            if T.shape[1] < n - 1:
+                stack.extend((T, Q, c) for c in children[::-1])
                 continue
-            v = _violation(A1, T, mode)
-            least = min(least, v)
-            if v <= RESIDUAL_BOUND:
-                cert = _certified(A, T, mode)
+            leaves = children[:cfg.max_iters - nodes]
+            for c, v in zip(leaves, _violations(A1, T, leaves, mode)):
+                nodes += 1
+                least = min(least, v)
+                if v <= RESIDUAL_BOUND:
+                    cert = _certified(A, np.column_stack([T, c]), mode, norm_A)
+                    if cert is not None:
+                        break
         logs.append(RestartLog(start, nodes, least, cert is not None))
         if cert is not None:
             break

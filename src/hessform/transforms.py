@@ -27,6 +27,7 @@ certificate is for ``Â``, accepted by the one predicate of
 from __future__ import annotations
 
 import enum
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -135,23 +136,25 @@ def _hessenberg_violation(H: np.ndarray) -> float:
     n = H.shape[0]
     if n <= 2:
         return 0.0
-    return float(np.max(np.abs(H[_masks(n)[0]])))
+    return float(np.abs(H[_masks(n)[0]]).max())
 
 
 def _sign_violation(H: np.ndarray, mode: Mode) -> float:
     """The least entry of ``H`` (off the diagonal in Metzler mode), negative
     exactly where ``H`` breaks the signs of ``mode``."""
     if mode is Mode.NONNEG:
-        return float(np.min(H))
+        return float(H.min())
     n = H.shape[0]
     if n == 1:
         return 0.0
-    return float(np.min(H[_masks(n)[1]]))
+    return float(H[_masks(n)[1]].min())
 
 
 def _unit_columns(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """``T D^{-1}``, ``D`` (the column sums of ``|T|``) and ``cond(T D^{-1}) <= 1e14``."""
-    d = np.sum(np.abs(T), axis=0)
+    d = np.abs(T).sum(axis=0)
+    if not math.isfinite(d.sum()):
+        raise InputError("T contains non-finite entries")
     if d.min() <= 0:
         raise InputError("T has a zero column")
     Tn = T / d
@@ -161,30 +164,39 @@ def _unit_columns(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return Tn, d, float(svals[0] / svals[-1])
 
 
-def make_certificate(A, T, mode: Mode) -> SimilarityCertificate:
-    """Certificate for ``H = T^{-1} A T`` that keeps the caller's ``T``, with
-    every metric recomputed at unit column sums.  Every construction builds
-    its certificate here, once, and :func:`_checked` scales it once."""
-    A = as_square(A)
-    mode = Mode(mode)
-    T = as_square(np.array(T, dtype=float, copy=True), "T")
-    if T.shape != A.shape:
-        raise InputError("T must match the shape of A")
+def _certificate(A: np.ndarray, T: np.ndarray, mode: Mode,
+                 norm_A: float) -> SimilarityCertificate:
+    """The core of :func:`make_certificate`, for a square float ``A`` of norm
+    ``norm_A``, a finite ``T`` of its shape that the certificate may keep,
+    and a :class:`Mode`."""
     Tn, d, cond = _unit_columns(T)
-    Tn_inv = np.linalg.solve(Tn, np.eye(T.shape[0]))
+    Tn_inv = np.linalg.inv(Tn)
     Hn = Tn_inv @ A @ Tn
-    residual = inf_norm(A @ Tn - Tn @ Hn) / (inf_norm(A) or 1.0)
+    residual = inf_norm(A @ Tn - Tn @ Hn) / (norm_A or 1.0)
     return SimilarityCertificate(
         T=T,
         T_inv=Tn_inv / d[:, None],
         H=Hn / d[:, None] * d,
-        residual_similarity=float(residual),
-        min_entry_T=float(np.min(Tn)),
+        residual_similarity=residual,
+        min_entry_T=float(Tn.min()),
         hessenberg_violation=_hessenberg_violation(Hn),
         sign_violation=_sign_violation(Hn, mode),
         mode=mode,
         cond_T=cond,
     )
+
+
+def make_certificate(A, T, mode: Mode) -> SimilarityCertificate:
+    """Certificate for ``H = T^{-1} A T`` that keeps the caller's ``T``, with
+    every metric recomputed at unit column sums.  Every construction builds
+    its certificate with the same core, once, and :func:`_checked` scales it
+    once."""
+    A = as_square(A)
+    mode = Mode(mode)
+    T = as_square(np.array(T, dtype=float, copy=True), "T")
+    if T.shape != A.shape:
+        raise InputError("T must match the shape of A")
+    return _certificate(A, T, mode, inf_norm(A))
 
 
 def identity_certificate(A, mode: Mode) -> SimilarityCertificate:
@@ -217,14 +229,15 @@ def _unit_scale(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, float, fl
     return A, s, t
 
 
-def _checked(cert: SimilarityCertificate, A, context: str,
+def _checked(A: np.ndarray, T: np.ndarray, mode: Mode, context: str,
              s: float) -> SimilarityCertificate:
-    """The certificate for ``s * A`` from the one :func:`make_certificate` built
-    for unit-scale ``A``: once the predicate of :func:`verify_certificate`
-    holds, ``H`` and its entry violations are multiplied by ``s``, once, into
-    the certificate returned.  Failing the predicate is a bug, not an
-    obstruction."""
+    """The certificate for ``s * A`` of a construction's frame ``T`` for the
+    unit-scale ``A``: :func:`_certificate` builds it once, and once the
+    predicate of :func:`verify_certificate` holds, ``H`` and its entry
+    violations are multiplied by ``s``, once, into the certificate returned.
+    Failing the predicate is a bug, not an obstruction."""
     norm_A = inf_norm(A)
+    cert = _certificate(A, T, mode, norm_A)
     if not _holds(norm_A, cert.residual_similarity * norm_A,
                   cert.hessenberg_violation, cert.sign_violation,
                   cert.min_entry_T, RESIDUAL_BOUND):
@@ -239,10 +252,24 @@ def _checked(cert: SimilarityCertificate, A, context: str,
         sign_violation=s * cert.sign_violation, mode=cert.mode, cond_T=cert.cond_T)
 
 
+def _verifies(A: np.ndarray, T: np.ndarray, H: np.ndarray, mode: Mode,
+              tol: float, norm_A: float) -> bool:
+    """The core of :func:`verify_certificate`, for square float ``A``, ``T``
+    and ``H`` of one shape, ``A`` of norm ``norm_A``: every metric re-derived
+    from ``T`` and ``H`` alone."""
+    T, d, _ = _unit_columns(T)
+    H = H * d[:, None] / d
+    if not _holds(norm_A, inf_norm(A @ T - T @ H), _hessenberg_violation(H),
+                  _sign_violation(H, mode), float(T.min()), tol):
+        return False
+    T_inv = np.linalg.inv(T)
+    return inf_norm(T_inv @ A @ T - H) <= tol * norm_A * inf_norm(T_inv) * inf_norm(T)
+
+
 def verify_certificate(A, cert: SimilarityCertificate, tol: float = 1e-8) -> bool:
     """Re-derive every certificate metric from scratch and test it against ``tol``.
 
-    An independent linear solve recomputes ``T^{-1}``; nothing stored in the
+    An independent inversion recomputes ``T^{-1}``; nothing stored in the
     certificate is trusted except ``T``, ``H`` and the mode.  It runs at unit
     column sums, and every bound but ``min(T) >= -tol`` is ``tol ||A||_inf``
     (times ``cond(T)`` for the recomputed ``H``), so neither ``A -> cA`` with
@@ -253,14 +280,7 @@ def verify_certificate(A, cert: SimilarityCertificate, tol: float = 1e-8) -> boo
     H = as_square(cert.H, "certificate H")
     if T.shape != A.shape or H.shape != A.shape:
         raise InputError("certificate dimensions do not match the matrix")
-    T, d, _ = _unit_columns(T)
-    H = H * d[:, None] / d
-    norm_A = inf_norm(A)
-    if not _holds(norm_A, inf_norm(A @ T - T @ H), _hessenberg_violation(H),
-                  _sign_violation(H, Mode(cert.mode)), float(np.min(T)), tol):
-        return False
-    T_inv = np.linalg.solve(T, np.eye(T.shape[0]))
-    return inf_norm(T_inv @ A @ T - H) <= tol * norm_A * inf_norm(T_inv) * inf_norm(T)
+    return _verifies(A, T, H, Mode(cert.mode), tol, inf_norm(A))
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +337,12 @@ def rank_one_shift_detect(A, tol: float | None = None) -> RankOneShiftForm | Non
 # commuting boundary placement
 # ---------------------------------------------------------------------------
 
-def _perron_coincident(A: np.ndarray, b: np.ndarray, lam1: float) -> tuple[bool, float]:
+def _perron_coincident(A: np.ndarray, b: np.ndarray, lam1: float,
+                       norm_b: float) -> tuple[bool, float]:
+    """Whether ``A b = lam1 b`` within ``1e-8 ||A||_inf ||b||_inf``, ``norm_b``
+    being ``||b||_inf``, and the residual."""
     resid = inf_norm(A @ b - lam1 * b)
-    threshold = 1e-8 * inf_norm(A) * inf_norm(b)
+    threshold = 1e-8 * inf_norm(A) * norm_b
     if threshold < resid <= 10 * threshold:
         level = 2  # the first caller outside this module, however deep the call
         while sys._getframe(level - 1).f_globals["__name__"] == __name__:
@@ -344,7 +367,7 @@ def _perron_pair_input(A, b, tol: float | None, name: str) -> tuple:
     if not _strongly_connected((np.abs(A) > t) & _masks(A.shape[0])[1]):
         raise InputError(f"{name} requires an irreducible matrix")
     vals = _eigenvalues(A)
-    return A, b, t, vals, *_perron_coincident(A, b, float(vals[0].real))
+    return A, b, t, vals, *_perron_coincident(A, b, float(vals[0].real), inf_norm(b))
 
 
 def fix_b_boundary(A, b, tol: float | None = None) -> np.ndarray:
@@ -401,8 +424,7 @@ def dt_hess_2(A, b, tol: float | None = None) -> SimilarityCertificate | Obstruc
         return Obstruction(ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
                            data={"lambda1": s * lam1, "lambda2": s * lam2,
                                  "residual": s * inf_norm(b_in) * resid, "b": b_in.copy()})
-    cert = make_certificate(A, frame, Mode.NONNEG)
-    return _checked(cert, A, "dt_hess_2", s)
+    return _checked(A, frame, Mode.NONNEG, "dt_hess_2", s)
 
 
 def _dt_frame(A: np.ndarray, b: np.ndarray, t: float
@@ -425,7 +447,7 @@ def _dt_frame(A: np.ndarray, b: np.ndarray, t: float
     R, lam2 = _shift_to_rank_one(A)
     if lam2 < -t:
         lam1 = lam2 + R[0, 0] + R[1, 1]
-        coincident, resid = _perron_coincident(A, b, lam1)
+        coincident, resid = _perron_coincident(A, b, lam1, 1.0)
         if coincident:
             return lam1, lam2, resid
 
@@ -578,7 +600,7 @@ def _lead_loop(A: np.ndarray, s: float, mode: Mode, leads, step,
     n = A.shape[0]
     P = permutation_to_hessenberg(A, 0.0)
     if P is not None:
-        return _checked(make_certificate(A, P, mode), A, f"{name} (permutation)", s)
+        return _checked(A, P, mode, f"{name} (permutation)", s)
     failures = []
     for k in leads:
         B = [(k + j) % n for j in range(1, n)]
@@ -590,7 +612,7 @@ def _lead_loop(A: np.ndarray, s: float, mode: Mode, leads, step,
             T = np.zeros((n, n))
             T[k, 0] = 1.0
             T[B, 1:] = TB
-            return _checked(make_certificate(A, T, mode), A, f"{name} (lead {k})", s)
+            return _checked(A, T, mode, f"{name} (lead {k})", s)
         except (InputError, ConstructionDefect) as exc:
             failures.append((k, str(exc)))
     raise ConstructionDefect(
@@ -702,13 +724,14 @@ def _plane_orthant_rays(U2: np.ndarray, slack: float = 1e-12
     return g1 / np.linalg.norm(g1), g2 / np.linalg.norm(g2)
 
 
-def _finish_controller(A1: np.ndarray, T1: np.ndarray) -> np.ndarray:
+def _finish_controller(A1: np.ndarray, T1: np.ndarray, norm_A1: float) -> np.ndarray:
     """``T1`` with the trailing 2x2 controller step appended where the first
-    column of ``T1^{-1} A1 T1`` leaks below the diagonal; the step cannot
-    obstruct (that block is A1 on a plane, whose spectrum is positive)."""
+    column of ``T1^{-1} A1 T1`` (``||A1||_inf = norm_A1``) leaks below the
+    diagonal; the step cannot obstruct (that block is A1 on a plane, whose
+    spectrum is positive)."""
     H1 = np.linalg.solve(T1, A1 @ T1)
     b_sub = np.maximum(H1[1:, 0], 0.0)
-    if inf_norm(b_sub) > 1e-12 * inf_norm(A1):
+    if inf_norm(b_sub) > 1e-12 * norm_A1:
         # run the trailing reduction even for small subdiagonal leakage; it
         # actively zeroes the corner entry instead of trusting loose bounds
         block = np.maximum(H1[1:, 1:], 0.0)
@@ -744,7 +767,8 @@ def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray, lam3: float
     n = 3
     Ahat = np.maximum(A1 - lam3 * np.eye(n), 0.0)
     U, s, _ = np.linalg.svd(Ahat)
-    rank = int(np.count_nonzero(s > 1e-9 * inf_norm(A1)))
+    norm_A1 = inf_norm(A1)
+    rank = int(np.count_nonzero(s > 1e-9 * norm_A1))
     bnorm = b / max(inf_norm(b), 1e-300)
 
     if rank == 2:
@@ -754,7 +778,7 @@ def _controller_frame_reducible(A1: np.ndarray, b: np.ndarray, lam3: float
             return None
         if abs(U[:, 2] @ bnorm) <= 1e-7:
             return _invariant_plane_frame(Ahat, lam3, bnorm, U, rays)
-        return _finish_controller(A1, np.column_stack([bnorm, *rays]))
+        return _finish_controller(A1, np.column_stack([bnorm, *rays]), norm_A1)
 
     r = np.abs(U[:, 0]) if rank else np.zeros(n)
     cross = np.cross(bnorm, r)  # det(b | r | e_k) = cross[k]
@@ -867,8 +891,7 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
         raise ConstructionDefect(
             "no controller frame although the input passed the obstruction "
             f"test; A = {(s * A).tolist()}, b = {b_in.tolist()}")
-    cert = make_certificate(A, T, Mode.METZLER)
-    return _checked(cert, A, "ct_hess_3", s)
+    return _checked(A, T, Mode.METZLER, "ct_hess_3", s)
 
 
 def _ct_step(A: np.ndarray, b: np.ndarray, irreducible: bool, t: float
@@ -887,7 +910,7 @@ def _ct_step(A: np.ndarray, b: np.ndarray, irreducible: bool, t: float
     A1 = A + mu * np.eye(3)  # nonnegative, its diagonal at least 0.25
     # eig(A1) = eig(A) + mu, and a Metzler matrix's dominant eigenvalue is real
     lam = np.sort(vals.real)[::-1] + mu
-    coincident, resid = _perron_coincident(A1, bn, float(lam[0]))
+    coincident, resid = _perron_coincident(A1, bn, float(lam[0]), 1.0)
     if coincident and np.max(np.abs(vals.imag)) > t:
         return float(lam[0] - mu), resid, [complex(z) for z in vals if abs(z.imag) > t]
     T = _ct_frame(A1, bn, lam, irreducible, coincident, t)

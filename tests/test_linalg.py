@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -288,6 +289,38 @@ class TestPermutationToHessenberg:
                     found += 1
                     assert got.tobytes() == want.tobytes()
         assert found >= 12
+
+    def test_empty_indices_keep_the_first_permutation(self):
+        # indices with no off-diagonal nonzero in their row and column are
+        # interchangeable, and a free branch tries only the least of them;
+        # the first P is still that of the enumeration
+        rng = np.random.default_rng(93)
+        found = missing = 0
+        for n in range(2, 7):
+            for _ in range(40):
+                A = rng.uniform(0.0, 1.0, (n, n))
+                A[rng.uniform(size=(n, n)) < rng.uniform(0.2, 0.8)] = 0.0
+                empty = rng.uniform(size=n) < 0.4
+                A[empty, :] = A[:, empty] = 0.0
+                want = _enumerated_permutation(A)
+                got = permutation_to_hessenberg(A)
+                assert (got is None) == (want is None)
+                if want is None:
+                    missing += 1
+                else:
+                    found += empty.sum() >= 2
+                    assert got.tobytes() == want.tobytes()
+        assert found >= 40 and missing >= 5
+
+    def test_obstruction_among_empty_indices_is_fast(self):
+        # a dense 3x3 block has no Hessenberg order; the 13 other indices,
+        # with empty rows and columns, no longer multiply the failed states
+        A = np.zeros((MAX_DIM, MAX_DIM))
+        A[np.ix_([5, 9, 12], [5, 9, 12])] = 1.0
+        permutation_to_hessenberg(np.eye(3))  # warm
+        start = time.perf_counter()
+        assert permutation_to_hessenberg(A) is None
+        assert time.perf_counter() - start < 0.02
 
     @pytest.mark.parametrize("n", range(9, MAX_DIM + 1))
     def test_permuted_hessenberg_pattern_is_found(self, n):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -13,6 +14,7 @@ from hessform import (
     Mode,
     SimilarityCertificate,
     altproj_hess,
+    make_certificate,
     metzler_hess_3,
     nonneg_hess_3,
     random_experiment,
@@ -340,6 +342,73 @@ def _reference_next_columns(A1, T, mode, t, breadth):
     return C[off_span > 1e-8 * np.linalg.norm(C, axis=1)]
 
 
+def _basis(T):
+    """The orthonormal basis of span ``T`` that the search carries down the
+    tree to the frame ``T``, one column per level."""
+    return functools.reduce(search._extended, T.T, np.empty((T.shape[0], 0)))
+
+
+def _reference_violation(A1, T, mode):
+    """How far the last column of ``T^{-1} A1 T`` is from ``>= 0``, the full
+    frame ``T`` solved alone."""
+    n = T.shape[0]
+    h = np.linalg.solve(T, A1 @ T[:, -1])
+    return max(0.0, -float(np.min(h[:n - (mode is Mode.METZLER)], initial=0.0)))
+
+
+def _reference_certified(A, T, mode):
+    try:
+        cert = make_certificate(A, T, mode)
+    except InputError:
+        return None
+    return cert if verify_certificate(A, cert, tol=RESIDUAL_BOUND) else None
+
+
+def _reference_search(A, mode, cfg):
+    """``altproj_hess`` as a plain depth-first search: every full frame is
+    stacked, popped as a leaf and solved alone, every node's children come
+    from :func:`_reference_next_columns` with a fresh QR, and every
+    certificate from the public ``make_certificate`` and
+    ``verify_certificate``."""
+    A, A1, _, t = search._snapped(A, mode, None)
+    n = A.shape[0]
+    if mode is Mode.METZLER:
+        A1 = A1 + max(0.0, -float(np.min(np.diag(A1)))) * np.eye(n)
+    P = permutation_to_hessenberg(A1, 0.0)
+    cert = None if P is None else _reference_certified(A, P, mode)
+    if cert is not None:
+        v = _reference_violation(A1, P, mode)
+        return search.SearchReport(1, 1, cert, v, (search.RestartLog(0, n, v, True),))
+    logs = []
+    for start, t1 in enumerate(search._starts(A1, cfg)):
+        stack, nodes, least = [t1[:, None]], 0, np.inf
+        while stack and nodes < cfg.max_iters and cert is None:
+            T = stack.pop()
+            nodes += 1
+            if T.shape[1] < n:
+                children = _reference_next_columns(A1, T, mode, t, cfg.max_iters)
+                stack.extend(np.column_stack([T, c]) for c in children[::-1])
+                continue
+            v = _reference_violation(A1, T, mode)
+            least = min(least, v)
+            if v <= RESIDUAL_BOUND:
+                cert = _reference_certified(A, T, mode)
+        logs.append(search.RestartLog(start, nodes, least, cert is not None))
+        if cert is not None:
+            break
+    return search.SearchReport(len(logs), int(cert is not None), cert,
+                               min(log.final_violation for log in logs), tuple(logs))
+
+
+def _every_bit(report):
+    """:func:`_report_bits` with every other certificate field, as bits."""
+    cert = report.best_certificate
+    return _report_bits(report), None if cert is None else (
+        cert.T_inv.tobytes(), cert.residual_similarity.hex(), cert.min_entry_T.hex(),
+        cert.hessenberg_violation.hex(), cert.sign_violation.hex(), cert.mode,
+        cert.cond_T.hex())
+
+
 def _unit_scale(A, mode):
     """``(A1, t)`` as ``altproj_hess`` builds them: the snapped unit-scale
     input, shifted to nonnegative in Metzler mode (exactly, since the snap
@@ -375,25 +444,46 @@ class TestFrameBookkeeping:
 
     @staticmethod
     def _assert_same(A1, T, mode, t, breadth):
+        # the carried basis filters the candidates as a fresh QR of T does
         want = _reference_next_columns(A1, T, mode, t, breadth)
         for _ in range(2):  # a new table, then the kept one
-            got = search._next_columns(A1, T, mode, t, breadth)
+            got = search._next_columns(A1, T, _basis(T), mode, t, breadth)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         return want
 
-    def test_frame_without_a_candidate_runs_no_qr(self, monkeypatch):
+    def test_frame_without_a_candidate_runs_no_off_span_norms(self, monkeypatch):
         """At a budget of one active set its vertex is infeasible, so the frame
-        has no candidate and neither the QR nor the off-span norms run; at
-        three sets one candidate needs one QR."""
+        has no candidate and only the row norms of its sets run, not the two
+        off-span norms; at three sets one candidate runs them."""
         A1 = np.array([[0.75, 0.25, 0.75], [0.0, 0.625, 0.8125], [0.0, 0.0, 0.0]])
         T = np.array([[0.0, 0.5], [0.0, 0.5], [1.0, 0.0]])
         self._assert_same(A1, T, Mode.METZLER, 1e-9, 1)
-        qr, calls = np.linalg.qr, []
-        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
-        assert search._next_columns(A1, T, Mode.METZLER, 1e-9, 1).shape == (0, 3)
-        assert not calls
-        assert search._next_columns(A1, T, Mode.METZLER, 1e-9, 3).shape == (1, 3)
+        Q, norm, calls = _basis(T), np.linalg.norm, []
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+        assert search._next_columns(A1, T, Q, Mode.METZLER, 1e-9, 1).shape == (0, 3)
         assert len(calls) == 1
+        assert search._next_columns(A1, T, Q, Mode.METZLER, 1e-9, 3).shape == (1, 3)
+        assert len(calls) == 1 + 3
+
+    @pytest.mark.parametrize("mode", [Mode.NONNEG, Mode.METZLER])
+    def test_search_equals_the_plain_depth_first_search(self, mode):
+        """Stacked leaf solves, the carried basis and the certificate core
+        give, field for field, the reports of the depth-first search that
+        pops each full frame and solves it alone; budgets of 5 and 17 nodes
+        cut a start inside the leaves of a frame."""
+        cut = solved = unsolved = 0
+        for n in range(2, 8):
+            for i in range(5):
+                generator = (Generator.DENSE_UNIFORM, Generator.SPARSE_PATTERN)[i % 2]
+                A = sample_matrix(n, mode, generator, np.random.default_rng([75, n, i]))
+                for max_iters in (5, 17, 60):
+                    cfg = AltProjConfig(seed=i, restarts=2, max_iters=max_iters)
+                    got = altproj_hess(A, mode, cfg)
+                    assert _every_bit(got) == _every_bit(_reference_search(A, mode, cfg))
+                    cut += any(log.iterations == max_iters for log in got.logs)
+                    solved += got.successes
+                    unsolved += not got.successes
+        assert cut >= 10 and solved >= 60 and unsolved >= 5
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("mode", [Mode.NONNEG, Mode.METZLER])

@@ -32,13 +32,16 @@ from hessform import (
 from hessform.linalg import classify, inf_norm, permutation_to_hessenberg
 from hessform.search import Generator, sample_matrix
 from hessform.transforms import (
+    RESIDUAL_BOUND,
     identity_certificate,
+    _certificate,
     _checked,
     _controller_frame_reducible,
     _dt_frame,
     _plane_orthant_rays,
     _reducible_after_subtraction,
     _unit_scale,
+    _verifies,
 )
 
 from conftest import (
@@ -744,20 +747,20 @@ class TestOneAnswerPerQuestion:
                                  rng.uniform(0.0, 1.0, 3))),
     ])
     def test_one_certificate_per_certificate_returned(self, monkeypatch, construct, draw):
-        counts = _count_calls(monkeypatch, hessform.transforms, ["make_certificate"])
+        counts = _count_calls(monkeypatch, hessform.transforms, ["_certificate"])
         answers = set()
         for i in range(100):
-            counts["make_certificate"] = 0
+            counts["_certificate"] = 0
             result = construct(*draw(np.random.default_rng([43, i])))
             answers.add(type(result))
-            assert counts["make_certificate"] == isinstance(result, SimilarityCertificate)
+            assert counts["_certificate"] == isinstance(result, SimilarityCertificate)
         assert SimilarityCertificate in answers
 
     def test_metzler_hess_4_calls_no_public_construction(self, monkeypatch):
         """The trailing blocks take the private steps; no public construction
         builds and discards a 3x3 certificate of its own."""
-        names = ["ct_hess_3", "metzler_hess_3", "make_certificate", "_ct_step",
-                 "_rank_one_step"]
+        names = ["ct_hess_3", "metzler_hess_3", "make_certificate", "_certificate",
+                 "_ct_step", "_rank_one_step"]
         counts = _count_calls(monkeypatch, hessform.transforms, names)
         # no permutation, and a zero column below lead 0
         zero_column = np.ones((4, 4)) - 2.0 * np.eye(4)
@@ -768,7 +771,8 @@ class TestOneAnswerPerQuestion:
         for A in inputs:
             assert_good_cert(A, metzler_hess_4(A), Mode.METZLER)
         assert counts["ct_hess_3"] == counts["metzler_hess_3"] == 0
-        assert counts["make_certificate"] == len(inputs)
+        assert counts["make_certificate"] == 0
+        assert counts["_certificate"] == len(inputs)
         assert counts["_ct_step"] > 0 and counts["_rank_one_step"] > 0
 
 
@@ -1143,7 +1147,7 @@ class TestVerifyCertificate:
         assert cert.min_entry_T == pytest.approx(-1.0 / 3.0)
         assert not verify_certificate(A, cert)
         with pytest.raises(ConstructionDefect):
-            _checked(cert, A, "negative T", 1.0)
+            _checked(A, self.NEGATIVE_T, Mode.NONNEG, "negative T", 1.0)
 
     def test_invariant_under_column_scaling(self, rng):
         # (T E, E^{-1} H E) is the same similarity for a positive diagonal E
@@ -1171,3 +1175,98 @@ class TestVerifyCertificate:
         with pytest.raises(InputError):
             cert = make_certificate(A, np.array([[1.0, 1.0], [1.0, 1.0]]),
                                     Mode.NONNEG)
+
+
+def _reference_certificate(A, T, mode):
+    """The fields of ``make_certificate(A, T, mode)`` by the formulas the
+    certificate core replaced: a solve against the identity, function
+    reductions and ``||A||_inf`` normed at each use."""
+    n = A.shape[0]
+    d = np.sum(np.abs(T), axis=0)
+    Tn = T / d
+    svals = np.linalg.svd(Tn, compute_uv=False)
+    if svals[-1] <= 0 or svals[0] / svals[-1] > 1e14:
+        raise InputError("T is singular beyond the conditioning bound")
+    Tn_inv = np.linalg.solve(Tn, np.eye(n))
+    Hn = Tn_inv @ A @ Tn
+    off = ~np.eye(n, dtype=bool)
+    return (T.tobytes(), (Tn_inv / d[:, None]).tobytes(), (Hn / d[:, None] * d).tobytes(),
+            float(inf_norm(A @ Tn - Tn @ Hn) / (inf_norm(A) or 1.0)).hex(),
+            float(np.min(Tn)).hex(),
+            float(np.max(np.abs(np.tril(Hn, -2)))).hex() if n > 2 else 0.0.hex(),
+            float(np.min(Hn if mode is Mode.NONNEG else Hn[off])).hex(),
+            mode, float(svals[0] / svals[-1]).hex())
+
+
+def _reference_verifies(A, T, H, mode, tol):
+    """``verify_certificate`` by the formulas the certificate core replaced."""
+    n = A.shape[0]
+    d = np.sum(np.abs(T), axis=0)
+    T = T / d
+    svals = np.linalg.svd(T, compute_uv=False)
+    if svals[-1] <= 0 or svals[0] / svals[-1] > 1e14:
+        raise InputError("T is singular beyond the conditioning bound")
+    H = H * d[:, None] / d
+    bound = tol * inf_norm(A)
+    off = ~np.eye(n, dtype=bool)
+    least = np.min(H if mode is Mode.NONNEG else H[off])
+    if not (np.min(T) >= -tol and inf_norm(A @ T - T @ H) <= bound
+            and (n <= 2 or np.max(np.abs(np.tril(H, -2))) <= bound) and least >= -bound):
+        return False
+    T_inv = np.linalg.solve(T, np.eye(n))
+    return inf_norm(T_inv @ A @ T - H) <= tol * inf_norm(A) * inf_norm(T_inv) * inf_norm(T)
+
+
+def _core_fields(cert):
+    return (cert.T.tobytes(), cert.T_inv.tobytes(), cert.H.tobytes(),
+            cert.residual_similarity.hex(), cert.min_entry_T.hex(),
+            cert.hessenberg_violation.hex(), cert.sign_violation.hex(), cert.mode,
+            cert.cond_T.hex())
+
+
+class TestCertificateCore:
+    """The lean certificate core (``np.linalg.inv``, method reductions, one
+    ``||A||_inf``) gives every field and verdict of the formulas it replaced,
+    bit for bit."""
+
+    @staticmethod
+    def _assert_same(A, T, mode):
+        try:
+            want = _reference_certificate(A, T, mode)
+        except InputError:
+            with pytest.raises(InputError):
+                _certificate(A, T, mode, inf_norm(A))
+            return None
+        cert = _certificate(A, T, mode, inf_norm(A))
+        assert _core_fields(cert) == want
+        assert _core_fields(make_certificate(A, T, mode)) == want
+        for H in (cert.H, cert.H + 1e-7 * inf_norm(A) * np.tri(len(A), k=-2)):
+            for tol in (1e-12, RESIDUAL_BOUND):
+                assert _verifies(A, T, H, mode, tol, inf_norm(A)) == \
+                    _reference_verifies(A, T, H, mode, tol)
+        return cert
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("mode", [Mode.NONNEG, Mode.METZLER])
+    def test_dense_and_permutation_frames(self, n, mode):
+        rng = np.random.default_rng([48, n])
+        perms = list(itertools.permutations(range(n)))
+        for i in range(40):
+            A = sample_matrix(n, mode, Generator.DENSE_UNIFORM, rng) * 10.0 ** rng.uniform(-6, 6)
+            P = np.zeros((n, n))
+            P[perms[rng.integers(len(perms))], np.arange(n)] = 1.0
+            for T in (rng.uniform(0.0, 1.0, (n, n)), rng.uniform(-0.2, 1.0, (n, n)), P):
+                assert self._assert_same(A, T, mode) is not None
+
+    def test_frames_at_the_conditioning_gate(self):
+        # T = U diag(1, 1, 1, sigma) V with sigma from 1e-15 to 1e-12: cond(T D^-1)
+        # crosses 1e14, where both builds raise on the same side
+        rng = np.random.default_rng(49)
+        A = sample_matrix(4, Mode.METZLER, Generator.DENSE_UNIFORM, rng)
+        U, V = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))
+        near = raised = 0
+        for sigma in np.logspace(-15.0, -12.0, 40):
+            cert = self._assert_same(A, U @ np.diag([1.0, 1.0, 1.0, sigma]) @ V, Mode.METZLER)
+            raised += cert is None
+            near += cert is not None and cert.cond_T > 1e13
+        assert raised >= 5 and near >= 5
