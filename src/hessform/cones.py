@@ -320,47 +320,51 @@ def _tri_contains(v0, p, q, pts, tol):
     distance, which is never smaller."""
     if not len(pts):
         return 0.0
-    margins = _margins(v0, p, q, pts)
+    margins, rel, d = _edge_pass(v0, p, q, pts)
     least = float(np.min(margins))
     if not -tol <= least < 0:
         return least
-    dist = _points_to_edges(pts[margins < 0], np.array([v0, p, q]))
+    dist = _segment_distances(rel[margins < 0], d)
     # never above a violated half-plane's margin, also after rounding
     return min(least, -float(np.max(dist)))
 
 
 def _margins(v0, p, q, pts) -> np.ndarray:
     """Inward half-plane margin of each row of pts w.r.t. triangle (v0, p, q)."""
+    return _edge_pass(v0, p, q, pts)[0]
+
+
+def _edge_pass(v0, p, q, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over each row of pts from each corner of the triangle
+    (v0, p, q): the inward half-plane margins (edges counter-clockwise, none
+    shorter than 1e-15; minus the distance to the segment hull for a
+    degenerate triangle), and ``(rel, d)`` for :func:`_segment_distances`.
+    Elementwise products and sums, so a row rounds alike in any batch: BLAS
+    sums a one-row product in another order than a many-row one."""
     verts = np.array([v0, p, q])
+    d = verts[[1, 2, 0]] - verts
+    rel = pts[:, None, :] - verts  # (N, 3, 2): each row from each corner
     area2 = _cross2(verts[1] - verts[0], verts[2] - verts[0])
     if abs(area2) < 1e-15:
         # degenerate triangle: containment means lying on the segment hull
-        return -_points_to_edges(pts, verts)
-    if area2 < 0:
-        verts = verts[[0, 2, 1]]
-    margins = np.full(len(pts), np.inf)
-    for i in range(3):
-        a, bb = verts[i], verts[(i + 1) % 3]
-        edge = bb - a
-        nrm = math.hypot(edge[0], edge[1])
-        if nrm < 1e-15:
-            continue
-        inward = np.array([-edge[1], edge[0]]) / nrm
-        margins = np.minimum(margins, _dot_rows(pts - a, inward))
-    return margins
+        return -_segment_distances(rel, d), rel, d
+    # the counter-clockwise edge from each corner, and the order they run in
+    edges, order = (d, (0, 1, 2)) if area2 > 0 else (-d[[2, 0, 1]], (0, 2, 1))
+    nrm = [math.hypot(x, y) for x, y in edges.tolist()]
+    inward = edges[:, ::-1] * [-1.0, 1.0] / np.maximum(nrm, 1e-300)[:, None]
+    m = rel[..., 0] * inward[:, 0] + rel[..., 1] * inward[:, 1]
+    margins = None
+    for j in order:
+        if nrm[j] >= 1e-15:
+            margins = m[:, j] if margins is None else np.minimum(margins, m[:, j])
+    return margins, rel, d
 
 
-def _dot_rows(d, w) -> np.ndarray:
-    """``d @ w`` for (N, 2) rows, elementwise so that a row rounds alike in any
-    batch: BLAS sums a one-row product in another order than a many-row one."""
-    return d[:, 0] * w[0] + d[:, 1] * w[1]
-
-
-def _points_to_edges(pts, verts) -> np.ndarray:
-    """Distance of each row of pts to the nearest edge segment of the triangle
-    verts; for collinear verts, to the segment they span."""
-    d = verts[[1, 2, 0]] - verts
-    rel = pts[:, None, :] - verts  # (N, 3, 2): each row from each corner
+def _segment_distances(rel, d) -> np.ndarray:
+    """Distance of each row to the nearest edge segment of a triangle, from
+    ``rel`` (N, 3, 2), the row from each corner, and ``d`` (3, 2), the edge
+    from each corner to the next; for collinear corners, to the segment they
+    span."""
     t = (rel[..., 0] * d[:, 0] + rel[..., 1] * d[:, 1]) / np.maximum(
         d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1], 1e-300)  # an edge of length 0: t = 0
     t = np.minimum(np.maximum(t, 0.0), 1.0)

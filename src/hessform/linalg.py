@@ -32,6 +32,7 @@ __all__ = [
     "geometric_multiplicity",
     "inf_norm",
     "jordan_like_form",
+    "nonneg_vector",
     "permutation_to_hessenberg",
     "perron_pair",
     "sorted_spectrum",
@@ -78,6 +79,17 @@ def as_vector(b, name: str = "vector") -> np.ndarray:
     if v.size > MAX_DIM:
         raise InputError(f"{name} exceeds the supported dimension {MAX_DIM}")
     return v
+
+
+def nonneg_vector(b, n: int, name: str) -> np.ndarray:
+    """``b`` as a nonnegative nonzero ``n``-vector for ``name``, its negative
+    entries within ``zero_tolerance(b)`` set to 0."""
+    b = as_vector(b)
+    if b.size != n:
+        raise InputError(f"{name} expects a {n}-vector")
+    if np.min(b) < -zero_tolerance(b) or not b.any():
+        raise InputError(f"{name} requires a nonnegative nonzero vector")
+    return np.maximum(b, 0.0)
 
 
 def inf_norm(a) -> float:

@@ -7,9 +7,13 @@ triangle of ``H``.  The search builds ``T >= 0`` one column at a time: each
 step picks a vertex of a small polyhedron in ``h >= 0``, and the last column
 is the cone-membership test ``T^{-1} A t_n >= 0``.  It works on ``Â``, the
 input at unit scale with the entries within the caller's ``tol`` set to exact
-zeros, as the exact constructions do, shifted to nonnegative in Metzler mode,
-where the shift moves only the diagonal of ``H``.  A frame counts only once
-its certificate for ``Â`` re-verifies from scratch at ``RESIDUAL_BOUND``.
+zeros, shifted to nonnegative in Metzler mode, where the shift moves only the
+diagonal of ``H``.  The input and output policy is that of the exact
+constructions, the three functions of :mod:`hessform.transforms`:
+``_admitted`` checks and snaps the input, ``_permuted`` tries the permutation
+first, and a frame counts only once ``_accepted`` accepts its certificate at
+``RESIDUAL_BOUND``.  The certificates are for ``Â`` in the units of the
+input, with ``s = 1``.
 
 The search is depth first, and each node costs a few batched numpy calls:
 the vertices of a frame are one stacked solve, the full frames below a frame
@@ -18,7 +22,8 @@ candidates grows by one column per level instead of a QR per node.
 
 A permutation is the cheapest such frame, its columns all axes, and the exact
 subset search of :func:`~hessform.linalg.permutation_to_hessenberg` decides
-it, so ``altproj_hess`` tries it before any vertex search.
+it, so ``altproj_hess`` tries it, through ``_permuted``, before any vertex
+search.
 
 The names ``altproj_hess`` and ``AltProjConfig`` are kept from the
 alternating-projection search this replaces, because the benchmark, its
@@ -34,18 +39,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_square, inf_norm, permutation_to_hessenberg
+from .linalg import as_square
 from .transforms import (
     RESIDUAL_BOUND,
     Mode,
     Obstruction,
     ObstructionKind,
     SimilarityCertificate,
-    _certificate,
-    _sign_violation,
-    _unit_scale,
-    _verifies,
-    identity_certificate,
+    _accepted,
+    _admitted,
+    _permuted,
     metzler_hess_3,
     metzler_hess_4,
     nonneg_hess_3,
@@ -223,29 +226,6 @@ def _violations(A1: np.ndarray, T: np.ndarray, C: np.ndarray, mode: Mode) -> lis
     return [max(0.0, -v) for v in least.tolist()]
 
 
-def _certified(A: np.ndarray, T: np.ndarray, mode: Mode,
-               norm_A: float) -> SimilarityCertificate | None:
-    """The certificate of ``T`` for ``A`` (of norm ``norm_A``) if it
-    re-verifies at RESIDUAL_BOUND, else None."""
-    try:
-        cert = _certificate(A, T, mode, norm_A)
-    except InputError:  # T singular beyond the conditioning bound
-        return None
-    return cert if _verifies(A, T, cert.H, mode, RESIDUAL_BOUND, norm_A) else None
-
-
-def _snapped(A, mode: Mode, tol: float | None
-             ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """``Â`` (``A`` with the entries that ``_unit_scale`` snaps at 0.0) and that
-    function's ``(Â / s, s, t)``, once the exact sign test of ``mode`` holds."""
-    A = as_square(A)
-    Ah, s, t = _unit_scale(A, tol)
-    if _sign_violation(Ah, mode) < 0:
-        kind = "nonnegative" if mode is Mode.NONNEG else "Metzler"
-        raise InputError(f"{mode.value} mode requires a {kind} matrix")
-    return np.where(Ah == 0.0, 0.0, A), Ah, s, t
-
-
 def altproj_hess(A, mode: Mode, cfg: AltProjConfig, tol: float | None = None
                  ) -> SearchReport:
     """Seeded depth-first search over Krylov frames for a mode-feasible
@@ -282,14 +262,15 @@ def altproj_hess(A, mode: Mode, cfg: AltProjConfig, tol: float | None = None
     built only once the axes and the columns are spent, and the active-set
     tables come from a memo bounded at ``_ACTIVE_SET_MEMO`` entries."""
     mode = Mode(mode)
-    A, A1, s, t = _snapped(A, mode, tol)
+    A = as_square(A)
+    A1, _, t = _admitted(A, mode, f"{mode.value} mode", None, tol)
+    A = np.where(A1 == 0.0, 0.0, A)  # Â in the units of the input
     n = A.shape[0]
     if mode is Mode.METZLER:  # the shift moves only the diagonal of H, free here
         A1 = A1 + max(0.0, -float(np.min(np.diag(A1)))) * np.eye(n)
-    norm_A = inf_norm(A)
-    P = permutation_to_hessenberg(A1, 0.0)
-    cert = None if P is None else _certified(A, P, mode, norm_A)
+    cert = _permuted(A, mode, 1.0)
     if cert is not None:
+        P = cert.T
         v = _violations(A1, P[:, :-1], P[None, :, -1], mode)[0]
         return SearchReport(1, 1, cert, v, (RestartLog(0, n, v, True),))
     # n >= 2 here: at n = 1 the identity is the permutation, and it certifies
@@ -310,7 +291,7 @@ def altproj_hess(A, mode: Mode, cfg: AltProjConfig, tol: float | None = None
                 nodes += 1
                 least = min(least, v)
                 if v <= RESIDUAL_BOUND:
-                    cert = _certified(A, np.column_stack([T, c]), mode, norm_A)
+                    cert = _accepted(A, np.column_stack([T, c]), mode, 1.0)
                     if cert is not None:
                         break
         logs.append(RestartLog(start, nodes, least, cert is not None))
@@ -365,14 +346,15 @@ def exact_hessenberg(A: np.ndarray, mode: Mode, tol: float | None = None
     mode = Mode(mode)
     n = A.shape[0]
     if n <= 2:  # already upper Hessenberg; the sign structure is the question
-        return identity_certificate(_snapped(A, mode, tol)[0], mode)
+        Ah = _admitted(A, mode, f"{mode.value} mode", None, tol)[0]
+        return _permuted(np.where(Ah == 0.0, 0.0, A), mode, 1.0)
     if mode is Mode.METZLER:
         if n == 3:
             return metzler_hess_3(A, tol)
         return metzler_hess_4(A, tol) if n == 4 else None
     if n == 3:
         return nonneg_hess_3(A, tol)
-    _, Ah, s, t = _snapped(A, mode, tol)
+    Ah, s, t = _admitted(A, mode, f"{mode.value} mode", None, tol)
     form = rank_one_shift_detect(Ah, t)
     if form is None:
         return None

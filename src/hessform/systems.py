@@ -9,7 +9,7 @@ import numpy as np
 
 from .cones import CoverDecision, SimplexPoint, _cover_decision, _project_rows
 from .errors import InputError
-from .linalg import as_square, as_vector, classify, inf_norm, zero_tolerance
+from .linalg import as_square, as_vector, classify, inf_norm, nonneg_vector, zero_tolerance
 
 __all__ = [
     "Domain",
@@ -126,19 +126,17 @@ def _projected_iterates(A, b, K: int) -> np.ndarray:
     certificate.
     """
     A = as_square(A)
-    b = as_vector(b)
-    if A.shape[0] != 3 or b.size != 3:
-        raise InputError("dt_iterates expects a 3x3 matrix and a 3-vector")
+    if A.shape[0] != 3:
+        raise InputError("dt_iterates expects a 3x3 matrix")
+    b = nonneg_vector(b, 3, "dt_iterates")
     if K < 1:
         raise InputError("iteration count must be positive")
     t = zero_tolerance(A)
     if np.min(A) < -t:
         raise InputError("dt_iterates requires a nonnegative matrix")
-    if np.min(b) < -zero_tolerance(b) or not b.any():
-        raise InputError("dt_iterates requires a nonnegative nonzero vector")
 
     # one matrix for the ladder, the degeneracy test and the cycle
-    A, b = np.maximum(A, 0.0), np.maximum(b, 0.0)
+    A = np.maximum(A, 0.0)
     X = np.empty((K + 1, 3))
     X[0] = b / float(b.sum())
     step = (A > 0) | np.eye(3, dtype=bool)

@@ -13,16 +13,19 @@ constructions share one reduction, :func:`_lead_loop`: a permutation where one
 exists, else for each lead index ``k`` in a fixed list a controller form of
 the trailing pair ``(A[B, B], A[B, k])``, embedded as ``(e_k | T_B)``.
 
-The problem is invariant under ``A -> cA``, and one scale and tolerance
-policy follows it.  The five constructors (``nonneg_hess_3``,
-``metzler_hess_3``, ``metzler_hess_4``, ``ct_hess_3``, ``dt_hess_2``) divide
-``A`` by ``||A||_inf`` (and ``b`` by ``||b||_inf``) on entry and set the entries
-within the caller's ``tol`` (absolute, in the units of ``A``; by default
-``1e-9 ||A||_inf``) to 0, giving ``Â``; nothing else reads ``tol``.  Sign
-checks and zero patterns are exact tests on ``Â``, the steps round at
-thresholds relative to ``||Â|| = 1`` or to the norm of what they test, and the
-certificate is for ``Â``, accepted by the one predicate of
-:func:`verify_certificate`, its ``H`` multiplied back to the units of ``A``.
+The problem is invariant under ``A -> cA``, and one input and output policy
+follows it, in three functions that every Hessenberg answer goes through,
+here and in :mod:`hessform.search`.  :func:`_admitted` checks the shape,
+divides ``A`` by ``||A||_inf``, sets the entries within the caller's ``tol``
+(absolute, in the units of ``A``; by default ``1e-9 ||A||_inf``) to 0, giving
+``Â``, and runs the exact sign test of the mode on ``Â``; nothing else reads
+``tol``.  :func:`_permuted` tries the permutation to Hessenberg form, read off
+the exact zeros of ``Â``, before any other frame.  :func:`_accepted` builds a
+frame's certificate once, accepts it by the predicate of
+:func:`verify_certificate` at ``RESIDUAL_BOUND`` and multiplies its ``H``
+back to the units of ``A``.  Zero patterns are exact tests on ``Â``, and the
+steps round at thresholds relative to ``||Â|| = 1`` or to the norm of what
+they test.
 """
 from __future__ import annotations
 
@@ -42,6 +45,7 @@ from .linalg import (
     as_square,
     as_vector,
     inf_norm,
+    nonneg_vector,
     permutation_to_hessenberg,
     zero_tolerance,
 )
@@ -189,7 +193,7 @@ def _certificate(A: np.ndarray, T: np.ndarray, mode: Mode,
 def make_certificate(A, T, mode: Mode) -> SimilarityCertificate:
     """Certificate for ``H = T^{-1} A T`` that keeps the caller's ``T``, with
     every metric recomputed at unit column sums.  Every construction builds
-    its certificate with the same core, once, and :func:`_checked` scales it
+    its certificate with the same core, once, and :func:`_accepted` scales it
     once."""
     A = as_square(A)
     mode = Mode(mode)
@@ -216,8 +220,8 @@ def _holds(norm_A: float, residual: float, hessenberg_violation: float,
 
 
 def _unit_scale(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, float, float]:
-    """A constructor's input at unit scale with its zeros snapped, ``Â``: ``A / s``
-    with ``s = ||A||_inf`` and every entry within the zero threshold, ``tol / s``
+    """``A`` at unit scale with its zeros snapped, ``Â``: ``A / s`` with
+    ``s = ||A||_inf`` and every entry within the zero threshold, ``tol / s``
     for a caller's ``tol`` (absolute, in the units of ``A``) or the relative
     default, set to exact 0.0; ``s`` itself; and the rounding threshold of the
     steps built on ``Â``, the default one whatever ``tol`` is.  A zero matrix
@@ -229,22 +233,37 @@ def _unit_scale(A: np.ndarray, tol: float | None) -> tuple[np.ndarray, float, fl
     return A, s, t
 
 
-def _checked(A: np.ndarray, T: np.ndarray, mode: Mode, context: str,
-             s: float) -> SimilarityCertificate:
-    """The certificate for ``s * A`` of a construction's frame ``T`` for the
-    unit-scale ``A``: :func:`_certificate` builds it once, and once the
-    predicate of :func:`verify_certificate` holds, ``H`` and its entry
-    violations are multiplied by ``s``, once, into the certificate returned.
-    Failing the predicate is a bug, not an obstruction."""
+def _admitted(A, mode: Mode, name: str, n: int | None,
+              tol: float | None) -> tuple[np.ndarray, float, float]:
+    """The input policy of every Hessenberg answer: ``A`` square (``n x n``
+    when ``n`` is given), :func:`_unit_scale`'s ``(Â, s, t)``, and the exact
+    sign test of ``mode`` on ``Â``."""
+    A = as_square(A)
+    if n is not None and A.shape[0] != n:
+        raise InputError(f"{name} expects a {n}x{n} matrix")
+    A, s, t = _unit_scale(A, tol)
+    if _sign_violation(A, mode) < 0:
+        kind = "nonnegative" if mode is Mode.NONNEG else "Metzler"
+        raise InputError(f"{name} requires a {kind} matrix")
+    return A, s, t
+
+
+def _accepted(A: np.ndarray, T: np.ndarray, mode: Mode,
+              s: float) -> SimilarityCertificate | None:
+    """The acceptance rule of every Hessenberg answer: the certificate of the
+    frame ``T`` for ``A``, built once by :func:`_certificate`, if the predicate
+    :func:`_holds` accepts it at RESIDUAL_BOUND, with ``H`` and its entry
+    violations multiplied by ``s``; None where ``T`` fails the predicate or is
+    singular beyond the conditioning bound."""
     norm_A = inf_norm(A)
-    cert = _certificate(A, T, mode, norm_A)
+    try:
+        cert = _certificate(A, T, mode, norm_A)
+    except InputError:
+        return None
     if not _holds(norm_A, cert.residual_similarity * norm_A,
                   cert.hessenberg_violation, cert.sign_violation,
                   cert.min_entry_T, RESIDUAL_BOUND):
-        raise ConstructionDefect(
-            f"{context}: min(T) {cert.min_entry_T:.3e}, similarity residual "
-            f"{cert.residual_similarity:.3e}, Hessenberg violation "
-            f"{cert.hessenberg_violation:.3e}, sign violation {cert.sign_violation:.3e}")
+        return None
     return SimilarityCertificate(
         T=cert.T, T_inv=cert.T_inv, H=s * cert.H,
         residual_similarity=cert.residual_similarity, min_entry_T=cert.min_entry_T,
@@ -252,18 +271,25 @@ def _checked(A: np.ndarray, T: np.ndarray, mode: Mode, context: str,
         sign_violation=s * cert.sign_violation, mode=cert.mode, cond_T=cert.cond_T)
 
 
-def _verifies(A: np.ndarray, T: np.ndarray, H: np.ndarray, mode: Mode,
-              tol: float, norm_A: float) -> bool:
-    """The core of :func:`verify_certificate`, for square float ``A``, ``T``
-    and ``H`` of one shape, ``A`` of norm ``norm_A``: every metric re-derived
-    from ``T`` and ``H`` alone."""
-    T, d, _ = _unit_columns(T)
-    H = H * d[:, None] / d
-    if not _holds(norm_A, inf_norm(A @ T - T @ H), _hessenberg_violation(H),
-                  _sign_violation(H, mode), float(T.min()), tol):
-        return False
-    T_inv = np.linalg.inv(T)
-    return inf_norm(T_inv @ A @ T - H) <= tol * norm_A * inf_norm(T_inv) * inf_norm(T)
+def _permuted(A: np.ndarray, mode: Mode, s: float) -> SimilarityCertificate | None:
+    """The permutation-first step of every Hessenberg answer: the accepted
+    certificate of the permutation that :func:`permutation_to_hessenberg`
+    reads off the exact zeros of ``A`` (an exact similarity), or None."""
+    P = permutation_to_hessenberg(A, 0.0)
+    return None if P is None else _accepted(A, P, mode, s)
+
+
+def _checked(A: np.ndarray, b: np.ndarray, T: np.ndarray | None, mode: Mode,
+             s: float, name: str) -> SimilarityCertificate:
+    """:func:`_accepted` for a controller construction's frame of the pair
+    ``(s * A, b)``; ConstructionDefect carrying the pair where there is no
+    frame (``T`` None) or it fails: a bug, not an obstruction."""
+    cert = None if T is None else _accepted(A, T, mode, s)
+    if cert is None:
+        raise ConstructionDefect(
+            f"{name}: no frame certifies although the input passed the "
+            f"obstruction test; A = {(s * A).tolist()}, b = {b.tolist()}")
+    return cert
 
 
 def verify_certificate(A, cert: SimilarityCertificate, tol: float = 1e-8) -> bool:
@@ -280,7 +306,14 @@ def verify_certificate(A, cert: SimilarityCertificate, tol: float = 1e-8) -> boo
     H = as_square(cert.H, "certificate H")
     if T.shape != A.shape or H.shape != A.shape:
         raise InputError("certificate dimensions do not match the matrix")
-    return _verifies(A, T, H, Mode(cert.mode), tol, inf_norm(A))
+    mode, norm_A = Mode(cert.mode), inf_norm(A)
+    T, d, _ = _unit_columns(T)
+    H = H * d[:, None] / d
+    if not _holds(norm_A, inf_norm(A @ T - T @ H), _hessenberg_violation(H),
+                  _sign_violation(H, mode), float(T.min()), tol):
+        return False
+    T_inv = np.linalg.inv(T)
+    return inf_norm(T_inv @ A @ T - H) <= tol * norm_A * inf_norm(T_inv) * inf_norm(T)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +389,11 @@ def _perron_coincident(A: np.ndarray, b: np.ndarray, lam1: float,
 def _perron_pair_input(A, b, tol: float | None, name: str) -> tuple:
     """The checks :func:`fix_b_boundary` and :func:`eigvec_b_transform` share;
     ``A``, ``b``, the zero threshold, the canonical spectrum, the Perron test."""
-    A, b = as_square(A), as_vector(b)
-    if b.size != A.shape[0]:
-        raise InputError("dimension mismatch between matrix and vector")
+    A = as_square(A)
+    b = nonneg_vector(b, A.shape[0], name)
     t = zero_tolerance(A, tol)
     if np.min(A) < -t:
         raise InputError(f"{name} requires a nonnegative matrix")
-    if np.min(b) < -zero_tolerance(b) or not b.any():
-        raise InputError(f"{name} requires a nonnegative nonzero vector")
     if not _strongly_connected((np.abs(A) > t) & _masks(A.shape[0])[1]):
         raise InputError(f"{name} requires an irreducible matrix")
     vals = _eigenvalues(A)
@@ -408,30 +438,22 @@ def dt_hess_2(A, b, tol: float | None = None) -> SimilarityCertificate | Obstruc
     The frame is that of :func:`_dt_frame` for the unit-scale pair, and this
     function certifies it.  ``T[:, 0]`` is ``b / ||b||_inf``.
     """
-    A = as_square(A)
-    b_in = as_vector(b)
-    if A.shape[0] != 2 or b_in.size != 2:
-        raise InputError("dt_hess_2 expects a 2x2 matrix and a 2-vector")
-    A, s, t = _unit_scale(A, tol)
-    if np.min(A) < 0:
-        raise InputError("dt_hess_2 requires a nonnegative matrix")
-    if np.min(b_in) < -zero_tolerance(b_in) or not b_in.any():
-        raise InputError("dt_hess_2 requires a nonnegative nonzero vector")
-
-    frame = _dt_frame(A, b_in, t)
+    A, s, t = _admitted(A, Mode.NONNEG, "dt_hess_2", 2, tol)
+    b = nonneg_vector(b, 2, "dt_hess_2")
+    frame = _dt_frame(A, b, t)
     if isinstance(frame, tuple):
         lam1, lam2, resid = frame
         return Obstruction(ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
                            data={"lambda1": s * lam1, "lambda2": s * lam2,
-                                 "residual": s * inf_norm(b_in) * resid, "b": b_in.copy()})
-    return _checked(A, frame, Mode.NONNEG, "dt_hess_2", s)
+                                 "residual": s * inf_norm(b) * resid, "b": b})
+    return _checked(A, b, frame, Mode.NONNEG, s, "dt_hess_2")
 
 
 def _dt_frame(A: np.ndarray, b: np.ndarray, t: float
               ) -> np.ndarray | tuple[float, float, float]:
     """The 2x2 controller step, the one place that decides its obstruction:
     ``T = (b / ||b||_inf | p) >= 0`` with ``T^{-1} A T >= 0`` for a nonnegative
-    ``A`` (rounding threshold ``t``, any scale) and a nonzero ``b`` clamped at 0,
+    ``A`` (rounding threshold ``t``, any scale) and a nonnegative nonzero ``b``,
     or the obstruction's ``(lam_1, lam_2, residual)`` at ``||b||_inf = 1``.
 
     ``p = A b - m b``, with ``m`` the least of ``tr A`` and the ratios
@@ -442,7 +464,6 @@ def _dt_frame(A: np.ndarray, b: np.ndarray, t: float
     which the frame takes, also for a ratio within ``t`` of ``tr A`` (so
     ``p`` stays off ``b`` at ``lam_2 ~ 0``); at ``tr A``,
     ``p = -det(A) A^{-1} b``.  The caller certifies the frame."""
-    b = np.maximum(b, 0.0)
     b = b / inf_norm(b)
     R, lam2 = _shift_to_rank_one(A)
     if lam2 < -t:
@@ -586,35 +607,37 @@ def diag_commuting_transform(A, b, tol: float | None = None) -> np.ndarray:
 def _lead_loop(A: np.ndarray, s: float, mode: Mode, leads, step,
                name: str) -> SimilarityCertificate:
     """The one reduction of the exact Hessenberg constructions, on a snapped
-    unit-scale ``Â`` (scale ``s``): the certificate of a permutation to upper
-    Hessenberg form where one exists, else of the first lead frame
-    ``T = (e_k | T_B on the rows B)`` that certifies, ``B`` the indices after
-    ``k`` in cyclic order.  The permutation is read off the exact zeros of
-    ``Â``, so it is an exact similarity and its certificate always holds.
+    unit-scale ``Â`` (scale ``s``): the certificate of :func:`_permuted`
+    where a permutation to upper Hessenberg form exists, else of the first
+    lead frame ``T = (e_k | T_B on the rows B)`` that :func:`_accepted`
+    accepts, ``B`` the indices after ``k`` in cyclic order.
     ``step(A[B, B], A[B, k])`` gives ``T_B >= 0`` with ``T_B^{-1} A[B, k]`` on
     ``e_1`` and ``T_B^{-1} A[B, B] T_B`` upper Hessenberg in the signs of
     ``mode``, so ``T^{-1} A T`` is too, its first row ``(a_kk, A[k, B] T_B)``;
     the obstruction's tuple where that pair obstructs, or None where no frame
     forms.  A lead whose frame fails in floating point passes to the next;
     none serving raises, with the reason of each."""
-    n = A.shape[0]
-    P = permutation_to_hessenberg(A, 0.0)
-    if P is not None:
-        return _checked(A, P, mode, f"{name} (permutation)", s)
-    failures = []
+    cert = _permuted(A, mode, s)
+    if cert is not None:
+        return cert
+    n, failures = A.shape[0], []
     for k in leads:
         B = [(k + j) % n for j in range(1, n)]
         try:
             TB = step(A[np.ix_(B, B)], A[B, k])
-            if not isinstance(TB, np.ndarray):
-                failures.append((k, "obstructed" if isinstance(TB, tuple) else "no frame"))
-                continue
-            T = np.zeros((n, n))
-            T[k, 0] = 1.0
-            T[B, 1:] = TB
-            return _checked(A, T, mode, f"{name} (lead {k})", s)
         except (InputError, ConstructionDefect) as exc:
             failures.append((k, str(exc)))
+            continue
+        if not isinstance(TB, np.ndarray):
+            failures.append((k, "obstructed" if isinstance(TB, tuple) else "no frame"))
+            continue
+        T = np.zeros((n, n))
+        T[k, 0] = 1.0
+        T[B, 1:] = TB
+        cert = _accepted(A, T, mode, s)
+        if cert is not None:
+            return cert
+        failures.append((k, "the frame fails its certificate"))
     raise ConstructionDefect(
         f"{name}: nothing served although the construction is total off its "
         f"obstruction; A = {(s * A).tolist()}; per lead: {failures}")
@@ -631,13 +654,7 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
     some trailing pair, its leads tried in the order (2, 0, 1).  All three
     failing off the family contradicts the characterisation and raises.
     """
-    A = as_square(A)
-    if A.shape[0] != 3:
-        raise InputError("nonneg_hess_3 expects a 3x3 matrix")
-    A, s, t = _unit_scale(A, tol)
-    if np.min(A) < 0:
-        raise InputError("nonneg_hess_3 requires a nonnegative matrix")
-
+    A, s, t = _admitted(A, Mode.NONNEG, "nonneg_hess_3", 3, tol)
     form = rank_one_shift_detect(A, t)
     if form is not None:
         lam2 = -form.c * form.s
@@ -684,12 +701,7 @@ def metzler_hess_3(A, tol: float | None = None) -> SimilarityCertificate:
     :func:`_lead_loop` with the lead 0 and :func:`_rank_one_step`: without a
     permutation ``A[2, 0] != 0``, so the step's ``b = A[1:, 0]`` is nonzero.
     """
-    A = as_square(A)
-    if A.shape[0] != 3:
-        raise InputError("metzler_hess_3 expects a 3x3 matrix")
-    A, s, _ = _unit_scale(A, tol)
-    if _sign_violation(A, Mode.METZLER) < 0:
-        raise InputError("metzler_hess_3 requires a Metzler matrix")
+    A, s, _ = _admitted(A, Mode.METZLER, "metzler_hess_3", 3, tol)
     return _lead_loop(A, s, Mode.METZLER, (0,), _rank_one_step, "metzler_hess_3")
 
 
@@ -865,33 +877,21 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
     missing or failing frame on admissible input is a defect and raises,
     never silently obstructs.
     """
-    A = as_square(A)
-    b_in = as_vector(b)
-    if A.shape[0] != 3 or b_in.size != 3:
-        raise InputError("ct_hess_3 expects a 3x3 matrix and a 3-vector")
+    A, s, t = _admitted(A, Mode.METZLER, "ct_hess_3", 3, tol)
+    b = nonneg_vector(b, 3, "ct_hess_3")
     c = np.zeros(3) if c is None else as_vector(c)
     if c.size != 3:
         raise InputError("output vector must have dimension 3")
-    A, s, t = _unit_scale(A, tol)
-    if _sign_violation(A, Mode.METZLER) < 0:
-        raise InputError("ct_hess_3 requires a Metzler matrix")
-    if np.min(b_in) < -zero_tolerance(b_in) or not b_in.any():
-        raise InputError("ct_hess_3 requires a nonnegative nonzero input vector")
     if np.min(c) < -zero_tolerance(c):
         raise InputError("ct_hess_3 requires a nonnegative output vector")
-    b_in = np.maximum(b_in, 0.0)
 
-    T = _ct_step(A, b_in, _strongly_connected((A != 0) & _masks(3)[1]), t)
+    T = _ct_step(A, b, _strongly_connected((A != 0) & _masks(3)[1]), t)
     if isinstance(T, tuple):
         lam1, resid, pair = T
         return Obstruction(ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
-                           data={"lambda1": s * lam1, "residual": s * inf_norm(b_in) * resid,
+                           data={"lambda1": s * lam1, "residual": s * inf_norm(b) * resid,
                                  "complex_pair": [s * z for z in pair]})
-    if T is None:
-        raise ConstructionDefect(
-            "no controller frame although the input passed the obstruction "
-            f"test; A = {(s * A).tolist()}, b = {b_in.tolist()}")
-    return _checked(A, T, Mode.METZLER, "ct_hess_3", s)
+    return _checked(A, b, T, Mode.METZLER, s, "ct_hess_3")
 
 
 def _ct_step(A: np.ndarray, b: np.ndarray, irreducible: bool, t: float
@@ -960,12 +960,7 @@ def metzler_hess_4(A, tol: float | None = None) -> SimilarityCertificate:
     :func:`metzler_hess_3` instead.  Some lead is guaranteed to serve, so
     none serving raises with the reason of each.
     """
-    A = as_square(A)
-    if A.shape[0] != 4:
-        raise InputError("metzler_hess_4 expects a 4x4 matrix")
-    A, s, t = _unit_scale(A, tol)
-    if _sign_violation(A, Mode.METZLER) < 0:
-        raise InputError("metzler_hess_4 requires a Metzler matrix")
+    A, s, t = _admitted(A, Mode.METZLER, "metzler_hess_4", 4, tol)
 
     def step(A3: np.ndarray, v: np.ndarray) -> np.ndarray | tuple | None:
         s3 = inf_norm(A3) or 1.0

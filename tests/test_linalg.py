@@ -14,7 +14,14 @@ from hessform import (
     perron_pair,
     sorted_spectrum,
 )
-from hessform.linalg import MAX_DIM, _masks, _strongly_connected, inf_norm, zero_tolerance
+from hessform.linalg import (
+    MAX_DIM,
+    _masks,
+    _strongly_connected,
+    inf_norm,
+    nonneg_vector,
+    zero_tolerance,
+)
 from hessform.transforms import Mode, _sign_violation
 
 from conftest import INFEASIBLE_DT_A, random_irreducible_nonneg, random_nonneg
@@ -153,6 +160,24 @@ def _permutation_reducible(A, zero_pattern):
             if np.all(B[k:, :k]):
                 return True
     return False
+
+
+class TestNonnegVector:
+    """The one input check of the vectors ``b`` of ``dt_hess_2``,
+    ``ct_hess_3``, ``dt_iterates`` and the Perron-pair transforms."""
+
+    def test_tolerated_negatives_are_set_to_zero(self):
+        b = nonneg_vector([2.0, -1e-9, 0.5], 3, "f")
+        assert b.tolist() == [2.0, 0.0, 0.5]
+
+    @pytest.mark.parametrize("b, message", [
+        ([1.0, 1.0], "f expects a 3-vector"),
+        ([1.0, -1e-6, 0.0], "f requires a nonnegative nonzero vector"),
+        ([0.0, 0.0, 0.0], "f requires a nonnegative nonzero vector"),
+    ])
+    def test_rejects(self, b, message):
+        with pytest.raises(InputError, match=message):
+            nonneg_vector(b, 3, "f")
 
 
 class TestSortedSpectrum:

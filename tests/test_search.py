@@ -21,7 +21,7 @@ from hessform import (
     rank_one_shift_detect,
     verify_certificate,
 )
-from hessform import search
+from hessform import search, transforms
 from hessform.formats import search_report_csv, search_report_to_json
 from hessform.linalg import MAX_DIM, permutation_to_hessenberg
 from hessform.search import sample_matrix
@@ -370,8 +370,12 @@ def _reference_search(A, mode, cfg):
     from :func:`_reference_next_columns` with a fresh QR, and every
     certificate from the public ``make_certificate`` and
     ``verify_certificate``."""
-    A, A1, _, t = search._snapped(A, mode, None)
+    A = np.asarray(A, dtype=float)
+    A1, _, t = _snap(A, None)
     n = A.shape[0]
+    if np.min(A1 if mode is Mode.NONNEG else A1[~np.eye(n, dtype=bool)]) < 0:
+        raise InputError(f"{mode.value} mode requires a sign-feasible matrix")
+    A = np.where(A1 == 0.0, 0.0, A)
     if mode is Mode.METZLER:
         A1 = A1 + max(0.0, -float(np.min(np.diag(A1)))) * np.eye(n)
     P = permutation_to_hessenberg(A1, 0.0)
@@ -559,6 +563,32 @@ class TestFrameBookkeeping:
         assert len(searched) == 144
         assert _digest(searched) == \
             "adb70ad733a7df3ebcbf6153ed275f4db8b4058ad46b9d73c1199c5d52825b13"
+
+    def test_acceptance_agrees_with_the_rederived_check(self, monkeypatch):
+        """Every frame the search passes to ``_accepted``, the permutation's
+        too, over the first 300 seed-1 heuristic instances, gets the same
+        decision from ``verify_certificate`` at RESIDUAL_BOUND, which
+        re-derives ``T^{-1}`` and ``H``: the certificate's own predicate is
+        the one check the search needs."""
+        frames = []
+
+        def spy(A, T, mode, s):
+            cert = accepted(A, T, mode, s)
+            frames.append((A, T, mode, cert))
+            return cert
+
+        accepted = search._accepted
+        monkeypatch.setattr(search, "_accepted", spy)
+        monkeypatch.setattr(transforms, "_accepted", spy)
+        for i in range(300):
+            altproj_hess(*_heuristic_instance(1, i))
+        assert len(frames) >= 290
+        for A, T, mode, cert in frames:
+            try:
+                want = verify_certificate(A, make_certificate(A, T, mode), RESIDUAL_BOUND)
+            except InputError:  # T singular beyond the conditioning bound
+                want = False
+            assert (cert is not None) == want
 
     def test_dirichlet_generator_is_built_only_when_needed(self, monkeypatch):
         built = []

@@ -34,6 +34,7 @@ from hessform.search import Generator, sample_matrix
 from hessform.transforms import (
     RESIDUAL_BOUND,
     identity_certificate,
+    _accepted,
     _certificate,
     _checked,
     _controller_frame_reducible,
@@ -41,7 +42,6 @@ from hessform.transforms import (
     _plane_orthant_rays,
     _reducible_after_subtraction,
     _unit_scale,
-    _verifies,
 )
 
 from conftest import (
@@ -756,6 +756,23 @@ class TestOneAnswerPerQuestion:
             assert counts["_certificate"] == isinstance(result, SimilarityCertificate)
         assert SimilarityCertificate in answers
 
+    @pytest.mark.parametrize("construct, frame, args", [
+        (ct_hess_3, "_ct_frame", ([[-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]],
+                                  [1.0, 0.5, 0.25])),
+        (dt_hess_2, "_dt_frame", ([[1.0, 2.0], [3.0, 4.0]], [1.0, 0.5])),
+    ])
+    def test_singular_frame_is_a_defect_carrying_the_input(self, monkeypatch,
+                                                           construct, frame, args):
+        """A rank-deficient frame on admissible input fails the acceptance
+        rule: ConstructionDefect with the pair, not the certificate core's
+        InputError."""
+        monkeypatch.setattr(hessform.transforms, frame,
+                            lambda *a: np.ones((len(args[1]), len(args[1]))))
+        with pytest.raises(ConstructionDefect) as info:
+            construct(*args)
+        assert f"b = {args[1]}" in str(info.value)
+        assert f"A = {args[0]}" in str(info.value)
+
     def test_metzler_hess_4_calls_no_public_construction(self, monkeypatch):
         """The trailing blocks take the private steps; no public construction
         builds and discards a 3x3 certificate of its own."""
@@ -1066,10 +1083,12 @@ class TestMetzlerHess4:
         np.testing.assert_array_equal(cert.T[:, 0], [0.0, 1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("answer, reason", [
-        (None, "no frame"), ((0.0, 0.0, []), "obstructed")])
+        (None, "no frame"), ((0.0, 0.0, []), "obstructed"),
+        (-np.eye(3), "the frame fails its certificate")])
     def test_no_frame_is_told_from_an_obstruction(self, monkeypatch, answer, reason):
         """A controller step that forms no frame on admissible input is a
-        defect, reported apart from a trailing pair that obstructs."""
+        defect, reported apart from a trailing pair that obstructs and from a
+        frame that the acceptance rule rejects."""
         monkeypatch.setattr(hessform.transforms, "_ct_step", lambda *args: answer)
         A = np.ones((4, 4)) - 2.0 * np.eye(4)
         with pytest.raises(ConstructionDefect) as info:
@@ -1146,8 +1165,9 @@ class TestVerifyCertificate:
         assert cert.sign_violation >= 0.0 and cert.hessenberg_violation == 0.0
         assert cert.min_entry_T == pytest.approx(-1.0 / 3.0)
         assert not verify_certificate(A, cert)
+        assert _accepted(A, self.NEGATIVE_T, Mode.NONNEG, 1.0) is None
         with pytest.raises(ConstructionDefect):
-            _checked(A, self.NEGATIVE_T, Mode.NONNEG, "negative T", 1.0)
+            _checked(A, np.ones(3), self.NEGATIVE_T, Mode.NONNEG, 1.0, "negative T")
 
     def test_invariant_under_column_scaling(self, rng):
         # (T E, E^{-1} H E) is the same similarity for a positive diagonal E
@@ -1242,7 +1262,7 @@ class TestCertificateCore:
         assert _core_fields(make_certificate(A, T, mode)) == want
         for H in (cert.H, cert.H + 1e-7 * inf_norm(A) * np.tri(len(A), k=-2)):
             for tol in (1e-12, RESIDUAL_BOUND):
-                assert _verifies(A, T, H, mode, tol, inf_norm(A)) == \
+                assert verify_certificate(A, replace(cert, H=H), tol) == \
                     _reference_verifies(A, T, H, mode, tol)
         return cert
 
