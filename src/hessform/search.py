@@ -18,12 +18,16 @@ input, with ``s = 1``.
 The search is depth first, and each node costs a few batched numpy calls:
 the vertices of a frame are one stacked solve, the full frames below a frame
 of ``n - 1`` columns are another, and the orthonormal basis that filters the
-candidates grows by one column per level instead of a QR per node.
+candidates grows by one column per level instead of a QR per node.  A node's
+bound rows ``-I`` are kept per shape, so its set-up is one concatenation and
+one matrix-vector product.
 
 A permutation is the cheapest such frame, its columns all axes, and the exact
 subset search of :func:`~hessform.linalg.permutation_to_hessenberg` decides
 it, so ``altproj_hess`` tries it, through ``_permuted``, before any vertex
-search.
+search.  A hit costs that subset search and some indexing: the similarity is
+exact, so its certificate is read off ``Â`` and its violation is 0, with no
+SVD, inverse or solve.
 
 The names ``altproj_hess`` and ``AltProjConfig`` are kept from the
 alternating-projection search this replaces, because the benchmark, its
@@ -137,6 +141,16 @@ def _active_sets(n: int, k: int, floor: int, support: tuple[int, ...],
     return active
 
 
+@functools.lru_cache(maxsize=None)
+def _bound_rows(k: int, floor: int) -> np.ndarray:
+    """The bound rows ``-I[:floor]`` of a frame of ``k`` columns, read-only,
+    since every node of that shape shares them; ``k <= MAX_DIM``, so the
+    memo stays small."""
+    bound = -np.eye(k)[:floor]
+    bound.flags.writeable = False
+    return bound
+
+
 def _next_columns(A1: np.ndarray, T: np.ndarray, Q: np.ndarray, mode: Mode,
                   t: float, breadth: int) -> np.ndarray:
     """The candidate columns ``t_{k+1}`` after the frame ``T = T_k``, whose
@@ -162,9 +176,9 @@ def _next_columns(A1: np.ndarray, T: np.ndarray, Q: np.ndarray, mode: Mode,
     the tree, so no node factors its frame."""
     n, k = T.shape
     floor = k - (mode is Mode.METZLER)
-    rows = np.vstack([T, -np.eye(k)[:floor]])
-    b = A1 @ T[:, -1]
-    rhs = np.concatenate([b, np.zeros(floor)])
+    rows = np.concatenate([T, _bound_rows(k, floor)])
+    rhs = np.zeros(n + floor)
+    b = np.matmul(A1, T[:, -1], out=rhs[:n])
     support = tuple(np.flatnonzero(T.any(axis=1)).tolist())
     active = _active_sets(n, k, floor, support, breadth)
     S = rows[active]
@@ -238,9 +252,11 @@ def altproj_hess(A, mode: Mode, cfg: AltProjConfig, tol: float | None = None
 
     A permutation similarity comes first: :func:`permutation_to_hessenberg`
     decides it on the exact zeros of ``Â``, so it is an exact similarity,
-    reported as one successful attempt of ``n`` nodes, the axis-only frame.
-    Otherwise that step adds no attempt and no log, and the search below runs
-    unchanged.
+    reported as one successful attempt of ``n`` nodes, the axis-only frame,
+    of violation 0 (the last column of ``P^T Â P`` is a column of ``Â``, in
+    the signs of ``mode``); its certificate is read off by indexing, and a
+    hit runs no SVD, inverse or solve.  Otherwise that step adds no attempt and no log,
+    and the search below runs unchanged.
 
     The starts are tried in turn, each for at most ``cfg.max_iters`` nodes, up
     to the first frame whose certificate verifies at RESIDUAL_BOUND.  A node
@@ -266,14 +282,12 @@ def altproj_hess(A, mode: Mode, cfg: AltProjConfig, tol: float | None = None
     A1, _, t = _admitted(A, mode, f"{mode.value} mode", None, tol)
     A = np.where(A1 == 0.0, 0.0, A)  # Â in the units of the input
     n = A.shape[0]
+    cert = _permuted(A, mode, 1.0)
+    if cert is not None:  # the last column of P^T Â P is in the signs of mode
+        return SearchReport(1, 1, cert, 0.0, (RestartLog(0, n, 0.0, True),))
+    # n >= 2 here: at n = 1 the identity is the permutation, and it certifies
     if mode is Mode.METZLER:  # the shift moves only the diagonal of H, free here
         A1 = A1 + max(0.0, -float(np.min(np.diag(A1)))) * np.eye(n)
-    cert = _permuted(A, mode, 1.0)
-    if cert is not None:
-        P = cert.T
-        v = _violations(A1, P[:, :-1], P[None, :, -1], mode)[0]
-        return SearchReport(1, 1, cert, v, (RestartLog(0, n, v, True),))
-    # n >= 2 here: at n = 1 the identity is the permutation, and it certifies
     logs: list[RestartLog] = []
     empty = np.empty((n, 0))
     for start, t1 in enumerate(_starts(A1, cfg)):

@@ -23,9 +23,11 @@ divides ``A`` by ``||A||_inf``, sets the entries within the caller's ``tol``
 the exact zeros of ``Â``, before any other frame.  :func:`_accepted` builds a
 frame's certificate once, accepts it by the predicate of
 :func:`verify_certificate` at ``RESIDUAL_BOUND`` and multiplies its ``H``
-back to the units of ``A``.  Zero patterns are exact tests on ``Â``, and the
-steps round at thresholds relative to ``||Â|| = 1`` or to the norm of what
-they test.
+back to the units of ``A``.  A permutation's similarity is exact, so its
+certificate is read off by indexing (:func:`_permutation_certificate`), with
+the fields :func:`_accepted` would compute and no SVD, inverse or product.
+Zero patterns are exact tests on ``Â``, and the steps round at thresholds
+relative to ``||Â|| = 1`` or to the norm of what they test.
 """
 from __future__ import annotations
 
@@ -272,11 +274,34 @@ def _accepted(A: np.ndarray, T: np.ndarray, mode: Mode,
 
 
 def _permuted(A: np.ndarray, mode: Mode, s: float) -> SimilarityCertificate | None:
-    """The permutation-first step of every Hessenberg answer: the accepted
-    certificate of the permutation that :func:`permutation_to_hessenberg`
-    reads off the exact zeros of ``A`` (an exact similarity), or None."""
+    """The permutation-first step of every Hessenberg answer:
+    :func:`_permutation_certificate` of the permutation that
+    :func:`permutation_to_hessenberg` reads off the exact zeros of ``A``, or
+    None where there is none."""
     P = permutation_to_hessenberg(A, 0.0)
-    return None if P is None else _accepted(A, P, mode, s)
+    return None if P is None else _permutation_certificate(A, P, mode, s)
+
+
+def _permutation_certificate(A: np.ndarray, P: np.ndarray, mode: Mode,
+                             s: float) -> SimilarityCertificate | None:
+    """:func:`_accepted` for a permutation matrix ``P``, by indexing: the
+    similarity is exact, ``T^{-1} = P^T`` and ``H = A[p][:, p]`` with
+    ``P[:, j] = e_{p_j}``, so the certificate needs no SVD, inverse or
+    product.  Its fields are bit for bit those :func:`_accepted` computes for
+    ``P``: residual 0, ``cond_T`` 1 and both violations read off the indexed
+    ``H``, which :func:`_holds` judges as it judges every frame.  None where
+    it fails, which a permutation read off the exact zeros of an admitted
+    ``A`` never does."""
+    p = P.argmax(axis=0)
+    H = A[np.ix_(p, p)]
+    hessenberg, sign = _hessenberg_violation(H), _sign_violation(H, mode)
+    min_T = float(P.min())
+    if not _holds(inf_norm(A), 0.0, hessenberg, sign, min_T, RESIDUAL_BOUND):
+        return None
+    return SimilarityCertificate(
+        T=P, T_inv=np.ascontiguousarray(P.T), H=s * H, residual_similarity=0.0,
+        min_entry_T=min_T, hessenberg_violation=s * hessenberg,
+        sign_violation=s * sign, mode=mode, cond_T=1.0)
 
 
 def _checked(A: np.ndarray, b: np.ndarray, T: np.ndarray | None, mode: Mode,
@@ -608,9 +633,10 @@ def _lead_loop(A: np.ndarray, s: float, mode: Mode, leads, step,
                name: str) -> SimilarityCertificate:
     """The one reduction of the exact Hessenberg constructions, on a snapped
     unit-scale ``Â`` (scale ``s``): the certificate of :func:`_permuted`
-    where a permutation to upper Hessenberg form exists, else of the first
-    lead frame ``T = (e_k | T_B on the rows B)`` that :func:`_accepted`
-    accepts, ``B`` the indices after ``k`` in cyclic order.
+    where a permutation to upper Hessenberg form exists (an exact frame, so
+    it always passes its check and never falls through to the leads), else
+    of the first lead frame ``T = (e_k | T_B on the rows B)`` that
+    :func:`_accepted` accepts, ``B`` the indices after ``k`` in cyclic order.
     ``step(A[B, B], A[B, k])`` gives ``T_B >= 0`` with ``T_B^{-1} A[B, k]`` on
     ``e_1`` and ``T_B^{-1} A[B, B] T_B`` upper Hessenberg in the signs of
     ``mode``, so ``T^{-1} A T`` is too, its first row ``(a_kk, A[k, B] T_B)``;

@@ -312,6 +312,123 @@ class TestPermutationFirst:
                 assert np.min(cert.T) >= 0.0
 
 
+def _certificate_bits(cert):
+    """Every field of a certificate, arrays and floats as bits."""
+    return (cert.T.tobytes(), cert.T_inv.tobytes(), cert.T_inv.flags.c_contiguous,
+            cert.H.tobytes(), cert.residual_similarity.hex(), cert.min_entry_T.hex(),
+            cert.hessenberg_violation.hex(), cert.sign_violation.hex(), cert.mode,
+            cert.cond_T.hex())
+
+
+def _exact_instance(seed, i):
+    """The matrix and mode of instance ``i`` of the ``exact`` benchmark,
+    rebuilt here: metzler_hess_3, metzler_hess_4, nonneg_hess_3, a
+    rank-one-shift draw and ct_hess_3 in turn, dense and sparse in turn by
+    fives, scaled by 10**U(-6, 6)."""
+    rng = np.random.default_rng([seed, 1, i])
+    gen = Generator.DENSE_UNIFORM if (i // 5) % 2 == 0 else Generator.SPARSE_PATTERN
+    n, mode, gen = ((3, Mode.METZLER, gen), (4, Mode.METZLER, gen), (3, Mode.NONNEG, gen),
+                    (3, Mode.NONNEG, Generator.PROP1_FAMILY), (3, Mode.METZLER, gen))[i % 5]
+    return sample_matrix(n, mode, gen, rng) * 10.0 ** rng.uniform(-6.0, 6.0), mode
+
+
+class TestPermutationByIndexing:
+    """A permutation's certificate is read off by indexing, and the search's
+    violation for it off one column of ``A1``: bit for bit what the
+    certificate core and the stacked solve give for the same ``P``."""
+
+    @staticmethod
+    def _assert_parity(A, mode):
+        """Whether ``A`` is permutable; if it is, the indexed certificate of
+        the constructions (``Â`` at scale ``s``) and of the search (``Â`` in
+        the units of ``A``) and the search's reported violation equal those
+        of ``_accepted`` and ``_violations`` for the same ``P``."""
+        Ah, s, _ = transforms._admitted(A, mode, "parity", None, None)
+        P = permutation_to_hessenberg(Ah, 0.0)
+        if P is None:
+            return False
+        for B, scale in ((Ah, s), (np.where(Ah == 0.0, 0.0, A), 1.0)):
+            got = transforms._permuted(B, mode, scale)
+            want = transforms._accepted(B, P, mode, scale)
+            assert got is not None and want is not None
+            assert _certificate_bits(got) == _certificate_bits(want)
+        A1, _ = _unit_scale(A, mode)
+        report = altproj_hess(A, mode, AltProjConfig(seed=0, **BUDGET))
+        want = search._violations(A1, P[:, :-1], P[None, :, -1], mode)[0]
+        assert type(report.best_violation) is float
+        assert report.best_violation.hex() == want.hex()
+        assert report.logs[0].final_violation.hex() == want.hex()
+        return True
+
+    def test_heuristic_recipe(self):
+        permutable = sum(self._assert_parity(*_heuristic_instance(1, i)[:2])
+                         for i in range(300))
+        assert permutable >= 150
+
+    def test_exact_recipe(self):
+        permutable = sum(self._assert_parity(*_exact_instance(1, i)) for i in range(300))
+        assert permutable >= 100
+
+    @pytest.mark.parametrize("mode", [Mode.NONNEG, Mode.METZLER])
+    def test_sparse_draws_at_every_dimension(self, mode):
+        # every other draw is cut to upper Hessenberg and permuted, so that
+        # each dimension has permutable draws; Metzler draws keep their
+        # negative diagonals; entries far below the zero threshold snap to 0
+        # in Â but stay in the search's A
+        negative_diagonal = snapped = 0
+        for n in range(1, MAX_DIM + 1):
+            permutable = 0
+            for i in range(6):
+                rng = np.random.default_rng([29, n, i])
+                A = sample_matrix(n, mode, Generator.SPARSE_PATTERN, rng)
+                if i % 2:
+                    q = rng.permutation(n)
+                    A = np.triu(A, -1)[np.ix_(q, q)]
+                noise = (rng.uniform(size=(n, n)) < 0.3) & (A == 0.0)
+                A[noise] = 1e-12 * max(1.0, np.abs(A).sum(axis=1).max())
+                if self._assert_parity(A, mode):
+                    permutable += 1
+                    negative_diagonal += bool(np.min(np.diag(A)) < 0)
+                    snapped += bool(noise.any())
+            assert permutable >= 3
+        assert snapped >= 10
+        assert (negative_diagonal >= 10) == (mode is Mode.METZLER)
+
+    def test_permutable_input_runs_no_svd_inverse_or_solve(self, monkeypatch):
+        counts = dict.fromkeys(["svd", "inv", "solve"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        # nonneg_hess_3 is left out: its family test runs before the
+        # permutation step and may take an SVD of its own
+        cases = [(n, mode) for n in range(1, 7) for mode in (Mode.NONNEG, Mode.METZLER)]
+        answered = 0
+        for n, mode in cases:
+            for i in range(10):
+                A = sample_matrix(n, mode, Generator.SPARSE_PATTERN,
+                                  np.random.default_rng([31, n, i]))
+                if permutation_to_hessenberg(A) is None:
+                    continue
+                report = altproj_hess(A, mode, AltProjConfig(seed=i, **BUDGET))
+                assert report.successes == 1
+                if n <= 2 or (mode is Mode.METZLER and n <= 4):
+                    assert isinstance(search.exact_hessenberg(A, mode), SimilarityCertificate)
+                answered += 1
+        assert answered >= 40
+        assert counts == dict.fromkeys(counts, 0)
+        # the spies are live: a draw with no permutation reaches the solves
+        A = np.ones((4, 4)) - 2.0 * np.eye(4)
+        assert permutation_to_hessenberg(A) is None
+        altproj_hess(A, Mode.METZLER, AltProjConfig(seed=0, **BUDGET))
+        assert counts["svd"] > 0 and counts["solve"] > 0
+
+
 def _reference_next_columns(A1, T, mode, t, breadth):
     """``search._next_columns`` with its index sets rebuilt in Python on every
     call and its rows deduplicated by ``np.unique``: the reference the kept
@@ -565,21 +682,26 @@ class TestFrameBookkeeping:
             "adb70ad733a7df3ebcbf6153ed275f4db8b4058ad46b9d73c1199c5d52825b13"
 
     def test_acceptance_agrees_with_the_rederived_check(self, monkeypatch):
-        """Every frame the search passes to ``_accepted``, the permutation's
-        too, over the first 300 seed-1 heuristic instances, gets the same
-        decision from ``verify_certificate`` at RESIDUAL_BOUND, which
-        re-derives ``T^{-1}`` and ``H``: the certificate's own predicate is
-        the one check the search needs."""
+        """Every frame the search passes to ``_accepted``, and every
+        permutation passed to ``_permutation_certificate``, over the first 300
+        seed-1 heuristic instances, gets the same decision from
+        ``verify_certificate`` at RESIDUAL_BOUND, which re-derives ``T^{-1}``
+        and ``H``: the certificate's own predicate is the one check the search
+        needs."""
         frames = []
 
-        def spy(A, T, mode, s):
-            cert = accepted(A, T, mode, s)
-            frames.append((A, T, mode, cert))
-            return cert
+        def spying(build):
+            def spy(A, T, mode, s):
+                cert = build(A, T, mode, s)
+                frames.append((A, T, mode, cert))
+                return cert
+            return spy
 
-        accepted = search._accepted
-        monkeypatch.setattr(search, "_accepted", spy)
-        monkeypatch.setattr(transforms, "_accepted", spy)
+        accepted = spying(search._accepted)
+        monkeypatch.setattr(search, "_accepted", accepted)
+        monkeypatch.setattr(transforms, "_accepted", accepted)
+        monkeypatch.setattr(transforms, "_permutation_certificate",
+                            spying(transforms._permutation_certificate))
         for i in range(300):
             altproj_hess(*_heuristic_instance(1, i))
         assert len(frames) >= 290

@@ -747,13 +747,16 @@ class TestOneAnswerPerQuestion:
                                  rng.uniform(0.0, 1.0, 3))),
     ])
     def test_one_certificate_per_certificate_returned(self, monkeypatch, construct, draw):
-        counts = _count_calls(monkeypatch, hessform.transforms, ["_certificate"])
+        # one build per answer: the certificate core, or the permutation's
+        # certificate by indexing
+        builds = ["_certificate", "_permutation_certificate"]
+        counts = _count_calls(monkeypatch, hessform.transforms, builds)
         answers = set()
         for i in range(100):
-            counts["_certificate"] = 0
+            counts.update(dict.fromkeys(builds, 0))
             result = construct(*draw(np.random.default_rng([43, i])))
             answers.add(type(result))
-            assert counts["_certificate"] == isinstance(result, SimilarityCertificate)
+            assert sum(counts.values()) == isinstance(result, SimilarityCertificate)
         assert SimilarityCertificate in answers
 
     @pytest.mark.parametrize("construct, frame, args", [
@@ -777,7 +780,7 @@ class TestOneAnswerPerQuestion:
         """The trailing blocks take the private steps; no public construction
         builds and discards a 3x3 certificate of its own."""
         names = ["ct_hess_3", "metzler_hess_3", "make_certificate", "_certificate",
-                 "_ct_step", "_rank_one_step"]
+                 "_permutation_certificate", "_ct_step", "_rank_one_step"]
         counts = _count_calls(monkeypatch, hessform.transforms, names)
         # no permutation, and a zero column below lead 0
         zero_column = np.ones((4, 4)) - 2.0 * np.eye(4)
@@ -789,7 +792,9 @@ class TestOneAnswerPerQuestion:
             assert_good_cert(A, metzler_hess_4(A), Mode.METZLER)
         assert counts["ct_hess_3"] == counts["metzler_hess_3"] == 0
         assert counts["make_certificate"] == 0
-        assert counts["_certificate"] == len(inputs)
+        # one build per answer, by the core or, for a permutation, by indexing
+        assert counts["_certificate"] + counts["_permutation_certificate"] == len(inputs)
+        assert counts["_certificate"] > 0 and counts["_permutation_certificate"] > 0
         assert counts["_ct_step"] > 0 and counts["_rank_one_step"] > 0
 
 
