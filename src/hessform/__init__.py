@@ -1,10 +1,18 @@
 """hessform: similarity of nonnegative/Metzler matrices to nonnegative/Metzler
 upper Hessenberg form.
 
-Exact constructive decisions up to dimension 4, verifiable similarity
-certificates, structured obstructions, the planar counterexample analysis for
-discrete-time controller forms, and a Krylov-frame search for larger
-dimensions.
+One question per input: is it similar, through a nonnegative ``T``, to a
+Hessenberg form in the signs of its mode?  The answer is a
+:class:`SimilarityCertificate` that :func:`verify_certificate` re-checks, or a
+structured :class:`Obstruction`.  The exact constructions answer it for Metzler
+n = 3, 4 and nonnegative n = 3 (:func:`metzler_hess_3`, :func:`metzler_hess_4`,
+:func:`nonneg_hess_3`), the rank-one-minus-shift family obstructs it for
+nonnegative n >= 3, and the Krylov-frame search :func:`altproj_hess`, which
+tries the exact permutation step first, takes every other input, n <= 2
+included, and may end without an answer.  Beside it: the controller forms
+:func:`dt_hess_2` and :func:`ct_hess_3`, the planar discrete-time analysis
+:func:`dt_hess_feasibility_3`, and the spectral, Perron and cone kernels
+beneath them.  The ``hessform`` command line sends each question one way.
 """
 
 __version__ = "0.1.0"
@@ -61,14 +69,7 @@ from .transforms import (
     rank_one_shift_detect,
     verify_certificate,
 )
-from .systems import (
-    Domain,
-    IterateTrace,
-    PositiveSystem,
-    dt_hess_feasibility_3,
-    dt_iterates,
-    is_controller_hessenberg,
-)
+from .systems import IterateTrace, dt_hess_feasibility_3, dt_iterates
 from .search import (
     AltProjConfig,
     Generator,
@@ -87,7 +88,6 @@ __all__ = [
     "ConstructionDefect",
     "CoverCertificate",
     "CoverDecision",
-    "Domain",
     "Generator",
     "HessformError",
     "IllConditionedWarning",
@@ -100,7 +100,6 @@ __all__ = [
     "ObstructionKind",
     "PerronData",
     "PerronVectorError",
-    "PositiveSystem",
     "RankOneShiftForm",
     "RestartLog",
     "SearchReport",
@@ -120,7 +119,6 @@ __all__ = [
     "eigvec_b_transform",
     "fix_b_boundary",
     "geometric_multiplicity",
-    "is_controller_hessenberg",
     "jordan_like_form",
     "make_certificate",
     "metzler_hess_3",

@@ -3,21 +3,24 @@
 Exit codes: 0 constructive success / feasible, 2 proven obstruction or
 infeasible, 3 honest unknown, 1 usage or runtime error.  Each subcommand
 accepts only the flags it reads, so any other flag is a usage error.
-``--tol`` overrides a command's tolerance; for ``classify``, ``hessenberg``
-and ``ctpos`` it is the zero threshold, absolute in the units of the input
-matrix: ``hessenberg`` and ``ctpos`` set the entries within it to 0 once,
-giving ``Â``, and every route, the Krylov-frame search included, answers for
-``Â``, so the certificate is for ``Â``.  They exit 0 only if ``verify`` at the
-same ``--tol`` (relative to ``||A||_inf`` there) accepts it for the input.
-The ``HESSFORM_TOL`` environment variable supplies a default; the flag wins.
-``search`` requires an explicit ``--seed``; ``hessenberg`` takes ``--seed``
-(default 0) for the Krylov-frame search it runs where no exact construction
-applies.
+``--tol``, the one way to set a command's tolerance, overrides its default;
+for ``classify``, ``hessenberg`` and ``ctpos`` it is the zero threshold,
+absolute in the units of the input matrix: ``hessenberg`` and ``ctpos`` set
+the entries within it to 0 once, giving ``Â``, and every route, the
+Krylov-frame search included, answers for ``Â``, so the certificate is for
+``Â``.  They exit 0 only if ``verify`` at the same ``--tol`` (relative to
+``||A||_inf`` there) accepts it for the input.
+
+``hessenberg`` sends each input one way: to
+:func:`~hessform.search.exact_hessenberg` (the construction at Metzler
+n = 3, 4 and nonneg n = 3, or the family obstruction at nonneg n >= 4), and
+where that has no answer, to the Krylov-frame search, whose permutation step
+answers n <= 2.  ``search`` requires an explicit ``--seed``; ``hessenberg``
+takes ``--seed`` (default 0) for that search.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -53,9 +56,7 @@ from .transforms import (
     Obstruction,
     SimilarityCertificate,
     ct_hess_3,
-    metzler_hess_3,
     metzler_hess_4,
-    nonneg_hess_3,
     verify_certificate,
 )
 
@@ -63,18 +64,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_OBSTRUCTION = 2
 EXIT_UNKNOWN = 3
-
-
-def _tolerance(args) -> float | None:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("HESSFORM_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise InputError(f"invalid HESSFORM_TOL value {env!r}") from exc
-    return None
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -86,7 +75,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def _cmd_classify(args) -> int:
     A = read_matrix(args.matrix)
-    rep = classify(A, _tolerance(args))
+    rep = classify(A, args.tol)
     _emit(dumps({
         "is_nonnegative": rep.is_nonnegative,
         "is_metzler": rep.is_metzler,
@@ -100,14 +89,11 @@ def _cmd_classify(args) -> int:
 
 
 def _exact_dispatch(A, mode: Mode, tol):
-    """:func:`~hessform.search.exact_hessenberg` with the n <= 4
-    constructions called through this module's names, so that rebinding one
+    """:func:`~hessform.search.exact_hessenberg`, with the Metzler 4x4
+    construction called through this module's name, so that rebinding it
     here (as ``perfbench``'s self-tests do) reaches the CLI alone."""
-    n = A.shape[0]
-    if mode is Mode.METZLER and n in (3, 4):
-        return (metzler_hess_3 if n == 3 else metzler_hess_4)(A, tol)
-    if mode is Mode.NONNEG and n == 3:
-        return nonneg_hess_3(A, tol)
+    if mode is Mode.METZLER and A.shape[0] == 4:
+        return metzler_hess_4(A, tol)
     return exact_hessenberg(A, mode, tol)
 
 
@@ -126,12 +112,12 @@ def _emit_certificate(A, cert: SimilarityCertificate, tol: float | None,
 def _cmd_hessenberg(args) -> int:
     A = read_matrix(args.matrix)
     mode = Mode(args.mode)
-    tol = _tolerance(args)
-    result = _exact_dispatch(A, mode, tol)
+    result = _exact_dispatch(A, mode, args.tol)
     if result is None:  # heuristic search; no certificate means unknown
-        result = altproj_hess(A, mode, AltProjConfig(seed=args.seed), tol).best_certificate
+        result = altproj_hess(A, mode, AltProjConfig(seed=args.seed),
+                              args.tol).best_certificate
     if isinstance(result, SimilarityCertificate):
-        return _emit_certificate(A, result, tol, args.json)
+        return _emit_certificate(A, result, args.tol, args.json)
     if isinstance(result, Obstruction):
         _emit(obstruction_to_json(A, result), args.json)
         return EXIT_OBSTRUCTION
@@ -144,10 +130,9 @@ def _cmd_ctpos(args) -> int:
     A = read_matrix(args.matrix)
     b = read_vector(args.b)
     c = read_vector(args.c) if args.c else None
-    tol = _tolerance(args)
-    result = ct_hess_3(A, b, c, tol)
+    result = ct_hess_3(A, b, c, args.tol)
     if isinstance(result, SimilarityCertificate):
-        return _emit_certificate(A, result, tol, args.json)
+        return _emit_certificate(A, result, args.tol, args.json)
     _emit(obstruction_to_json(A, result), args.json)
     return EXIT_OBSTRUCTION
 
@@ -167,9 +152,8 @@ def _cmd_dt_iterates(args) -> int:
 def _cmd_dt_feasibility(args) -> int:
     A = read_matrix(args.matrix)
     b = read_vector(args.b)
-    tol = _tolerance(args)
     decision = dt_hess_feasibility_3(A, b, K=args.k,
-                                     tol=tol if tol is not None else 1e-9)
+                                     tol=args.tol if args.tol is not None else 1e-9)
     text = cover_decision_to_json(decision)
     if decision.verdict is Verdict.FEASIBLE and decision.witnesses is not None:
         p, q = decision.witnesses
@@ -196,8 +180,7 @@ def _cmd_search(args) -> int:
 def _cmd_verify(args) -> int:
     A = read_matrix(args.matrix)
     cert = certificate_from_json(read_text(args.certificate, "certificate"))
-    tol = _tolerance(args)
-    ok = verify_certificate(A, cert, tol=tol if tol is not None else 1e-8)
+    ok = verify_certificate(A, cert, tol=args.tol if args.tol is not None else 1e-8)
     _emit(dumps({"verified": ok}), args.json)
     return EXIT_OK if ok else EXIT_ERROR
 
@@ -230,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--mode", choices=[m.value for m in Mode], required=True)
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the heuristic fallback above the exact dimensions")
+                   help="seed of the Krylov-frame search where no exact answer applies")
     common(p, snap_help)
     p.set_defaults(func=_cmd_hessenberg)
 

@@ -48,15 +48,14 @@ from .transforms import (
     RESIDUAL_BOUND,
     Mode,
     Obstruction,
-    ObstructionKind,
     SimilarityCertificate,
     _accepted,
     _admitted,
+    _family_obstruction,
     _permuted,
     metzler_hess_3,
     metzler_hess_4,
     nonneg_hess_3,
-    rank_one_shift_detect,
 )
 
 __all__ = [
@@ -353,27 +352,21 @@ def sample_matrix(n: int, mode: Mode, generator: Generator,
 
 def exact_hessenberg(A: np.ndarray, mode: Mode, tol: float | None = None
                      ) -> SimilarityCertificate | Obstruction | None:
-    """The exact construction for ``mode`` at this dimension: a certificate or
-    an obstruction, or None where only the heuristic search applies (Metzler
-    n >= 5, nonneg n >= 4 outside the rank-one-minus-shift family), each for
-    the input with its zeros snapped at ``tol`` once."""
+    """The exact answer for ``mode`` at this dimension, for the input with
+    its zeros snapped at ``tol`` once: the construction at Metzler n = 3, 4
+    and nonneg n = 3, and the rank-one-minus-shift family's obstruction at
+    nonneg n >= 4; None where only :func:`altproj_hess` applies (n <= 2,
+    whose answer is its permutation step, Metzler n >= 5, and nonneg n >= 4
+    off the family)."""
     mode = Mode(mode)
     n = A.shape[0]
-    if n <= 2:  # already upper Hessenberg; the sign structure is the question
-        Ah = _admitted(A, mode, f"{mode.value} mode", None, tol)[0]
-        return _permuted(np.where(Ah == 0.0, 0.0, A), mode, 1.0)
-    if mode is Mode.METZLER:
-        if n == 3:
-            return metzler_hess_3(A, tol)
-        return metzler_hess_4(A, tol) if n == 4 else None
-    if n == 3:
-        return nonneg_hess_3(A, tol)
-    Ah, s, t = _admitted(A, mode, f"{mode.value} mode", None, tol)
-    form = rank_one_shift_detect(Ah, t)
-    if form is None:
+    if n < 3:
         return None
-    return Obstruction(ObstructionKind.NEG_EIG_GEOM_MULT,
-                       data={"u": form.u, "v": form.v, "s": form.s, "c": s * form.c})
+    if n == 3:
+        return (metzler_hess_3 if mode is Mode.METZLER else nonneg_hess_3)(A, tol)
+    if mode is Mode.METZLER:
+        return metzler_hess_4(A, tol) if n == 4 else None
+    return _family_obstruction(*_admitted(A, mode, f"{mode.value} mode", None, tol))
 
 
 def random_experiment(n: int, trials: int, seed: int, mode: Mode,
@@ -384,7 +377,8 @@ def random_experiment(n: int, trials: int, seed: int, mode: Mode,
     rank-one-shift draws in nonneg mode at n >= 3 get the family obstruction
     from the exact membership test (the obstruction holds in every such
     dimension), so they count zero successes.  At n = 2 every matrix is
-    already upper Hessenberg, and the draw gets its identity certificate.
+    already upper Hessenberg, and the search's permutation step certifies the
+    draw, a log of ``n`` nodes.
     """
     if n < 2:
         raise InputError("experiments need n >= 2")

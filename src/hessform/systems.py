@@ -1,60 +1,21 @@
-"""Positive linear systems, controller-Hessenberg predicates, and the
-discrete-time iterate analysis that feeds the planar cover decision."""
+"""The discrete-time iterate analysis of a 3x3 pair ``(A, b)`` that feeds
+the planar cover decision: the projected iterates ``A^k b`` and their limit,
+and the necessary condition for a nonnegative controller-Hessenberg frame."""
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cones import CoverDecision, SimplexPoint, _cover_decision, _project_rows
 from .errors import InputError
-from .linalg import as_square, as_vector, classify, inf_norm, nonneg_vector, zero_tolerance
+from .linalg import as_square, nonneg_vector, zero_tolerance
 
 __all__ = [
-    "Domain",
     "IterateTrace",
-    "PositiveSystem",
     "dt_hess_feasibility_3",
     "dt_iterates",
-    "is_controller_hessenberg",
 ]
-
-
-class Domain(str, enum.Enum):
-    CT = "ct"
-    DT = "dt"
-
-
-@dataclass(frozen=True, eq=False)
-class PositiveSystem:
-    """State-space triple (A, b, c) with the sign discipline of its time domain:
-    nonnegative A for discrete time, Metzler A for continuous time."""
-
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    domain: Domain
-
-    def __post_init__(self):
-        A = as_square(self.A, "A")
-        b = as_vector(self.b, "b")
-        c = as_vector(self.c, "c")
-        if b.size != A.shape[0] or c.size != A.shape[0]:
-            raise InputError("system dimensions are inconsistent")
-        t = zero_tolerance(A)
-        rep = classify(A, t)
-        if self.domain is Domain.DT and not rep.is_nonnegative:
-            raise InputError("discrete-time positive system needs nonnegative A")
-        if self.domain is Domain.CT and not rep.is_metzler:
-            raise InputError("continuous-time positive system needs Metzler A")
-        if np.min(b) < -zero_tolerance(b):
-            raise InputError("input vector must be nonnegative")
-        if np.min(c) < -zero_tolerance(c):
-            raise InputError("output vector must be nonnegative")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,25 +25,6 @@ class IterateTrace:
     points: list[SimplexPoint]
     limit_point: SimplexPoint
     K: int
-
-
-def is_controller_hessenberg(sys: PositiveSystem, tol: float | None = None) -> bool:
-    """True when A is upper Hessenberg with the mode-appropriate signs, b is
-    proportional to the first axis, and c is nonnegative."""
-    t = zero_tolerance(sys.A, tol)
-    rep = classify(sys.A, t)
-    if not rep.is_upper_hessenberg:
-        return False
-    if sys.domain is Domain.DT and not rep.is_nonnegative:
-        return False
-    if sys.domain is Domain.CT and not rep.is_metzler:
-        return False
-    b, tb = sys.b, zero_tolerance(sys.b)
-    if b.size > 1 and inf_norm(b[1:]) > tb:
-        return False
-    if b[0] < -tb:
-        return False
-    return bool(np.min(sys.c) >= -zero_tolerance(sys.c))
 
 
 def dt_iterates(A, b, K: int) -> IterateTrace:

@@ -63,7 +63,6 @@ __all__ = [
     "dt_hess_2",
     "eigvec_b_transform",
     "fix_b_boundary",
-    "identity_certificate",
     "make_certificate",
     "metzler_hess_3",
     "metzler_hess_4",
@@ -203,11 +202,6 @@ def make_certificate(A, T, mode: Mode) -> SimilarityCertificate:
     if T.shape != A.shape:
         raise InputError("T must match the shape of A")
     return _certificate(A, T, mode, inf_norm(A))
-
-
-def identity_certificate(A, mode: Mode) -> SimilarityCertificate:
-    """Certificate with T = I for a matrix already in the target form."""
-    return make_certificate(A, np.eye(as_square(A).shape[0]), mode)
 
 
 def _holds(norm_A: float, residual: float, hessenberg_violation: float,
@@ -389,6 +383,26 @@ def rank_one_shift_detect(A, tol: float | None = None) -> RankOneShiftForm | Non
     if inf_norm(form.reconstruct() - A) > 1e-8 * norm:
         return None
     return form
+
+
+def _family_obstruction(A: np.ndarray, s: float, t: float) -> Obstruction | None:
+    """The obstruction of an n x n nonnegative ``Â`` (n >= 3, unit scale,
+    rounding threshold ``t``) in the family ``c (u v^T - s I)``, or None off
+    it; the one builder of NEG_EIG_GEOM_MULT.  ``c``, ``lambda2`` and
+    ``reconstruction_residual``, the misfit of the reported ``(c, u, v, s)``
+    against ``Â``, are in the units of the input, whose ``||A||_inf`` is the
+    argument ``s``."""
+    form = rank_one_shift_detect(A, t)
+    if form is None:
+        return None
+    lam2 = -form.c * form.s
+    return Obstruction(ObstructionKind.NEG_EIG_GEOM_MULT, data={
+        "lambda2": s * lam2,
+        # rank_one_shift_detect has checked it is n - 1 at this lam2
+        "geometric_multiplicity": A.shape[0] - 1,
+        "u": form.u, "v": form.v, "s": form.s, "c": s * form.c,
+        "reconstruction_residual": s * inf_norm(form.reconstruct() - A),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -681,19 +695,9 @@ def nonneg_hess_3(A, tol: float | None = None) -> SimilarityCertificate | Obstru
     failing off the family contradicts the characterisation and raises.
     """
     A, s, t = _admitted(A, Mode.NONNEG, "nonneg_hess_3", 3, tol)
-    form = rank_one_shift_detect(A, t)
-    if form is not None:
-        lam2 = -form.c * form.s
-        return Obstruction(
-            ObstructionKind.NEG_EIG_GEOM_MULT,
-            data={
-                "lambda2": s * lam2,
-                # rank_one_shift_detect has checked it is n - 1 at this lam2
-                "geometric_multiplicity": A.shape[0] - 1,
-                "u": form.u, "v": form.v, "s": form.s, "c": s * form.c,
-                "reconstruction_residual": inf_norm(form.reconstruct() - A),
-            },
-        )
+    obstruction = _family_obstruction(A, s, t)
+    if obstruction is not None:
+        return obstruction
     return _lead_loop(A, s, Mode.NONNEG, (2, 0, 1),
                       lambda A2, v: _dt_frame(A2, v, t), "nonneg_hess_3")
 
@@ -916,7 +920,7 @@ def ct_hess_3(A, b, c=None, tol: float | None = None) -> SimilarityCertificate |
         lam1, resid, pair = T
         return Obstruction(ObstructionKind.PERRON_EIGVEC_COINCIDENCE,
                            data={"lambda1": s * lam1, "residual": s * inf_norm(b) * resid,
-                                 "complex_pair": [s * z for z in pair]})
+                                 "complex_pair": [s * z for z in pair], "b": b})
     return _checked(A, b, T, Mode.METZLER, s, "ct_hess_3")
 
 

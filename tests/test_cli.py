@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hessform.cli import run
 from hessform.formats import (
     certificate_from_json,
     certificate_to_json,
+    dumps,
     parse_matrix_text,
     parse_vector_text,
     read_matrix,
@@ -292,16 +294,12 @@ class TestCli:
         assert run(["verify", amat, str(cert_path)]) == 1
         assert "error: malformed certificate JSON" in capsys.readouterr().err
 
-    def test_tol_env_override(self, files, monkeypatch, capsys):
+    def test_tol_flag_sets_the_threshold(self, files, capsys):
         _, amat, _ = files
-        monkeypatch.setenv("HESSFORM_TOL", "0.5")
-        assert run(["classify", amat]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["tolerance_used"] == 0.5
-        # flag wins over the environment
-        assert run(["classify", amat, "--tol", "1e-9"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["tolerance_used"] == 1e-9
+        for tol in (0.5, 1e-9):
+            assert run(["classify", amat, "--tol", str(tol)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["tolerance_used"] == tol
 
     def test_flags_a_command_does_not_read_are_usage_errors(self, files, capsys):
         tmp, amat, bvec = files
@@ -363,3 +361,69 @@ class TestHessenbergTol:
         assert code == 1
         assert not cert.exists()
         assert "verify rejects it" in capsys.readouterr().err
+
+
+class TestOneRoutePerQuestion:
+    """``hessenberg`` sends n <= 2 to the search's permutation step and the
+    nonneg n >= 4 family to the shared obstruction builder.  The digests pin
+    the output of the dedicated routes these replaced: the certificates are
+    byte for byte the same, and the obstructions differ only by the keys the
+    builder adds."""
+
+    CASES = {
+        "n1-nonneg": (np.array([[2.0]]), "nonneg", 0,
+                      "1747699667412fc3b91f28098094cd488e54b3c9763ec8e70bb9a60905344610"),
+        "n1-metzler": (np.array([[-2.0]]), "metzler", 0,
+                       "12d84f82f0537f563bd4185af6668bb586296eca87dcd3beb14319acfe5b0ff7"),
+        "n2-nonneg": (np.array([[1.0, 3.0], [2.0, 0.5]]), "nonneg", 0,
+                      "2ee4cd142a50d31ac84098bbd06e81fbb2bdbba50d05d4c0bcaf950e37ace17e"),
+        "n2-metzler": (np.array([[-1.0, 3.0], [2.0, -4.0]]), "metzler", 0,
+                       "5d400f681e67883222db734f617ad9b5d1762648c6014045e1c524d14e544b9e"),
+        "n2-nonneg-lower": (np.array([[1.0, 0.0], [2.0, 0.5]]), "nonneg", 0,
+                            "138ba015ab5a737b2243e515dc4f38cab8bd3da41f5be948d68b17b1e0027517"),
+        "family-4": (4, "nonneg", 2,
+                     "76c0d8bedd524038342ebe689c92e14617bdb4589e38785a386bff30b7198d4e"),
+        "family-5": (5, "nonneg", 2,
+                     "694f3768c5f7e0b0427ae5ca938f2f55563509f32ac82c6fa141c0d618993385"),
+    }
+    ADDED = {"lambda2", "geometric_multiplicity", "reconstruction_residual"}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_hessenberg_bytes(self, tmp_path, capsys, name):
+        A, mode, code, digest = self.CASES[name]
+        if isinstance(A, int):
+            A = sample_matrix(A, Mode.NONNEG, Generator.PROP1_FAMILY,
+                              np.random.default_rng([3, A, 0]))
+        path = tmp_path / "A.mat"
+        write_matrix(path, A)
+        assert run(["hessenberg", str(path), "--mode", mode]) == code
+        out = capsys.readouterr().out
+        if code == 2:
+            obj = json.loads(out)
+            assert self.ADDED <= obj["data"].keys()
+            for key in self.ADDED:
+                del obj["data"][key]
+            out = dumps(obj)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode, generator, digest", [
+        ("nonneg", "dense-uniform",
+         "3b85dc57eedbccd32959af390347279e909c9542464943c37f3646e86b28f0fa"),
+        ("nonneg", "rank-one-shift",
+         "e4b2954d1a2582e1f466fbe100a598abb89773f9b53035787c0639ca2b5d0fc9"),
+        ("metzler", "dense-uniform",
+         "de7ec310a1b205df760d640183a8890bf85ff4d13b7f9a4478fecc790b2a07ad"),
+        ("metzler", "rank-one-shift",
+         "9e9394deb1ef6252435dd05af2a35ca6327ce7d925dc0d112f356bbe2eda4a9e"),
+    ])
+    def test_search_at_n_2_logs_the_permutation_step(self, capsys, mode, generator, digest):
+        """Each trial's log now comes from the search's permutation step, of
+        ``n`` = 2 nodes where the exact route had logged 1; nothing else moves."""
+        assert run(["search", "--n", "2", "--trials", "3", "--seed", "1",
+                    "--mode", mode, "--generator", generator]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert [log["iterations"] for log in obj["restarts"]] == [2, 2, 2]
+        for log in obj["restarts"]:
+            log["iterations"] = 1
+        out = dumps(obj)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -17,6 +17,7 @@ from hessform import (
     ct_hess_3,
     dt_hess_2,
     dt_iterates,
+    make_certificate,
     metzler_hess_3,
     metzler_hess_4,
     nonneg_hess_3,
@@ -26,7 +27,6 @@ from hessform.cli import run
 from hessform.formats import certificate_to_json, write_matrix
 from hessform.linalg import inf_norm
 from hessform.search import sample_matrix
-from hessform.transforms import identity_certificate
 
 from conftest import INFEASIBLE_DT_A, INFEASIBLE_DT_B
 
@@ -49,17 +49,18 @@ def outcome(A, result):
 
 class TestRelativeChecker:
     def test_dense_tiny_matrix_is_not_hessenberg(self):
-        assert not verify_certificate(DENSE_1E9, identity_certificate(DENSE_1E9, Mode.NONNEG))
+        cert = make_certificate(DENSE_1E9, np.eye(3), Mode.NONNEG)
+        assert not verify_certificate(DENSE_1E9, cert)
 
     def test_tiny_hessenberg_matrix_verifies(self):
         A = 1e-9 * np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0, 8.0, 9.0]])
-        assert verify_certificate(A, identity_certificate(A, Mode.NONNEG))
+        assert verify_certificate(A, make_certificate(A, np.eye(3), Mode.NONNEG))
 
-    def test_cli_verify_rejects_the_identity_certificate(self, tmp_path, capsys):
+    def test_cli_verify_rejects_the_identity_frame(self, tmp_path, capsys):
         amat, cert = tmp_path / "A.mat", tmp_path / "cert.json"
         write_matrix(amat, DENSE_1E9)
         cert.write_text(certificate_to_json(
-            DENSE_1E9, identity_certificate(DENSE_1E9, Mode.NONNEG)))
+            DENSE_1E9, make_certificate(DENSE_1E9, np.eye(3), Mode.NONNEG)))
         assert run(["verify", str(amat), str(cert)]) == 1
         assert '"verified": false' in capsys.readouterr().out
 

@@ -417,7 +417,7 @@ class TestPermutationByIndexing:
                     continue
                 report = altproj_hess(A, mode, AltProjConfig(seed=i, **BUDGET))
                 assert report.successes == 1
-                if n <= 2 or (mode is Mode.METZLER and n <= 4):
+                if mode is Mode.METZLER and n in (3, 4):  # n <= 2 is the search's
                     assert isinstance(search.exact_hessenberg(A, mode), SimilarityCertificate)
                 answered += 1
         assert answered >= 40
@@ -756,6 +756,38 @@ class TestModeStrings:
             cert = search.exact_hessenberg(A, "metzler")
             assert cert.mode is Mode.METZLER
             np.testing.assert_array_equal(cert.T, metzler_hess_3(A).T)
+
+
+class TestExactHessenberg:
+    """One route per question: the search answers n <= 2, and one builder
+    gives the family obstruction at every nonneg n >= 3."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_small_n_goes_to_the_search(self, n, mode):
+        A = sample_matrix(n, mode, Generator.DENSE_UNIFORM, np.random.default_rng([71, n]))
+        assert search.exact_hessenberg(A, mode) is None
+        report = altproj_hess(A, mode, small_cfg(0))
+        assert (report.attempts, report.successes) == (1, 1)
+        assert [(log.iterations, log.final_violation) for log in report.logs] == [(n, 0.0)]
+        assert verify_certificate(A, report.best_certificate)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_family_fields_are_in_the_input_units(self, n):
+        """``reconstruction_residual`` is the misfit of the reported
+        ``(c, u, v, s)`` against the input, in its units, at every scale."""
+        A = sample_matrix(n, Mode.NONNEG, Generator.PROP1_FAMILY,
+                          np.random.default_rng([3, n, 0])) + 1e-10 * np.ones((n, n))
+        for c in (1e-6, 1.0, 1e6):
+            d = search.exact_hessenberg(c * A, Mode.NONNEG).data
+            assert d.keys() == {"lambda2", "geometric_multiplicity", "u", "v", "s", "c",
+                                "reconstruction_residual"}
+            rebuilt = d["c"] * (np.outer(d["u"], d["v"]) - d["s"] * np.eye(n))
+            misfit = np.max(np.sum(np.abs(rebuilt - c * A), axis=1))
+            assert d["reconstruction_residual"] == pytest.approx(misfit, rel=1e-3)
+            assert 1e-12 * c < misfit < 1e-9 * c  # the noise, not rounding
+            assert d["lambda2"] == pytest.approx(-d["c"] * d["s"], rel=1e-12)
+            assert d["geometric_multiplicity"] == n - 1
 
 
 class TestSampleMatrix:

@@ -5,16 +5,13 @@ import pytest
 
 from hessform import (
     CoverCertificate,
-    Domain,
     Generator,
     InputError,
     Mode,
-    PositiveSystem,
     SimplexPoint,
     Verdict,
     dt_hess_feasibility_3,
     dt_iterates,
-    is_controller_hessenberg,
     make_certificate,
     sample_matrix,
     triangle_cover_decision,
@@ -127,40 +124,6 @@ def _edge_family(rng, i):
     if i % 2:
         b[int(rng.integers(3))] = 0.0
     return A, b
-
-
-class TestPositiveSystem:
-    def test_dt_requires_nonnegative(self):
-        with pytest.raises(InputError):
-            PositiveSystem(np.array([[-1.0, 1.0], [1.0, 0.0]]),
-                           np.ones(2), np.ones(2), Domain.DT)
-
-    def test_ct_accepts_metzler(self):
-        sys = PositiveSystem(np.array([[-1.0, 1.0], [1.0, -2.0]]),
-                             np.ones(2), np.zeros(2), Domain.CT)
-        assert sys.domain is Domain.CT
-
-    def test_negative_input_vector_rejected(self):
-        with pytest.raises(InputError):
-            PositiveSystem(np.eye(2), np.array([1.0, -1.0]), np.zeros(2),
-                           Domain.DT)
-
-
-class TestIsControllerHessenberg:
-    def test_bidiagonal_true(self):
-        A = np.diag([1.0, 2.0, 3.0]) + np.diag([1.0, 1.0], 1)
-        sys = PositiveSystem(A, np.array([1.0, 0.0, 0.0]), np.zeros(3), Domain.DT)
-        assert is_controller_hessenberg(sys)
-
-    def test_known_pair_false(self):
-        sys = PositiveSystem(INFEASIBLE_DT_A, INFEASIBLE_DT_B,
-                             np.zeros(3), Domain.DT)
-        assert not is_controller_hessenberg(sys)
-
-    def test_scaled_axis_input_accepted(self):
-        A = np.triu(np.ones((3, 3))) + np.diag([1.0, 1.0], -1)
-        sys = PositiveSystem(A, np.array([2.0, 0.0, 0.0]), np.ones(3), Domain.DT)
-        assert is_controller_hessenberg(sys)
 
 
 class TestDtIterates:

@@ -33,7 +33,6 @@ from hessform.linalg import classify, inf_norm, permutation_to_hessenberg
 from hessform.search import Generator, sample_matrix
 from hessform.transforms import (
     RESIDUAL_BOUND,
-    identity_certificate,
     _accepted,
     _certificate,
     _checked,
@@ -639,6 +638,16 @@ class TestCtHess3:
         assert isinstance(result, Obstruction)
         assert result.kind is ObstructionKind.PERRON_EIGVEC_COINCIDENCE
 
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_perron_obstruction_carries_b(self, c):
+        """As ``dt_hess_2``'s does, the data hold ``b`` as given, so that
+        ``A b = lambda1 b`` can be re-derived from the obstruction alone."""
+        A = c * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        b = np.array([2.0, 2.0, 2.0])
+        d = ct_hess_3(A, b).data
+        np.testing.assert_array_equal(d["b"], b)
+        assert inf_norm(A @ d["b"] - d["lambda1"] * d["b"]) <= 1e-12 * c
+
     def test_cyclic_with_axis_input(self):
         A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         result = ct_hess_3(A, [1.0, 0.0, 0.0], [1.0, 1.0, 1.0])
@@ -1137,14 +1146,15 @@ class TestVerifyCertificate:
         A[0, 0] = -1.0  # so the two sign rules disagree
         T = np.eye(3) + rng.uniform(0.0, 0.1, (3, 3))
         for mode in Mode:
-            for build, args in ((make_certificate, (A, T)), (identity_certificate, (A,))):
-                want, got = build(*args, mode), build(*args, mode.value)
+            for frame in (T, np.eye(3)):
+                want = make_certificate(A, frame, mode)
+                got = make_certificate(A, frame, mode.value)
                 assert got.mode is mode
                 assert got.sign_violation == want.sign_violation
                 assert verify_certificate(A, replace(want, mode=mode.value)) == (
                     verify_certificate(A, want))
-        assert verify_certificate(A, identity_certificate(A, Mode.METZLER))
-        assert not verify_certificate(A, identity_certificate(A, "nonneg"))
+        assert verify_certificate(A, make_certificate(A, np.eye(3), Mode.METZLER))
+        assert not verify_certificate(A, make_certificate(A, np.eye(3), "nonneg"))
 
     def test_mode_string_in_verify(self):
         A = np.array([[-1.0, 2.0], [3.0, 4.0]])
